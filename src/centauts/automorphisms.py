@@ -110,9 +110,6 @@ class AutSet:
     def is_subset_of(self, other: "AutSet") -> bool:
         return self.images_set <= other.images_set
 
-    def restrict(self, keep) -> "AutSet":
-        return AutSet(self.group, (a for a in self.elements if keep(a)))
-
 
 def minimal_generating_set(group: Group) -> tuple[int, ...]:
     """A minimal generating set of a p-group, picked greedily in index order.
@@ -127,17 +124,7 @@ def minimal_generating_set(group: Group) -> tuple[int, ...]:
             return ()
         if group.p_group_prime() is None:
             raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
-        frat = group.frattini_subgroup()
-        gens: list[int] = []
-        base = list(frat.members)
-        current = frat.member_set
-        for x in range(group.n):
-            if x not in current:
-                gens.append(x)
-                current = set(group.closure(base + gens))
-                if len(current) == group.n:
-                    break
-        return tuple(gens)
+        return group._greedy_generators(group.frattini_subgroup().members)
 
     return group._cached("minimal_generating_set", compute)
 
@@ -187,6 +174,14 @@ def _generator_chain(group: Group, gens: Sequence[int]):
     return levels
 
 
+def _budget_exceeded(what: str, source: Group, limit: int, naive_space: int) -> BudgetExceeded:
+    """The error a search raises on its first attempt past ``limit``."""
+    return BudgetExceeded(
+        f"{what} for {source.name}: {max(limit, 0) + 1} extension attempts exceed "
+        f"the budget {limit} (naive candidate space {naive_space})"
+    )
+
+
 def _search_maps(
     source: Group,
     target: Group,
@@ -195,12 +190,13 @@ def _search_maps(
     injective: bool,
     limit: int,
     what: str,
-) -> list[tuple[int, ...]]:
+) -> tuple[list[tuple[int, ...]], int]:
     """All maps on ``gens`` extending to homomorphisms source -> target.
 
     Candidate images are tried in the given order; each partial assignment is
     extended over the subgroup generated so far and verified on every
     (element, generator) product, with an injectivity prune when requested.
+    Returns the sorted value tables and the number of extension attempts.
     """
     levels = _generator_chain(source, gens)
     srows = source.mul_rows()
@@ -208,7 +204,6 @@ def _search_maps(
     d = len(gens)
     found: list[tuple[int, ...]] = []
     attempts = 0
-    naive_space = math.prod(len(c) for c in cands) if cands else 1
 
     phi0 = [-1] * source.n
     phi0[source.identity] = target.identity
@@ -221,10 +216,7 @@ def _search_maps(
         for y in cands[level]:
             attempts += 1
             if attempts > limit:
-                raise BudgetExceeded(
-                    f"{what} for {source.name}: {attempts} extension attempts exceed "
-                    f"the budget {limit} (naive candidate space {naive_space})"
-                )
+                raise _budget_exceeded(what, source, limit, math.prod(map(len, cands)))
             if injective and y in used:
                 continue
             phi2 = phi[:]
@@ -268,7 +260,7 @@ def _search_maps(
     else:
         descend(0, phi0, (), {target.identity} if injective else set())
     found.sort()
-    return found
+    return found, attempts
 
 
 def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
@@ -277,13 +269,15 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     Candidate images for each generator are limited to elements of the same
     order (and, for p-groups, outside the Frattini subgroup).  The search is
     aborted with :class:`BudgetExceeded` once the number of attempted partial
-    extensions passes the budget; results are never silently truncated.
+    extensions passes the budget; results are never silently truncated.  The
+    attempt count is cached with the result, so a later call with a smaller
+    budget raises exactly as a fresh search would.
     """
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
 
     def compute():
-        limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
         if group.n == 1:
-            return AutSet(group, (Automorphism(group, (group.identity,)),))
+            return AutSet(group, (Automorphism(group, (group.identity,)),)), 0, 1
         gens = _search_generating_set(group)
         orders = group.element_orders()
         frat = (
@@ -295,13 +289,17 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
             [x for x in range(group.n) if orders[x] == orders[w] and x not in frat]
             for w in gens
         ]
-        tables = _search_maps(
+        tables, attempts = _search_maps(
             group, group, gens, cands, injective=True, limit=limit,
             what="automorphism search",
         )
-        return AutSet(group, (Automorphism(group, t) for t in tables))
+        auts = AutSet(group, (Automorphism(group, t) for t in tables))
+        return auts, attempts, math.prod(map(len, cands))
 
-    return group._cached("all_automorphisms", compute)
+    auts, attempts, naive_space = group._cached("all_automorphisms", compute)
+    if attempts > max(limit, 0):  # a search that made no attempts never raises
+        raise _budget_exceeded("automorphism search", group, limit, naive_space)
+    return auts
 
 
 def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
@@ -315,10 +313,11 @@ def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> l
     cands = [
         [t for t in range(target.n) if sorders[w] % torders[t] == 0] for w in gens
     ]
-    return _search_maps(
+    tables, _ = _search_maps(
         source, target, gens, cands, injective=False, limit=limit,
         what="homomorphism search",
     )
+    return tables
 
 
 def inner_automorphisms(group: Group) -> AutSet:
@@ -356,11 +355,12 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     Path one filters the full automorphism group on the centrality test;
     path two takes the centralizer of the inner automorphisms under
     composition (conjugations by a generating set suffice, since they
-    generate the inner automorphism group).
+    generate the inner automorphism group).  The budget applies on every
+    call, cached or not, through :func:`all_automorphisms`.
     """
+    auts = all_automorphisms(group, budget)
 
     def compute():
-        auts = all_automorphisms(group, budget)
         by_filter = [a for a in auts if is_central_automorphism(group, a)]
 
         n = group.n

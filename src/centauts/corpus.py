@@ -14,13 +14,12 @@ from typing import Callable, Iterable, Sequence
 from . import __version__
 from .automorphisms import verify_lemma0, verify_lemma0a
 from .errors import (
-    BudgetExceeded,
+    CentautsError,
     ConfigError,
     NotNilpotent,
     NotPGroup,
     NotPurelyNonabelian,
     ParseError,
-    SizeLimitExceeded,
     WrongClass,
 )
 from .groups import (
@@ -40,8 +39,6 @@ from .theory import (
     verify_theorem,
 )
 
-CHECK_NAMES = ("theorem", "prop1", "cor1", "lemma0", "lemma0a", "lemma3", "lemma4", "attar")
-PER_GROUP_CHECKS = tuple(c for c in CHECK_NAMES if c != "lemma4")
 CACHE_ENV_VAR = "CENTAUTS_CACHE_DIR"
 
 _CSV_COLUMNS = (
@@ -338,6 +335,43 @@ def parse_group_file(path: str | Path, max_order: int = DEFAULT_ELEMENT_CAP) -> 
     return group
 
 
+# -- check registry ---------------------------------------------------------
+
+
+def _status(agree: bool) -> str:
+    return "pass" if agree else "fail"
+
+
+def _run_theorem(group: Group, budget: int | None, report: TheoremReport) -> str:
+    sub = verify_theorem(group, budget)
+    report.condition = sub.condition
+    report.oracle = sub.oracle
+    report.witness = sub.witness
+    return _status(sub.verdict == "agree")
+
+
+def _run_lemma0(group: Group, budget: int | None, report: TheoremReport) -> str:
+    status = verify_lemma0(group, group.center(), budget).status
+    return "not-applicable" if status == "hypothesis-fails" else status
+
+
+# Check id -> runner returning the check's status; a runner may also fill in
+# the group report.  ``lemma4`` is the corpus-wide Hom-growth sweep, which
+# scan_corpus runs once per prime instead of once per group.
+CHECKS: dict[str, Callable[[Group, int | None, TheoremReport], str] | None] = {
+    "theorem": _run_theorem,
+    "prop1": lambda g, budget, _: _status(all(r.agree for r in verify_proposition1(g, budget))),
+    "cor1": lambda g, budget, _: _status(verify_corollary1(g, budget).agree),
+    "lemma0": _run_lemma0,
+    "lemma0a": lambda g, budget, _: verify_lemma0a(g, budget).status,
+    "lemma3": lambda g, budget, _: _status(verify_lemma3(g, budget).agree),
+    "lemma4": None,
+    "attar": lambda g, budget, _: _status(verify_attar(g, budget).agree),
+}
+CHECK_NAMES = tuple(CHECKS)
+PER_GROUP_CHECKS = tuple(c for c, run in CHECKS.items() if run is not None)
+
+
 # -- run configuration and scanning ----------------------------------------
 
 
@@ -366,6 +400,8 @@ class RunConfig:
             raise ConfigError(f"output format must be json or csv, got {self.output_format!r}")
         if not self.primes:
             raise ConfigError("the prime list must not be empty")
+        if self.budget < 0:
+            raise ConfigError(f"budget must be non-negative, got {self.budget}")
 
     def resolved_cache_dir(self) -> Path | None:
         override = os.environ.get(CACHE_ENV_VAR)
@@ -378,9 +414,14 @@ def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None
     """Run the enabled per-group checks and aggregate them into one report.
 
     Inapplicable hypotheses (wrong class, non-p-groups, abelian groups for
-    the non-abelian statements) are recorded as not-applicable; budget and
-    size blowups are captured as an error verdict instead of propagating.
+    the non-abelian statements) are recorded as not-applicable; any other
+    library error in a check (a budget or size blowup, a failed internal
+    cross-check) is captured as that check's error verdict instead of
+    propagating.
     """
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown check {unknown[0]!r}")
     try:
         klass = group.nilpotency_class()
     except NotNilpotent:
@@ -397,34 +438,14 @@ def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None
     errors: list[str] = []
 
     for check in checks:
-        if check == "lemma4":
+        run = CHECKS[check]
+        if run is None:
             continue
         try:
-            if check == "theorem":
-                sub = verify_theorem(group, budget)
-                report.condition = sub.condition
-                report.oracle = sub.oracle
-                report.witness = sub.witness
-                status = "pass" if sub.verdict == "agree" else "fail"
-            elif check == "prop1":
-                rows = verify_proposition1(group, budget)
-                status = "pass" if all(r.agree for r in rows) else "fail"
-            elif check == "cor1":
-                status = "pass" if verify_corollary1(group, budget).agree else "fail"
-            elif check == "lemma0":
-                sub0 = verify_lemma0(group, group.center(), budget)
-                status = "not-applicable" if sub0.status == "hypothesis-fails" else sub0.status
-            elif check == "lemma0a":
-                status = verify_lemma0a(group, budget).status
-            elif check == "lemma3":
-                status = "pass" if verify_lemma3(group, budget).agree else "fail"
-            elif check == "attar":
-                status = "pass" if verify_attar(group, budget).agree else "fail"
-            else:
-                raise ConfigError(f"unknown check {check!r}")
+            status = run(group, budget, report)
         except not_applicable:
             status = "not-applicable"
-        except (BudgetExceeded, SizeLimitExceeded) as exc:
+        except CentautsError as exc:
             status = "error"
             errors.append(f"{check}: {exc}")
         report.lemma_checks[check] = status
@@ -515,12 +536,15 @@ def _cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
 
 
 def _cache_read(cache_dir: Path, key: str) -> TheoremReport | None:
+    """The cached report under ``key``; None on a miss or an unreadable entry."""
     path = cache_dir / f"{key}.json"
     if not path.exists():
         return None
     try:
         return _report_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        # ValueError covers invalid JSON and non-UTF-8 bytes; the rest, a
+        # document of the wrong shape.
         return None
 
 

@@ -61,7 +61,21 @@ def _associativity_failure(mul: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
-class Group:
+class _Cached:
+    """Per-instance memo of derived values; instances are immutable, so it never goes stale."""
+
+    __slots__ = ()
+
+    def _cached(self, key, compute: Callable):
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            self._cache[key] = value
+            return value
+
+
+class Group(_Cached):
     """A finite group on ``0..n-1`` given by its full multiplication table.
 
     Attributes:
@@ -142,17 +156,6 @@ class Group:
 
     def inverse(self, x: int) -> int:
         return int(self.inv[x])
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
-
-    def _cached(self, key, compute: Callable):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = compute()
-            self._cache[key] = value
-            return value
 
     def mul_rows(self) -> list[list[int]]:
         """Multiplication table as nested lists (fast scalar indexing)."""
@@ -255,21 +258,23 @@ class Group:
     def subgroup_generated(self, seed: Iterable[int]) -> "Subgroup":
         return self.subgroup(self.closure(seed))
 
+    def _greedy_generators(self, base: Sequence[int] = ()) -> tuple[int, ...]:
+        """Elements picked in index order, each whenever it falls outside the
+        subgroup generated by ``base`` and the picks so far, until that
+        subgroup is the whole group."""
+        gens: list[int] = []
+        current = set(self.closure(base))
+        for x in range(self.n):
+            if len(current) == self.n:
+                break
+            if x not in current:
+                gens.append(x)
+                current = set(self.closure([*base, *gens]))
+        return tuple(gens)
+
     def generating_set(self) -> tuple[int, ...]:
         """A small generating set found greedily in index order."""
-
-        def compute():
-            gens: list[int] = []
-            current = {self.identity}
-            for x in range(self.n):
-                if x not in current:
-                    gens.append(x)
-                    current = set(self.closure(gens))
-                    if len(current) == self.n:
-                        break
-            return tuple(gens)
-
-        return self._cached("generating_set", compute)
+        return self._cached("generating_set", self._greedy_generators)
 
     def center(self) -> "Subgroup":
         def compute():
@@ -391,29 +396,44 @@ class Group:
                     gens.extend(extra)
                     current = set(self.closure(gens))
 
-            trivial = frozenset({self.identity})
-            found: dict[frozenset[int], list[int]] = {trivial: []}
-            queue = [trivial]
-            qi = 0
-            while qi < len(queue):
-                base = queue[qi]
-                qi += 1
-                base_gens = found[base]
-                for g in range(self.n):
-                    if g in base:
-                        continue
-                    closed, gens = normal_closure(base_gens + [g])
-                    if closed not in found:
-                        found[closed] = gens
-                        queue.append(closed)
-            subs = [self.subgroup(sorted(fs)) for fs in found]
-            subs.sort(key=lambda s: (len(s), s.members))
-            return tuple(subs)
+            return self._lattice(range(self.n), normal_closure, None)
 
         return self._cached("normal_subgroups", compute)
 
+    def _lattice(
+        self,
+        elements: Iterable[int],
+        close: Callable[[list[int]], tuple[frozenset[int], list[int]]],
+        cap: int | None,
+    ) -> tuple["Subgroup", ...]:
+        """Breadth-first walk from the trivial subgroup, closing each found
+        subgroup together with one more element of ``elements``.
 
-class Subgroup:
+        ``close(gens)`` returns the closed member set and the generators to
+        extend it by later.  With plain closure this reaches every subgroup
+        inside ``elements``; with normal closure, every normal subgroup.
+        Sorted by (size, members).
+        """
+        trivial = frozenset({self.identity})
+        found: dict[frozenset[int], list[int]] = {trivial: []}
+        queue = [trivial]
+        for base in queue:
+            base_gens = found[base]
+            for g in elements:
+                if g in base:
+                    continue
+                closed, gens = close(base_gens + [g])
+                if closed not in found:
+                    if cap is not None and len(found) >= cap:
+                        raise SizeLimitExceeded(f"more than {cap} subgroups during enumeration")
+                    found[closed] = gens
+                    queue.append(closed)
+        subs = [self.subgroup(sorted(fs)) for fs in found]
+        subs.sort(key=lambda s: (len(s), s.members))
+        return tuple(subs)
+
+
+class Subgroup(_Cached):
     """A subgroup of a parent :class:`Group`, stored as sorted element indices."""
 
     __slots__ = ("parent", "members", "_member_set", "_cache")
@@ -467,19 +487,8 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return self._member_set
 
-    def _cached(self, key, compute: Callable):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = compute()
-            self._cache[key] = value
-            return value
-
     def is_trivial(self) -> bool:
         return len(self.members) == 1
-
-    def is_whole_group(self) -> bool:
-        return len(self.members) == self.parent.n
 
     def element_orders(self) -> tuple[int, ...]:
         parent_orders = self.parent.element_orders()
@@ -529,59 +538,17 @@ class Subgroup:
     def all_subgroups(self, subgroup_cap: int = 50_000) -> tuple["Subgroup", ...]:
         """Every subgroup contained in this one, sorted by (size, members).
 
-        Works by closing each discovered subgroup together with one more
-        element, which reaches every subgroup of a finite group.
+        Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
+        subgroups are found.
         """
+        parent = self.parent
 
-        def compute():
-            parent = self.parent
-            rows = parent.mul_rows()
-            identity = parent.identity
+        def close(gens: list[int]) -> tuple[frozenset[int], list[int]]:
+            return frozenset(parent.closure(gens)), gens
 
-            def extend(base_members: list[int], base_gens: list[int], g: int) -> frozenset[int]:
-                gens = base_gens + [g]
-                elems = list(base_members)
-                seen = set(elems)
-                if g not in seen:
-                    seen.add(g)
-                    elems.append(g)
-                i = 0
-                while i < len(elems):
-                    row = rows[elems[i]]
-                    for s in gens:
-                        t = row[s]
-                        if t not in seen:
-                            seen.add(t)
-                            elems.append(t)
-                    i += 1
-                return frozenset(seen)
-
-            trivial = frozenset({identity})
-            found: dict[frozenset[int], tuple[list[int], list[int]]] = {
-                trivial: ([identity], [])
-            }
-            queue = [trivial]
-            qi = 0
-            while qi < len(queue):
-                fs = queue[qi]
-                qi += 1
-                base_members, base_gens = found[fs]
-                for g in self.members:
-                    if g in fs:
-                        continue
-                    closed = extend(base_members, base_gens, g)
-                    if closed not in found:
-                        if len(found) >= subgroup_cap:
-                            raise SizeLimitExceeded(
-                                f"more than {subgroup_cap} subgroups during enumeration"
-                            )
-                        found[closed] = (sorted(closed), base_gens + [g])
-                        queue.append(closed)
-            subs = [parent.subgroup(sorted(fs)) for fs in found]
-            subs.sort(key=lambda s: (len(s), s.members))
-            return tuple(subs)
-
-        return self._cached("all_subgroups", compute)
+        return self._cached(
+            "all_subgroups", lambda: parent._lattice(self.members, close, subgroup_cap)
+        )
 
 
 class QuotientMap:

@@ -8,7 +8,7 @@ counterexample and carries a serializable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from typing import Iterator
 
 from .abelian import (
     AbelianType,
@@ -27,6 +27,7 @@ from .automorphisms import (
     inner_automorphisms,
     is_purely_nonabelian,
     minimal_generating_set,
+    _search_maps,
 )
 from .errors import InternalDisagreement, NotPGroup, WrongClass
 from .groups import Group, Subgroup
@@ -319,33 +320,18 @@ def build_factor_witness(group: Group) -> tuple[int, "CentralHom"]:
 
 def _extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tuple[int, ...]:
     """Extend a generator assignment multiplicatively; the result must be total."""
-    rows = group.mul_rows()
-    values = [-1] * group.n
-    values[group.identity] = group.identity
-    img = {g: y for g, y in zip(gens, images)}
-    pool = [group.identity]
-    for g in gens:
-        if values[g] == -1:
-            values[g] = img[g]
-            pool.append(g)
-    qi = 0
-    while qi < len(pool):
-        x = pool[qi]
-        qi += 1
-        row = rows[x]
-        for g in gens:
-            t = row[g]
-            v = rows[values[x]][img[g]]
-            if values[t] == -1:
-                values[t] = v
-                pool.append(t)
-            elif values[t] != v:
-                raise InternalDisagreement(
-                    f"generator assignment on {group.name} does not extend to a homomorphism"
-                )
-    if any(v == -1 for v in values):
+    # one candidate per generator: at most one extension attempt per level
+    tables, _ = _search_maps(
+        group, group, gens, [[y] for y in images], injective=False,
+        limit=len(images), what="generator extension",
+    )
+    if not tables:
+        raise InternalDisagreement(
+            f"generator assignment on {group.name} does not extend to a homomorphism"
+        )
+    if -1 in tables[0]:
         raise InternalDisagreement(f"generators do not generate {group.name}")
-    return tuple(values)
+    return tables[0]
 
 
 def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianReport:
@@ -406,14 +392,28 @@ class HomGrowthSweep:
         return not self.failures
 
 
+def _partitions(total: int, length: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing tuples of ``length`` parts >= ``least`` summing to ``total``,
+    in lexicographic order."""
+    if length == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total // length + 1):
+        for rest in _partitions(total - first, length - 1, first):
+            yield (first, *rest)
+
+
 def _types_up_to(p: int, max_exp: int) -> list[AbelianType]:
-    """All abelian types over p of total order at most p**max_exp (trivial included)."""
+    """All abelian types over p of total order at most p**max_exp (trivial included).
+
+    Ordered by total exponent, then by rank, then lexicographically on the
+    exponents read from the smallest.
+    """
     types: list[AbelianType] = [AbelianType(p, ())]
     for total in range(1, max_exp + 1):
         for length in range(1, total + 1):
-            for combo in combinations_with_replacement(range(1, total + 1), length):
-                if sum(combo) == total:
-                    types.append(AbelianType(p, tuple(sorted(combo, reverse=True))))
+            types.extend(AbelianType(p, parts[::-1]) for parts in _partitions(total, length))
     return types
 
 

@@ -6,10 +6,8 @@ p = 2 and <= 81 at p = 3.
 """
 
 import time
-from itertools import combinations_with_replacement
 
 from centauts import (
-    AbelianType,
     RunConfig,
     alpha_from_f,
     autcent,
@@ -29,6 +27,7 @@ from centauts import (
     verify_theorem,
 )
 from centauts.corpus import abelian_group
+from centauts.theory import _types_up_to as _all_types
 
 from oracles import brute_force_hom_count, order_census_hom_count
 
@@ -101,15 +100,6 @@ def test_criterion_4_hom_count_oracle(corpus, groups):
         f"{checked} purely non-abelian groups, {len(failures)} mismatches; "
         f"|Autcent(D8xQ8)| = {frozen} (expected 256)",
     )
-
-
-def _all_types(p, max_total):
-    yield AbelianType(p, ())
-    for total in range(1, max_total + 1):
-        for length in range(1, total + 1):
-            for combo in combinations_with_replacement(range(1, total + 1), length):
-                if sum(combo) == total:
-                    yield AbelianType(p, tuple(sorted(combo, reverse=True)))
 
 
 def test_criterion_5_hom_growth_sweep():

@@ -1,0 +1,95 @@
+"""Corrupt caches, budgets on cached searches, and configuration bounds."""
+
+import pytest
+
+from centauts import (
+    RunConfig,
+    all_automorphisms,
+    autcent,
+    emit_report,
+    from_cayley_table,
+    scan_corpus,
+)
+from centauts.cli import main
+from centauts.corpus import _cache_read, catalog_group
+from centauts.errors import BudgetExceeded, ConfigError
+
+
+class TestCorruptCache:
+    CFG = dict(max_order=8, primes=(2,), checks=("theorem", "cor1"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[1, 2]",
+            b"\xff\xfe\x00not utf-8",
+            b'"a string"',
+            b'{"groupId": "D8", "conditionSide": [1]}',
+            b"{truncated",
+        ],
+        ids=["list", "non-utf8", "string", "wrong-field-type", "bad-json"],
+    )
+    def test_unreadable_entry_is_a_miss(self, tmp_path, payload):
+        cfg = RunConfig(cache_dir=str(tmp_path), **self.CFG)
+        fresh = emit_report(scan_corpus(cfg), "json")
+        entries = sorted(tmp_path.glob("*.json"))
+        assert entries
+        for path in entries:
+            path.write_bytes(payload)
+            assert _cache_read(tmp_path, path.stem) is None
+        assert emit_report(scan_corpus(cfg), "json") == fresh
+        # the misses were recomputed and written back
+        assert all(_cache_read(tmp_path, path.stem) is not None for path in entries)
+
+    def test_directory_in_place_of_entry_is_a_miss(self, tmp_path):
+        (tmp_path / "abc.json").mkdir()
+        assert _cache_read(tmp_path, "abc") is None
+
+
+def _outcome(group, budget, search):
+    try:
+        return len(search(group, budget))
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+class TestBudgetOnCachedSearch:
+    @pytest.mark.parametrize("search", [all_automorphisms, autcent])
+    @pytest.mark.parametrize("name", ["D8", "Q8"])
+    def test_cached_result_obeys_budget_like_a_fresh_search(self, name, search):
+        cached = catalog_group(name)
+        search(cached)
+        budgets = range(-1, 50)
+        fresh = [_outcome(catalog_group(name), b, search) for b in budgets]
+        assert [_outcome(cached, b, search) for b in budgets] == fresh
+        # the range spans both outcomes: small budgets raise, the largest suffices
+        assert isinstance(fresh[0], str) and isinstance(fresh[-1], int)
+
+    def test_d8xq8_budget_one_raises_after_caching(self, groups):
+        g = groups["D8xQ8"]
+        assert len(all_automorphisms(g)) == 3072
+        assert len(autcent(g)) == 256
+        with pytest.raises(BudgetExceeded, match="budget 1 "):
+            all_automorphisms(g, budget=1)
+        with pytest.raises(BudgetExceeded, match="budget 1 "):
+            autcent(g, budget=1)
+
+    def test_trivial_group_never_exceeds(self):
+        g = from_cayley_table([[0]])
+        assert len(all_automorphisms(g, budget=-1)) == 1
+
+
+class TestBounds:
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigError, match="budget"):
+            RunConfig(budget=-1)
+        assert RunConfig(budget=0).budget == 0
+
+    @pytest.mark.parametrize("max_exp", ["-1", "0", "13"])
+    def test_sweep_max_exp_out_of_range(self, capsys, max_exp):
+        assert main(["sweep-lemma4", "--prime", "2", "--max-exp", max_exp]) == 2
+        assert "--max-exp must be within [1, 12]" in capsys.readouterr().err
+
+    def test_sweep_max_exp_lower_end(self, capsys):
+        assert main(["sweep-lemma4", "--prime", "3", "--max-exp", "1"]) == 0
+        assert "verdict=agree" in capsys.readouterr().out
