@@ -14,10 +14,11 @@ from centauts import (
 from centauts.corpus import catalog
 
 # ---------------------------------------------------------------------------
-# For each group the engine searches generator images exhaustively, so the
-# resulting sets are the full automorphism group, not a sample.  Autcent is
-# computed twice (centrality filter vs. centralizer of the inner maps) and
-# the library asserts the two paths agree.
+# all_automorphisms searches generator images exhaustively, so its result is
+# the full automorphism group, not a sample.  autcent never looks at it: it
+# builds the bijective maps x -> x f(x) from every f in Hom(G/[G,G], Z(G)).
+# The |Aut^Z_Z| column is filtered from the full group instead; the test
+# suite asserts that both routes give the same central automorphisms.
 # ---------------------------------------------------------------------------
 
 NAMES = ["D8", "Q8", "M16", "Heis3", "D8xC2", "D8xQ8"]

@@ -1,11 +1,16 @@
-"""Exhaustive automorphism enumeration, classification, and the f <-> alpha duality.
+"""Exhaustive Aut/Hom search, central automorphisms, and the f <-> alpha duality.
 
 The search assigns images to a minimal generating set level by level.  At each
 level the partial map is extended over the subgroup generated so far by
-breadth-first derivations, pruned on injectivity, and verified against every
-(element, generator) product; a full assignment is therefore exactly an
-automorphism.  Everything is deterministic: candidates are tried in index
-order and results are sorted by image table.
+breadth-first derivations, pruned on injectivity when searching automorphisms,
+and verified against every (element, generator) product; a full assignment is
+therefore exactly a homomorphism (an automorphism, with the prune).
+Everything is deterministic: candidates are tried in index order and results
+are sorted by value table.
+
+The central automorphisms are built from Hom(G/[G,G], Z(G)) alone (see
+:func:`autcent`); the full automorphism group, :func:`all_automorphisms`, is
+the independent oracle the tests compare them against.
 """
 
 from __future__ import annotations
@@ -174,12 +179,24 @@ def _generator_chain(group: Group, gens: Sequence[int]):
     return levels
 
 
-def _budget_exceeded(what: str, source: Group, limit: int, naive_space: int) -> BudgetExceeded:
+def _budget_exceeded(what: str, limit: int, naive_space: int) -> BudgetExceeded:
     """The error a search raises on its first attempt past ``limit``."""
     return BudgetExceeded(
-        f"{what} for {source.name}: {max(limit, 0) + 1} extension attempts exceed "
+        f"{what}: {max(limit, 0) + 1} extension attempts exceed "
         f"the budget {limit} (naive candidate space {naive_space})"
     )
+
+
+def _cached_search(owner, key, limit: int, what: str, search):
+    """Run ``search() -> (result, attempts, naive_space)`` once per ``owner`` and ``key``.
+
+    The attempt count is cached with the result, so a later call with a
+    smaller budget raises exactly as a fresh search would.
+    """
+    result, attempts, naive_space = owner._cached(key, search)
+    if attempts > max(limit, 0):  # a search that made no attempts never raises
+        raise _budget_exceeded(what, limit, naive_space)
+    return result
 
 
 def _search_maps(
@@ -196,7 +213,8 @@ def _search_maps(
     Candidate images are tried in the given order; each partial assignment is
     extended over the subgroup generated so far and verified on every
     (element, generator) product, with an injectivity prune when requested.
-    Returns the sorted value tables and the number of extension attempts.
+    Returns the sorted value tables and the number of extension attempts;
+    ``what`` names the search in its budget error.
     """
     levels = _generator_chain(source, gens)
     srows = source.mul_rows()
@@ -216,7 +234,7 @@ def _search_maps(
         for y in cands[level]:
             attempts += 1
             if attempts > limit:
-                raise _budget_exceeded(what, source, limit, math.prod(map(len, cands)))
+                raise _budget_exceeded(what, limit, math.prod(map(len, cands)))
             if injective and y in used:
                 continue
             phi2 = phi[:]
@@ -274,6 +292,7 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     budget raises exactly as a fresh search would.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    what = f"automorphism search for {group.name}"
 
     def compute():
         if group.n == 1:
@@ -290,34 +309,34 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
             for w in gens
         ]
         tables, attempts = _search_maps(
-            group, group, gens, cands, injective=True, limit=limit,
-            what="automorphism search",
+            group, group, gens, cands, injective=True, limit=limit, what=what
         )
         auts = AutSet(group, (Automorphism(group, t) for t in tables))
         return auts, attempts, math.prod(map(len, cands))
 
-    auts, attempts, naive_space = group._cached("all_automorphisms", compute)
-    if attempts > max(limit, 0):  # a search that made no attempts never raises
-        raise _budget_exceeded("automorphism search", group, limit, naive_space)
-    return auts
+    return _cached_search(group, "all_automorphisms", limit, what, compute)
 
 
-def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
-    """Value tables of every homomorphism from source into target."""
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+def _hom_search(source: Group, target: Group, limit: int, what: str):
+    """(value tables of every homomorphism source -> target, attempts, naive space)."""
     if source.n == 1:
-        return [(target.identity,)]
+        return [(target.identity,)], 0, 1
     gens = _search_generating_set(source)
     sorders = source.element_orders()
     torders = target.element_orders()
     cands = [
         [t for t in range(target.n) if sorders[w] % torders[t] == 0] for w in gens
     ]
-    tables, _ = _search_maps(
-        source, target, gens, cands, injective=False, limit=limit,
-        what="homomorphism search",
+    tables, attempts = _search_maps(
+        source, target, gens, cands, injective=False, limit=limit, what=what
     )
-    return tables
+    return tables, attempts, math.prod(map(len, cands))
+
+
+def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
+    """Value tables of every homomorphism from source into target."""
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    return _hom_search(source, target, limit, f"homomorphism search for {source.name}")[0]
 
 
 def inner_automorphisms(group: Group) -> AutSet:
@@ -350,37 +369,21 @@ def is_central_automorphism(group: Group, aut: Automorphism) -> bool:
 
 
 def autcent(group: Group, budget: int | None = None) -> AutSet:
-    """The central automorphisms, computed two ways and asserted equal.
+    """The central automorphisms, built from Hom(G/[G,G], Z(G)).
 
-    Path one filters the full automorphism group on the centrality test;
-    path two takes the centralizer of the inner automorphisms under
-    composition (conjugations by a generating set suffice, since they
-    generate the inner automorphism group).  The budget applies on every
-    call, cached or not, through :func:`all_automorphisms`.
+    A central automorphism is exactly a bijective map x -> x f(x) with f a
+    homomorphism from G into Z(G) (Adney and Yen, Illinois J. Math. 9, 1965),
+    so the set is read off :func:`homs_to_central_subgroup` through
+    :func:`alpha_from_f` without enumerating the full automorphism group.
+    The budget bounds that Hom search and applies on every call, cached or
+    not.  The tests compare the result with the centrality filter and the
+    Inn-centralizer test over :func:`all_automorphisms`.
     """
-    auts = all_automorphisms(group, budget)
+    homs = homs_to_central_subgroup(group, group.center(), budget)
 
     def compute():
-        by_filter = [a for a in auts if is_central_automorphism(group, a)]
-
-        n = group.n
-        inner_tables = []
-        for g in group.generating_set():
-            left = group.mul[group.inv[g]]
-            inner_tables.append(tuple(int(v) for v in group.mul[left, g]))
-        by_centralizer = []
-        for a in auts:
-            im = a.images
-            if all(
-                all(im[t[x]] == t[im[x]] for x in range(n)) for t in inner_tables
-            ):
-                by_centralizer.append(a)
-
-        if [a.images for a in by_filter] != [a.images for a in by_centralizer]:
-            raise InternalDisagreement(
-                f"centrality filter and Inn-centralizer disagree on {group.name}"
-            )
-        return AutSet(group, by_filter)
+        built = (alpha_from_f(group, f) for f in homs)
+        return AutSet(group, (a for a in built if a is not None))
 
     return group._cached("autcent", compute)
 
@@ -455,28 +458,43 @@ class CentralHom:
         return f"<CentralHom on {self.group.name} into order-{len(self.target)} subgroup>"
 
 
-def homs_to_central_subgroup(group: Group, target: Subgroup) -> list[CentralHom]:
+def homs_to_central_subgroup(
+    group: Group, target: Subgroup, budget: int | None = None
+) -> list[CentralHom]:
     """All homomorphisms from the group into a central subgroup.
 
     Because the target is abelian these coincide with homomorphisms from the
     abelianization, which is where the enumeration runs; tables are pulled
-    back to the group afterwards.
+    back to the group afterwards.  For a p-group their number is checked
+    against the Hom order of the two invariant types.  The budget bounds the
+    enumeration; its attempt count is cached with the result, so a later call
+    with a smaller budget raises exactly as a fresh search would.
     """
     if not target.is_central():
         raise NotCentral(f"subgroup of {group.name} is not central")
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    what = f"homomorphism search for {group.name}"
 
     def compute():
         ab = group.abelianization()
         target_group = target.as_group()
-        tables = enumerate_homs(ab.target, target_group)
+        tables, attempts, naive_space = _hom_search(ab.target, target_group, limit, what)
+        p = group.p_group_prime()
+        if p is not None:
+            expected = hom_order(invariants(ab.target, p), invariants(target_group, p))
+            if len(tables) != expected:
+                raise InternalDisagreement(
+                    f"enumerated {len(tables)} homomorphisms from the abelianization "
+                    f"of {group.name} into a central subgroup, Hom order is {expected}"
+                )
         homs = []
         for table in tables:
             values = tuple(target.members[table[ab.projection[x]]] for x in range(group.n))
             homs.append(CentralHom.create(group, target, values))
         homs.sort(key=lambda f: f.values)
-        return homs
+        return homs, attempts, naive_space
 
-    return group._cached(("central_homs", target.members), compute)
+    return _cached_search(group, ("central_homs", target.members), limit, what, compute)
 
 
 def alpha_from_f(group: Group, f: CentralHom) -> Automorphism | None:
@@ -556,12 +574,13 @@ def is_purely_nonabelian(group: Group) -> bool:
     return abelian_factor_split(group) is None
 
 
-def _independent_hom_count(source: Group, target: Group) -> int:
+def _independent_hom_count(source: Group, target: Group, budget: int | None = None) -> int:
     """|Hom(source, target)| by type formula when possible, else enumeration.
 
     The closed form applies when both sides are abelian p-groups over one
     prime; anything else (non-abelian source, mixed orders) falls back to a
     direct search, which stays independent of any automorphism filtering.
+    The budget bounds that search; its attempt count is cached with the count.
     """
     if source.n == 1 or target.n == 1:
         return 1
@@ -569,7 +588,15 @@ def _independent_hom_count(source: Group, target: Group) -> int:
         ps, pt = source.p_group_prime(), target.p_group_prime()
         if ps is not None and ps == pt:
             return hom_order(invariants(source, ps), invariants(target, pt))
-    return len(enumerate_homs(source, target))
+    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    what = f"homomorphism search for {source.name}"
+
+    def count():
+        tables, attempts, naive_space = _hom_search(source, target, limit, what)
+        return len(tables), attempts, naive_space
+
+    # the key holds the target alive, so its identity cannot be reused
+    return _cached_search(source, ("hom_count", target), limit, what, count)
 
 
 @dataclass(frozen=True)
@@ -600,15 +627,17 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     homomorphism G -> M; that hypothesis is tested and reported rather than
     assumed.
     """
-    homs = homs_to_central_subgroup(group, target)
+    homs = homs_to_central_subgroup(group, target, budget)
     e = group.identity
     hypothesis = all(f.values[m] == e for f in homs for m in target.members)
 
-    auts = all_automorphisms(group, budget)
-    aut_quotient = aut_fixing_quotient(group, target, auts)
+    # an automorphism acting trivially on G/M, M central, is central
+    aut_quotient = aut_fixing_quotient(group, target, autcent(group, budget))
     center = group.center()
     center_fixing = aut_fixing_subgroup(group, center, aut_quotient)
-    center_homs = _independent_hom_count(group.center_quotient().target, target.as_group())
+    center_homs = _independent_hom_count(
+        group.center_quotient().target, target.as_group(), budget
+    )
 
     return Lemma0Report(
         group=group.name,
@@ -646,6 +675,6 @@ def verify_lemma0a(group: Group, budget: int | None = None) -> Lemma0aReport:
         raise NotPurelyNonabelian(f"{group.name} has a non-trivial abelian direct factor")
     ac = autcent(group, budget)
     homs = _independent_hom_count(
-        group.abelianization().target, group.center().as_group()
+        group.abelianization().target, group.center().as_group(), budget
     )
     return Lemma0aReport(group=group.name, autcent_order=len(ac), hom_count=homs)

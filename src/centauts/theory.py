@@ -17,7 +17,6 @@ from .abelian import (
 )
 from .automorphisms import (
     AutSet,
-    all_automorphisms,
     abelian_factor_split,
     alpha_from_f,
     aut_fixing_quotient,
@@ -92,9 +91,7 @@ class TheoremReport:
 
 def _center_fixing_subset(group: Group, budget: int | None) -> AutSet:
     """Aut^Z_Z(G): central automorphisms fixing the center element-wise."""
-    auts = all_automorphisms(group, budget)
-    center = group.center()
-    return aut_fixing_subgroup(group, center, aut_fixing_quotient(group, center, auts))
+    return aut_fixing_subgroup(group, group.center(), autcent(group, budget))
 
 
 def theorem_condition(group: Group) -> ConditionSide:
@@ -110,8 +107,8 @@ def theorem_condition(group: Group) -> ConditionSide:
 def verify_theorem(group: Group, budget: int | None = None) -> TheoremReport:
     """Compare the structural criterion with exhaustive set equality.
 
-    The oracle computes the central automorphisms and the subset fixing the
-    center pointwise by full enumeration and tests equality as sets, never
+    The oracle builds every central automorphism from the Hom search and the
+    subset fixing the center pointwise, and tests equality as sets, never
     just cardinality.
     """
     condition = theorem_condition(group)  # raises WrongClass / NotPGroup first
@@ -180,7 +177,8 @@ def verify_proposition1(group: Group, budget: int | None = None) -> list[Subgrou
     if group.is_abelian():
         raise WrongClass(f"{group.name} is abelian; the criterion needs a non-abelian group")
 
-    auts = all_automorphisms(group, budget)
+    # an automorphism acting trivially on G/M, M central, is central
+    ac = autcent(group, budget)
     center = group.center()
     inner = inner_automorphisms(group)
     gamma2 = group.commutator_subgroup()
@@ -189,7 +187,7 @@ def verify_proposition1(group: Group, budget: int | None = None) -> list[Subgrou
     reports = []
     for m_sub in center.all_subgroups():
         aut_m_z = aut_fixing_subgroup(
-            group, center, aut_fixing_quotient(group, m_sub, auts)
+            group, center, aut_fixing_quotient(group, m_sub, ac)
         )
         reports.append(
             SubgroupCriterionReport(
@@ -323,7 +321,7 @@ def _extend_generator_map(group: Group, gens: list[int], images: list[int]) -> t
     # one candidate per generator: at most one extension attempt per level
     tables, _ = _search_maps(
         group, group, gens, [[y] for y in images], injective=False,
-        limit=len(images), what="generator extension",
+        limit=len(images), what=f"generator extension for {group.name}",
     )
     if not tables:
         raise InternalDisagreement(

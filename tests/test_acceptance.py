@@ -5,10 +5,13 @@ complete.  The corpus is the built-in catalog restricted to orders <= 64 at
 p = 2 and <= 81 at p = 3.
 """
 
+import functools
 import time
 
 from centauts import (
+    AutSet,
     RunConfig,
+    all_automorphisms,
     alpha_from_f,
     autcent,
     emit_report,
@@ -17,6 +20,7 @@ from centauts import (
     hom_order,
     homs_to_central_subgroup,
     inner_automorphisms,
+    is_central_automorphism,
     is_purely_nonabelian,
     scan_corpus,
     verify_corollary1,
@@ -30,6 +34,30 @@ from centauts.corpus import abelian_group
 from centauts.theory import _types_up_to as _all_types
 
 from oracles import brute_force_hom_count, order_census_hom_count
+
+
+@functools.cache
+def _autcent_by_filter(g) -> AutSet:
+    """Oracle route one: the centrality filter over the full automorphism group."""
+    return AutSet(g, (a for a in all_automorphisms(g) if is_central_automorphism(g, a)))
+
+
+def _autcent_by_inn_centralizer(g) -> AutSet:
+    """Oracle route two: the automorphisms commuting with every inner one.
+
+    Conjugations by a generating set suffice, since they generate Inn(G).
+    """
+    inner_tables = [
+        tuple(int(v) for v in g.mul[g.mul[g.inv[x]], x]) for x in g.generating_set()
+    ]
+    return AutSet(
+        g,
+        (
+            a
+            for a in all_automorphisms(g)
+            if all(all(a.images[t[x]] == t[a.images[x]] for x in range(g.n)) for t in inner_tables)
+        ),
+    )
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -91,13 +119,14 @@ def test_criterion_4_hom_count_oracle(corpus, groups):
             continue
         rep = verify_lemma0a(g)
         checked += 1
-        if not rep.matches:
+        if not rep.matches or len(autcent(g)) != len(_autcent_by_filter(g)):
             failures.append(g.name)
     frozen = len(autcent(groups["D8xQ8"]))
     _report(
         "criterion 4 (central automorphism count = Hom order)",
         checked > 0 and not failures and frozen == 256,
-        f"{checked} purely non-abelian groups, {len(failures)} mismatches; "
+        f"{checked} purely non-abelian groups, {len(failures)} mismatches "
+        f"(Hom order and full-Aut filter count); "
         f"|Autcent(D8xQ8)| = {frozen} (expected 256)",
     )
 
@@ -164,10 +193,13 @@ def test_criterion_6_abelian_factor_necessity(nonabelian_corpus):
 
 
 def test_criterion_7_engine_self_consistency(corpus):
+    oracle_failures = []
     index_failures = []
     roundtrip_failures = []
     for g in corpus:
-        autcent(g)  # raises InternalDisagreement if the two paths split
+        # the Hom route against two routes over the full automorphism group
+        if not autcent(g) == _autcent_by_filter(g) == _autcent_by_inn_centralizer(g):
+            oracle_failures.append(g.name)
         if len(inner_automorphisms(g)) != g.n // len(g.center()):
             index_failures.append(g.name)
         if g.n <= 32:
@@ -190,8 +222,10 @@ def test_criterion_7_engine_self_consistency(corpus):
 
     _report(
         "criterion 7 (engine self-consistency and determinism)",
-        not index_failures and not roundtrip_failures and deterministic,
-        f"{len(corpus)} groups; inner-index failures {len(index_failures)}, "
+        not oracle_failures and not index_failures and not roundtrip_failures
+        and deterministic,
+        f"{len(corpus)} groups; full-Aut oracle disagreements {len(oracle_failures)}, "
+        f"inner-index failures {len(index_failures)}, "
         f"round-trip failures {len(roundtrip_failures)}, "
         f"repeated scans byte-identical: {deterministic}",
     )

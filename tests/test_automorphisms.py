@@ -22,7 +22,7 @@ from centauts import (
     verify_lemma0,
     verify_lemma0a,
 )
-from centauts.automorphisms import Automorphism
+from centauts.automorphisms import Automorphism, _independent_hom_count
 from centauts.corpus import (
     abelian_group,
     cyclic_group,
@@ -261,6 +261,38 @@ class TestCentralHoms:
                     invariants(g, g.p_group_prime()), invariants(h, g.p_group_prime())
                 )
                 assert len(tables) == expected, (g.name, h.name)
+
+
+class TestHomSearchBudget:
+    def test_error_names_the_group_fresh_and_cached(self):
+        g = dihedral_group(4, name="D8")
+        for call in (
+            lambda b: homs_to_central_subgroup(g, g.center(), b),
+            lambda b: autcent(g, b),
+        ):
+            with pytest.raises(BudgetExceeded, match=r"^homomorphism search for D8: "):
+                call(0)
+        assert len(autcent(g)) == 4
+        for call in (
+            lambda b: homs_to_central_subgroup(g, g.center(), b),
+            lambda b: autcent(g, b),
+        ):
+            with pytest.raises(BudgetExceeded, match=r"^homomorphism search for D8: "):
+                call(0)
+
+    def test_lemma0_bounds_its_hom_search(self):
+        g = direct_product(dihedral_group(4), dicyclic_group(2))
+        with pytest.raises(BudgetExceeded, match=r"^homomorphism search for "):
+            verify_lemma0(g, g.center(), budget=1)
+
+    def test_enumeration_fallback_obeys_budget_after_caching(self):
+        source, target = dihedral_group(4, name="D8"), cyclic_group(2)
+        with pytest.raises(BudgetExceeded, match=r"^homomorphism search for D8: ") as fresh:
+            _independent_hom_count(source, target, budget=1)
+        assert _independent_hom_count(source, target) == 4
+        with pytest.raises(BudgetExceeded) as cached:
+            _independent_hom_count(source, target, budget=1)
+        assert str(cached.value) == str(fresh.value)
 
 
 class TestAlphaFromF:

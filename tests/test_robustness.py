@@ -8,6 +8,7 @@ from centauts import (
     autcent,
     emit_report,
     from_cayley_table,
+    homs_to_central_subgroup,
     scan_corpus,
 )
 from centauts.cli import main
@@ -53,8 +54,12 @@ def _outcome(group, budget, search):
         return str(exc)
 
 
+def homs_to_center(group, budget=None):
+    return homs_to_central_subgroup(group, group.center(), budget)
+
+
 class TestBudgetOnCachedSearch:
-    @pytest.mark.parametrize("search", [all_automorphisms, autcent])
+    @pytest.mark.parametrize("search", [all_automorphisms, autcent, homs_to_center])
     @pytest.mark.parametrize("name", ["D8", "Q8"])
     def test_cached_result_obeys_budget_like_a_fresh_search(self, name, search):
         cached = catalog_group(name)
