@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 
+from .automorphisms import DEFAULT_SEARCH_BUDGET
 from .corpus import (
     CHECK_NAMES,
     PER_GROUP_CHECKS,
@@ -14,6 +15,7 @@ from .corpus import (
     catalog,
     emit_report,
     has_failures,
+    is_prime,
     parse_group_file,
     scan_corpus,
 )
@@ -39,20 +41,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="check to run (repeatable; default: all per-group checks)",
     )
     analyze.add_argument("--format", choices=("json", "csv"), default="json")
-    analyze.add_argument("--budget", type=int, default=10_000_000)
+    analyze.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
 
     scan = sub.add_parser("scan", help="run checks over the built-in catalog")
-    scan.add_argument("--max-order", type=int, default=64)
+    scan.add_argument("--max-order", type=int, default=RunConfig.max_order)
     scan.add_argument(
         "--prime", action="append", type=int, default=None,
-        help="prime to include (repeatable; default: 2 3 5)",
+        help=f"prime to include (repeatable; default: {' '.join(map(str, RunConfig.primes))})",
     )
     scan.add_argument(
         "--check", action="append", choices=CHECK_NAMES, default=None,
         help="check to run (repeatable; default: all)",
     )
     scan.add_argument("--format", choices=("json", "csv"), default="json")
-    scan.add_argument("--budget", type=int, default=10_000_000)
+    scan.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     scan.add_argument("--cache-dir", default=None)
 
     sweep = sub.add_parser("sweep-lemma4", help="exhaustive Hom-growth threshold sweep")
@@ -80,7 +82,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_scan(args) -> int:
     cfg = RunConfig(
         max_order=args.max_order,
-        primes=tuple(args.prime) if args.prime else (2, 3, 5),
+        primes=tuple(args.prime) if args.prime else RunConfig.primes,
         checks=tuple(args.check) if args.check else CHECK_NAMES,
         output_format=args.format,
         cache_dir=args.cache_dir,
@@ -92,6 +94,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not is_prime(args.prime):
+        raise ConfigError(f"--prime must be a prime, got {args.prime}")
     if not 1 <= args.max_exp <= MAX_SWEEP_EXP:
         raise ConfigError(f"--max-exp must be within [1, {MAX_SWEEP_EXP}], got {args.max_exp}")
     sweep = verify_lemma4_sweep(args.prime, args.max_exp)

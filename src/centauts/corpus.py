@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .automorphisms import verify_lemma0, verify_lemma0a
+from .automorphisms import DEFAULT_SEARCH_BUDGET, verify_lemma0, verify_lemma0a
 from .errors import (
     CentautsError,
     ConfigError,
@@ -375,6 +375,11 @@ PER_GROUP_CHECKS = tuple(c for c, run in CHECKS.items() if run is not None)
 # -- run configuration and scanning ----------------------------------------
 
 
+def is_prime(n: int) -> bool:
+    """True iff ``n`` is a prime, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters for a corpus scan."""
@@ -384,7 +389,7 @@ class RunConfig:
     checks: tuple[str, ...] = CHECK_NAMES
     output_format: str = "json"
     cache_dir: str | None = None
-    budget: int = 10_000_000
+    budget: int = DEFAULT_SEARCH_BUDGET
 
     def __post_init__(self) -> None:
         if not self.checks:
@@ -400,6 +405,9 @@ class RunConfig:
             raise ConfigError(f"output format must be json or csv, got {self.output_format!r}")
         if not self.primes:
             raise ConfigError("the prime list must not be empty")
+        not_prime = [p for p in self.primes if not is_prime(p)]
+        if not_prime:
+            raise ConfigError(f"primes must be prime, got {not_prime}")
         if self.budget < 0:
             raise ConfigError(f"budget must be non-negative, got {self.budget}")
 

@@ -154,24 +154,9 @@ class Group(_Cached):
     def op(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
 
-    def inverse(self, x: int) -> int:
-        return int(self.inv[x])
-
     def mul_rows(self) -> list[list[int]]:
         """Multiplication table as nested lists (fast scalar indexing)."""
         return self._cached("mul_rows", lambda: self.mul.tolist())
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = int(self.inv[x]), -k
-        result, base = self.identity, x
-        row = self.mul
-        while k:
-            if k & 1:
-                result = int(row[result, base])
-            base = int(row[base, base])
-            k >>= 1
-        return result
 
     def element_orders(self) -> tuple[int, ...]:
         def compute():
@@ -374,63 +359,14 @@ class Group(_Cached):
         return self.full_subgroup().all_subgroups()
 
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
-        """Every normal subgroup, via breadth-first normal-closure extensions."""
+        """Every normal subgroup, sorted by (size, members).
 
-        def compute():
-            rows = self.mul_rows()
-            inv = self.inv.tolist()
-            outer_gens = self.generating_set()
-
-            def normal_closure(seed: list[int]) -> tuple[frozenset[int], list[int]]:
-                gens = list(seed)
-                current = set(self.closure(gens))
-                while True:
-                    extra = []
-                    for x in current:
-                        for c in outer_gens:
-                            y = rows[rows[inv[c]][x]][c]
-                            if y not in current:
-                                extra.append(y)
-                    if not extra:
-                        return frozenset(current), gens
-                    gens.extend(extra)
-                    current = set(self.closure(gens))
-
-            return self._lattice(range(self.n), normal_closure, None)
-
-        return self._cached("normal_subgroups", compute)
-
-    def _lattice(
-        self,
-        elements: Iterable[int],
-        close: Callable[[list[int]], tuple[frozenset[int], list[int]]],
-        cap: int | None,
-    ) -> tuple["Subgroup", ...]:
-        """Breadth-first walk from the trivial subgroup, closing each found
-        subgroup together with one more element of ``elements``.
-
-        ``close(gens)`` returns the closed member set and the generators to
-        extend it by later.  With plain closure this reaches every subgroup
-        inside ``elements``; with normal closure, every normal subgroup.
-        Sorted by (size, members).
+        A filter of :meth:`all_subgroups`, so it shares that walk's cap:
+        :class:`SizeLimitExceeded` once more than 50 000 subgroups are found.
         """
-        trivial = frozenset({self.identity})
-        found: dict[frozenset[int], list[int]] = {trivial: []}
-        queue = [trivial]
-        for base in queue:
-            base_gens = found[base]
-            for g in elements:
-                if g in base:
-                    continue
-                closed, gens = close(base_gens + [g])
-                if closed not in found:
-                    if cap is not None and len(found) >= cap:
-                        raise SizeLimitExceeded(f"more than {cap} subgroups during enumeration")
-                    found[closed] = gens
-                    queue.append(closed)
-        subs = [self.subgroup(sorted(fs)) for fs in found]
-        subs.sort(key=lambda s: (len(s), s.members))
-        return tuple(subs)
+        return self._cached(
+            "normal_subgroups", lambda: tuple(s for s in self.all_subgroups() if s.is_normal())
+        )
 
 
 class Subgroup(_Cached):
@@ -538,17 +474,36 @@ class Subgroup(_Cached):
     def all_subgroups(self, subgroup_cap: int = 50_000) -> tuple["Subgroup", ...]:
         """Every subgroup contained in this one, sorted by (size, members).
 
-        Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
-        subgroups are found.
+        Breadth-first walk from the trivial subgroup, closing each found
+        subgroup together with one more member of this one.  Raises
+        :class:`SizeLimitExceeded` once more than ``subgroup_cap`` subgroups
+        are found.
         """
         parent = self.parent
 
-        def close(gens: list[int]) -> tuple[frozenset[int], list[int]]:
-            return frozenset(parent.closure(gens)), gens
+        def compute():
+            trivial = frozenset({parent.identity})
+            found: dict[frozenset[int], list[int]] = {trivial: []}
+            queue = [trivial]
+            for base in queue:
+                base_gens = found[base]
+                for g in self.members:
+                    if g in base:
+                        continue
+                    gens = base_gens + [g]
+                    closed = frozenset(parent.closure(gens))
+                    if closed not in found:
+                        if len(found) >= subgroup_cap:
+                            raise SizeLimitExceeded(
+                                f"more than {subgroup_cap} subgroups during enumeration"
+                            )
+                        found[closed] = gens
+                        queue.append(closed)
+            subs = [parent.subgroup(sorted(fs)) for fs in found]
+            subs.sort(key=lambda s: (len(s), s.members))
+            return tuple(subs)
 
-        return self._cached(
-            "all_subgroups", lambda: parent._lattice(self.members, close, subgroup_cap)
-        )
+        return self._cached("all_subgroups", compute)
 
 
 class QuotientMap:

@@ -277,16 +277,17 @@ class PurelyNonabelianReport:
         return ok
 
 
-def build_factor_witness(group: Group) -> tuple[int, "CentralHom"]:
+def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, "CentralHom"]:
     """The witness data for a group with an abelian direct factor.
 
     Splits G = H x A, picks an order-p element z of Z(H) inside the Frattini
     subgroup, and returns z together with the homomorphism sending every
     member of a minimal generating set (generators of H followed by those of
     A) to z.  The induced map x -> x*f(x) is then a central automorphism
-    moving the central generators of A.
+    moving the central generators of A.  The budget bounds the Hom search
+    behind :func:`abelian_factor_split`.
     """
-    split = abelian_factor_split(group)
+    split = abelian_factor_split(group, budget)
     if split is None:
         raise InternalDisagreement(f"{group.name} has no abelian direct factor")
     h_sub, a_sub = split
@@ -349,13 +350,13 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     ac = autcent(group, budget)
     azz = _center_fixing_subset(group, budget)
     sets_equal = ac == azz
-    purely = is_purely_nonabelian(group)
+    purely = is_purely_nonabelian(group, budget)
     if purely:
         return PurelyNonabelianReport(
             group=group.name, sets_equal=sets_equal, purely_nonabelian=True
         )
 
-    z, f = build_factor_witness(group)
+    z, f = build_factor_witness(group, budget)
     aut = alpha_from_f(group, f)
     witness_images = aut.images if aut is not None else None
     is_central = aut is not None and aut in ac

@@ -4,6 +4,7 @@ import pytest
 
 from centauts import (
     RunConfig,
+    abelian_factor_split,
     all_automorphisms,
     autcent,
     emit_report,
@@ -12,7 +13,7 @@ from centauts import (
     scan_corpus,
 )
 from centauts.cli import main
-from centauts.corpus import _cache_read, catalog_group
+from centauts.corpus import _cache_read, analyze_group, catalog_group
 from centauts.errors import BudgetExceeded, ConfigError
 
 
@@ -58,8 +59,14 @@ def homs_to_center(group, budget=None):
     return homs_to_central_subgroup(group, group.center(), budget)
 
 
+def abelian_split(group, budget=None):
+    return abelian_factor_split(group, budget) or ()
+
+
 class TestBudgetOnCachedSearch:
-    @pytest.mark.parametrize("search", [all_automorphisms, autcent, homs_to_center])
+    @pytest.mark.parametrize(
+        "search", [all_automorphisms, autcent, homs_to_center, abelian_split]
+    )
     @pytest.mark.parametrize("name", ["D8", "Q8"])
     def test_cached_result_obeys_budget_like_a_fresh_search(self, name, search):
         cached = catalog_group(name)
@@ -83,12 +90,29 @@ class TestBudgetOnCachedSearch:
         g = from_cayley_table([[0]])
         assert len(all_automorphisms(g, budget=-1)) == 1
 
+    def test_purity_obeys_the_budget(self):
+        # deciding that D8xC2 has an abelian factor needs its Hom search, so a
+        # budget below that search makes lemma0a an error, not not-applicable
+        g = catalog_group("D8xC2")
+        assert analyze_group(g, ("lemma0a",), 0).lemma_checks == {"lemma0a": "error"}
+        assert analyze_group(g, ("lemma0a",)).lemma_checks == {"lemma0a": "not-applicable"}
+
 
 class TestBounds:
     def test_negative_budget_rejected(self):
         with pytest.raises(ConfigError, match="budget"):
             RunConfig(budget=-1)
         assert RunConfig(budget=0).budget == 0
+
+    @pytest.mark.parametrize("p", [1, 0, 4])
+    def test_non_prime_rejected(self, p):
+        # with p = 1 the lemma4 exponent search of a scan would never end
+        with pytest.raises(ConfigError, match="prime"):
+            RunConfig(primes=(p,))
+
+    def test_sweep_non_prime_rejected(self, capsys):
+        assert main(["sweep-lemma4", "--prime", "4", "--max-exp", "2"]) == 2
+        assert "--prime must be a prime, got 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_exp", ["-1", "0", "13"])
     def test_sweep_max_exp_out_of_range(self, capsys, max_exp):
