@@ -218,18 +218,15 @@ class HomGrowth:
     hom_b: int
 
 
-def lemma4_compare(a: AbelianType, b: AbelianType, c: AbelianType) -> HomGrowth:
-    """Decide whether |Hom(A, C)| < |Hom(B, C)| via the exponent threshold.
+def _growth_threshold(a: AbelianType, b: AbelianType) -> tuple[int, int]:
+    """``(t, p**(a_t + 1))`` for a dominated same-length pair, ``t`` 1-based.
 
-    Requires A and B of the same length over the same prime with ``b_j >= a_j``
-    everywhere and strictly somewhere.  With ``t`` the last index where they
-    differ, strict growth happens exactly when the exponent of C reaches
-    ``p**(a_t + 1)``; the Hom orders are recomputed and must agree.
+    Raises :class:`HypothesisViolated` unless A and B are nonempty, of equal
+    length over the same prime, with ``b_j >= a_j`` everywhere and strictly
+    somewhere.
     """
     if a.p != b.p:
         raise HypothesisViolated(f"A and B use different primes: {a.p} vs {b.p}")
-    if not c.is_trivial() and c.p != a.p:
-        raise HypothesisViolated(f"C uses prime {c.p}, expected {a.p}")
     if a.rank != b.rank or a.rank == 0:
         raise HypothesisViolated(
             f"A and B must be nonempty of equal length, got {a.rank} and {b.rank}"
@@ -238,15 +235,30 @@ def lemma4_compare(a: AbelianType, b: AbelianType, c: AbelianType) -> HomGrowth:
         raise HypothesisViolated("componentwise domination b_j >= a_j fails")
     if a.exps == b.exps:
         raise HypothesisViolated("strict inequality b_j > a_j must hold somewhere")
+    t = max(j for j in range(a.rank) if a.exps[j] != b.exps[j]) + 1
+    return t, a.p ** (a.exps[t - 1] + 1)
 
-    t = max(j for j in range(a.rank) if a.exps[j] != b.exps[j]) + 1  # 1-based
-    threshold = a.p ** (a.exps[t - 1] + 1)
+
+def _growth_disagreement(a: AbelianType, b: AbelianType, c: AbelianType) -> str:
+    return f"threshold test and Hom comparison disagree for A={a}, B={b}, C={c}"
+
+
+def lemma4_compare(a: AbelianType, b: AbelianType, c: AbelianType) -> HomGrowth:
+    """Decide whether |Hom(A, C)| < |Hom(B, C)| via the exponent threshold.
+
+    Requires A and B of the same length over the same prime with ``b_j >= a_j``
+    everywhere and strictly somewhere.  With ``t`` the last index where they
+    differ, strict growth happens exactly when the exponent of C reaches
+    ``p**(a_t + 1)``; the Hom orders are recomputed and must agree.
+    """
+    # C's prime is checked after A's and B's agree, and before their shapes.
+    if not c.is_trivial() and c.p != a.p == b.p:
+        raise HypothesisViolated(f"C uses prime {c.p}, expected {a.p}")
+    t, threshold = _growth_threshold(a, b)
     strict = c.exponent() >= threshold
 
     hom_a = hom_order(a, c)
     hom_b = hom_order(b, c)
     if strict != (hom_a < hom_b):
-        raise InternalDisagreement(
-            f"threshold test and Hom comparison disagree for A={a}, B={b}, C={c}"
-        )
+        raise InternalDisagreement(_growth_disagreement(a, b, c))
     return HomGrowth(strict=strict, t=t, threshold=threshold, hom_a=hom_a, hom_b=hom_b)

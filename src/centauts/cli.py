@@ -22,8 +22,8 @@ from .corpus import (
 from .errors import CentautsError, ConfigError, NotNilpotent
 from .theory import verify_lemma4_sweep
 
-# The sweep grows about tenfold per two steps of --max-exp; 12 takes about 13 s
-# on a 2-vCPU Intel Xeon VM.
+# The sweep grows about tenfold per two steps of --max-exp; 12 takes about 1.4 s
+# per prime, process start included, on a 2-vCPU Intel Xeon VM.
 MAX_SWEEP_EXP = 12
 
 

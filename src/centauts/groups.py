@@ -356,7 +356,7 @@ class Group(_Cached):
     # -- subgroup enumeration ---------------------------------------------
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
-        return self.full_subgroup().all_subgroups()
+        return self._cached("all_subgroups", lambda: self.full_subgroup().all_subgroups())
 
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
         """Every normal subgroup, sorted by (size, members).
@@ -477,9 +477,12 @@ class Subgroup(_Cached):
         Breadth-first walk from the trivial subgroup, closing each found
         subgroup together with one more member of this one.  Raises
         :class:`SizeLimitExceeded` once more than ``subgroup_cap`` subgroups
-        are found.
+        are found; a cached walk raises the same for a smaller cap.
         """
         parent = self.parent
+
+        def too_many() -> SizeLimitExceeded:
+            return SizeLimitExceeded(f"more than {subgroup_cap} subgroups during enumeration")
 
         def compute():
             trivial = frozenset({parent.identity})
@@ -494,16 +497,17 @@ class Subgroup(_Cached):
                     closed = frozenset(parent.closure(gens))
                     if closed not in found:
                         if len(found) >= subgroup_cap:
-                            raise SizeLimitExceeded(
-                                f"more than {subgroup_cap} subgroups during enumeration"
-                            )
+                            raise too_many()
                         found[closed] = gens
                         queue.append(closed)
             subs = [parent.subgroup(sorted(fs)) for fs in found]
             subs.sort(key=lambda s: (len(s), s.members))
             return tuple(subs)
 
-        return self._cached("all_subgroups", compute)
+        subs = self._cached("all_subgroups", compute)
+        if len(subs) > max(subgroup_cap, 1):  # the trivial subgroup alone never raises
+            raise too_many()
+        return subs
 
 
 class QuotientMap:

@@ -329,6 +329,34 @@ class TestSubgroupEnumeration:
         with pytest.raises(SizeLimitExceeded):
             g.full_subgroup().all_subgroups(subgroup_cap=3)
 
+    @pytest.mark.parametrize(
+        "order, cap, expected",
+        [
+            (8, 0, "more than 0 subgroups during enumeration"),
+            (8, 2, "more than 2 subgroups during enumeration"),
+            (8, 9, "more than 9 subgroups during enumeration"),
+            (8, 10, 10),
+            (1, 0, 1),
+        ],
+    )
+    def test_cached_walk_obeys_a_smaller_cap(self, order, cap, expected):
+        g = d8() if order == 8 else from_cayley_table([[0]])
+
+        def walk(z):
+            try:
+                return len(z.all_subgroups(cap))
+            except SizeLimitExceeded as exc:
+                return str(exc)
+
+        fresh = walk(g.full_subgroup())
+        z = g.full_subgroup()
+        z.all_subgroups()
+        assert walk(z) == fresh == expected
+
+    def test_group_walk_is_cached(self):
+        g = d8()
+        assert g.all_subgroups() is g.all_subgroups()
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.randoms(use_true_random=False))

@@ -1,11 +1,16 @@
+from itertools import product
+
 import pytest
 
 from centauts import (
+    AbelianType,
     all_automorphisms,
     aut_fixing_quotient,
     aut_fixing_subgroup,
     autcent,
     direct_product,
+    hom_order,
+    lemma4_compare,
     theorem_condition,
     verify_attar,
     verify_corollary1,
@@ -14,6 +19,7 @@ from centauts import (
     verify_proposition1,
     verify_theorem,
 )
+from centauts import abelian, theory
 from centauts.corpus import (
     cyclic_group,
     dicyclic_group,
@@ -21,8 +27,8 @@ from centauts.corpus import (
     heisenberg_group,
     metacyclic_group,
 )
-from centauts.errors import NotPGroup, WrongClass
-from centauts.theory import build_factor_witness
+from centauts.errors import HypothesisViolated, InternalDisagreement, NotPGroup, WrongClass
+from centauts.theory import _types_up_to, build_factor_witness
 
 
 def d8():
@@ -169,6 +175,27 @@ class TestLemma3:
             assert verify_lemma3(g).agree, g.name
 
 
+def _per_triple_sweep(p, max_exp):
+    """(triples, failures) of ``lemma4_compare`` run on every ordered type triple."""
+    types = _types_up_to(p, max_exp)
+    triples, failures = 0, []
+    for a, b, c in product(types, repeat=3):
+        try:
+            lemma4_compare(a, b, c)
+        except HypothesisViolated:
+            continue
+        except InternalDisagreement as exc:
+            failures.append(str(exc))
+        triples += 1
+    return triples, failures
+
+
+def _patch_hom_order(monkeypatch, hom):
+    """Route every ``hom_order`` the sweep or ``lemma4_compare`` may call to ``hom``."""
+    monkeypatch.setattr(abelian, "hom_order", hom)
+    monkeypatch.setattr(theory, "hom_order", hom)
+
+
 class TestLemma4Sweep:
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_sweeps_pass(self, p):
@@ -179,6 +206,51 @@ class TestLemma4Sweep:
         small = verify_lemma4_sweep(2, 2)
         large = verify_lemma4_sweep(2, 3)
         assert large.triples_checked > small.triples_checked
+
+    @pytest.mark.parametrize("p, max_exp", [(2, 5), (3, 4), (5, 4)])
+    def test_same_triples_as_lemma4_compare(self, p, max_exp):
+        sweep = verify_lemma4_sweep(p, max_exp)
+        assert (sweep.triples_checked, list(sweep.failures)) == _per_triple_sweep(p, max_exp)
+
+    @pytest.mark.parametrize("p, max_exp", [(2, 6), (3, 4), (5, 4)])
+    def test_each_hom_order_computed_once(self, monkeypatch, p, max_exp):
+        calls = []
+
+        def counted(a, c):
+            calls.append((a, c))
+            return hom_order(a, c)
+
+        _patch_hom_order(monkeypatch, counted)
+        assert verify_lemma4_sweep(p, max_exp).agree
+        types = _types_up_to(p, max_exp)
+        assert len(calls) <= (len(types) - 1) * len(types)
+
+    def test_one_wrong_hom_order_gives_the_per_triple_failure(self, monkeypatch):
+        wrong = (AbelianType(2, (2, 1)), AbelianType(2, (2,)))
+
+        def broken(a, c):
+            return hom_order(a, c) * (2 if (a, c) == wrong else 1)
+
+        _patch_hom_order(monkeypatch, broken)
+        sweep = verify_lemma4_sweep(2, 4)
+        assert sweep.failures == (
+            "threshold test and Hom comparison disagree for A=C4 x C2, B=C4 x C4, C=C4",
+        )
+        assert _per_triple_sweep(2, 4) == (sweep.triples_checked, list(sweep.failures))
+
+    def test_a_low_hom_row_fails_on_every_c_below_the_threshold(self, monkeypatch):
+        # C2 x C2 is below C4 x C2, C8 x C2 and C4 x C4, all with threshold 4.
+        low = AbelianType(2, (1, 1))
+
+        def broken(a, c):
+            return hom_order(a, c) - (a == low)
+
+        _patch_hom_order(monkeypatch, broken)
+        sweep = verify_lemma4_sweep(2, 4)
+        assert _per_triple_sweep(2, 4) == (sweep.triples_checked, list(sweep.failures))
+        below = [c for c in _types_up_to(2, 4) if c.exponent() < 4]
+        assert len(sweep.failures) == 3 * len(below)
+        assert all(any(f.endswith(f"C={c}") for f in sweep.failures) for c in below)
 
 
 class TestAttar:
