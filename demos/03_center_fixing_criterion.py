@@ -34,7 +34,7 @@ for name, make in catalog().items():
     print(
         f"{name:<12} {g.n:>5} {str(c.r_eq_s):>5} {str(c.residual_iso):>6} "
         f"{str(c.exp_eq):>5} {o.autcent_order:>9} {o.aut_zz_order:>9} "
-        f"{str(o.autcent_equals_aut_zz):>5} {rep.verdict:>8}"
+        f"{str(o.autcent_equals_aut_zz):>5} {'agree' if rep.agree else 'COUNTEREXAMPLE':>8}"
     )
 
 print(

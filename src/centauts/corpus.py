@@ -7,7 +7,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -30,7 +30,8 @@ from .groups import (
     from_permutation_generators,
 )
 from .theory import (
-    TheoremReport,
+    ConditionSide,
+    OracleSide,
     verify_attar,
     verify_corollary1,
     verify_lemma3,
@@ -272,6 +273,18 @@ def group_file_text(group: Group, name: str | None = None) -> str:
     return json.dumps(serialize_group(group, name), sort_keys=True, indent=2) + "\n"
 
 
+def _int_rows(doc: dict, key: str) -> list[list[int]]:
+    """Field ``key`` of a group document, which must be a list of lists of integers."""
+    rows = doc[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
+        for row in rows
+    ):
+        raise ParseError(f"field {key!r} must be a list of lists of integers")
+    return rows
+
+
 def _parse_group_document(doc, max_order: int) -> Group:
     if not isinstance(doc, dict):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
@@ -282,7 +295,9 @@ def _parse_group_document(doc, max_order: int) -> Group:
     if fmt == "cayley":
         if "table" not in doc:
             raise ParseError("cayley format requires field 'table'")
-        table = doc["table"]
+        table = _int_rows(doc, "table")
+        if any(len(row) != len(table) for row in table):
+            raise ParseError("field 'table' must be square")
         if "n" in doc and (not isinstance(doc["n"], int) or doc["n"] != len(table)):
             raise ParseError(f"field 'n' ({doc.get('n')}) does not match the table size")
         return from_cayley_table(table, name=name, max_order=max_order)
@@ -292,7 +307,7 @@ def _parse_group_document(doc, max_order: int) -> Group:
         if not isinstance(doc["degree"], int):
             raise ParseError("field 'degree' must be an integer")
         return from_permutation_generators(
-            doc["degree"], doc["generators"], name=name, max_order=max_order
+            doc["degree"], _int_rows(doc, "generators"), name=name, max_order=max_order
         )
     if fmt == "product":
         factors = doc.get("factors")
@@ -326,7 +341,10 @@ def parse_group_text(text: str, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
 
 def parse_group_file(path: str | Path, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
     """Parse a group-file document from disk."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read group file {path}: {exc}") from exc
     group = parse_group_text(text, max_order)
     if group.name == f"G{group.n}":
         group = from_cayley_table(
@@ -338,19 +356,35 @@ def parse_group_file(path: str | Path, max_order: int = DEFAULT_ELEMENT_CAP) -> 
 # -- check registry ---------------------------------------------------------
 
 
+@dataclass
+class GroupReport:
+    """One scan row: a group's metadata, theorem sides and per-check statuses."""
+
+    group_id: str
+    order: int
+    prime: int | None
+    nilpotency_class: int | None
+    condition: ConditionSide | None = None
+    oracle: OracleSide | None = None
+    lemma_checks: dict[str, str] = field(default_factory=dict)
+    verdict: str = "agree"
+    error: str | None = None
+    witness: dict | None = None
+
+
 def _status(agree: bool) -> str:
     return "pass" if agree else "fail"
 
 
-def _run_theorem(group: Group, budget: int | None, report: TheoremReport) -> str:
-    sub = verify_theorem(group, budget)
-    report.condition = sub.condition
-    report.oracle = sub.oracle
-    report.witness = sub.witness
-    return _status(sub.verdict == "agree")
+def _run_theorem(group: Group, budget: int | None, report: GroupReport) -> str:
+    result = verify_theorem(group, budget)
+    report.condition = result.condition
+    report.oracle = result.oracle
+    report.witness = result.witness
+    return _status(result.agree)
 
 
-def _run_lemma0(group: Group, budget: int | None, report: TheoremReport) -> str:
+def _run_lemma0(group: Group, budget: int | None, report: GroupReport) -> str:
     status = verify_lemma0(group, group.center(), budget).status
     return "not-applicable" if status == "hypothesis-fails" else status
 
@@ -358,7 +392,7 @@ def _run_lemma0(group: Group, budget: int | None, report: TheoremReport) -> str:
 # Check id -> runner returning the check's status; a runner may also fill in
 # the group report.  ``lemma4`` is the corpus-wide Hom-growth sweep, which
 # scan_corpus runs once per prime instead of once per group.
-CHECKS: dict[str, Callable[[Group, int | None, TheoremReport], str] | None] = {
+CHECKS: dict[str, Callable[[Group, int | None, GroupReport], str] | None] = {
     "theorem": _run_theorem,
     "prop1": lambda g, budget, _: _status(all(r.agree for r in verify_proposition1(g, budget))),
     "cor1": lambda g, budget, _: _status(verify_corollary1(g, budget).agree),
@@ -418,7 +452,7 @@ class RunConfig:
         return Path(self.cache_dir) if self.cache_dir else None
 
 
-def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None) -> TheoremReport:
+def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None) -> GroupReport:
     """Run the enabled per-group checks and aggregate them into one report.
 
     Inapplicable hypotheses (wrong class, non-p-groups, abelian groups for
@@ -434,13 +468,11 @@ def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None
         klass = group.nilpotency_class()
     except NotNilpotent:
         klass = None
-    report = TheoremReport(
+    report = GroupReport(
         group_id=group.name,
         order=group.n,
         prime=group.p_group_prime(),
         nilpotency_class=klass,
-        condition=None,
-        oracle=None,
     )
     not_applicable = (WrongClass, NotPGroup, NotPurelyNonabelian, NotNilpotent)
     errors: list[str] = []
@@ -468,24 +500,20 @@ def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None
     return report
 
 
-def _sweep_report(prime: int, max_exp: int) -> TheoremReport:
+def _sweep_report(prime: int, max_exp: int) -> GroupReport:
     sweep = verify_lemma4_sweep(prime, max_exp)
-    report = TheoremReport(
+    return GroupReport(
         group_id=f"lemma4-sweep-p{prime}",
         order=prime**max_exp,
         prime=prime,
         nilpotency_class=None,
-        condition=None,
-        oracle=None,
         lemma_checks={"lemma4": "pass" if sweep.agree else "fail"},
         verdict="agree" if sweep.agree else "COUNTEREXAMPLE",
+        witness=None if sweep.agree else {"failures": list(sweep.failures)},
     )
-    if not sweep.agree:
-        report.witness = {"failures": list(sweep.failures)}
-    return report
 
 
-def report_to_json_dict(report: TheoremReport) -> dict:
+def report_to_json_dict(report: GroupReport) -> dict:
     doc = {
         "groupId": report.group_id,
         "order": report.order,
@@ -503,26 +531,16 @@ def report_to_json_dict(report: TheoremReport) -> dict:
     return doc
 
 
-def _report_from_json_dict(doc: dict) -> TheoremReport:
-    from .theory import ConditionSide, OracleSide
-
+def _report_from_json_dict(doc: dict) -> GroupReport:
     cond = doc.get("conditionSide")
     orc = doc.get("oracleSide")
-    return TheoremReport(
+    return GroupReport(
         group_id=doc["groupId"],
         order=doc["order"],
         prime=doc["prime"],
         nilpotency_class=doc["class"],
-        condition=ConditionSide(cond["rEqS"], cond["residualIso"], cond["expEq"]) if cond else None,
-        oracle=OracleSide(
-            orc["autcentOrder"],
-            orc["autZZOrder"],
-            orc["innOrder"],
-            orc["autcentEqualsAutZZ"],
-            orc["autcentEqualsInn"],
-        )
-        if orc
-        else None,
+        condition=ConditionSide.from_json(cond) if cond else None,
+        oracle=OracleSide.from_json(orc) if orc else None,
         lemma_checks=dict(doc.get("lemmaChecks", {})),
         verdict=doc["verdict"],
         error=doc.get("error"),
@@ -543,7 +561,7 @@ def _cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _cache_read(cache_dir: Path, key: str) -> TheoremReport | None:
+def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
     """The cached report under ``key``; None on a miss or an unreadable entry."""
     path = cache_dir / f"{key}.json"
     if not path.exists():
@@ -556,7 +574,7 @@ def _cache_read(cache_dir: Path, key: str) -> TheoremReport | None:
         return None
 
 
-def _cache_write(cache_dir: Path, key: str, report: TheoremReport) -> None:
+def _cache_write(cache_dir: Path, key: str, report: GroupReport) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = json.dumps(report_to_json_dict(report), sort_keys=True, indent=2)
     fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -570,16 +588,16 @@ def _cache_write(cache_dir: Path, key: str, report: TheoremReport) -> None:
         raise
 
 
-def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[TheoremReport]:
+def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[GroupReport]:
     """Run the enabled checks over the catalog (plus extra groups) within caps.
 
     Reports come back in catalog order followed by the extra groups and the
     Hom-growth sweeps; per-group failures never abort the scan.
     """
     cache_dir = cfg.resolved_cache_dir()
-    reports: list[TheoremReport] = []
+    reports: list[GroupReport] = []
 
-    def run_one(group: Group) -> TheoremReport:
+    def run_one(group: Group) -> GroupReport:
         if cache_dir is not None:
             key = _cache_key(group, cfg.checks, cfg.budget)
             cached = _cache_read(cache_dir, key)
@@ -614,7 +632,7 @@ def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[Theo
     return reports
 
 
-def emit_report(reports: Sequence[TheoremReport], output_format: str = "json") -> str:
+def emit_report(reports: Sequence[GroupReport], output_format: str = "json") -> str:
     """Serialize reports; identical inputs always produce identical bytes."""
     if output_format == "json":
         doc = {
@@ -623,32 +641,19 @@ def emit_report(reports: Sequence[TheoremReport], output_format: str = "json") -
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if output_format == "csv":
+        # the JSON document flattened: one row per check, its status as verdict
         lines = [",".join(_CSV_COLUMNS)]
         for r in reports:
-            cond = r.condition.to_json() if r.condition else {}
-            orc = r.oracle.to_json() if r.oracle else {}
-            for check in sorted(r.lemma_checks):
-                row = {
-                    "groupId": r.group_id,
-                    "check": check,
-                    "order": r.order,
-                    "prime": r.prime,
-                    "class": r.nilpotency_class,
-                    "rEqS": cond.get("rEqS"),
-                    "residualIso": cond.get("residualIso"),
-                    "expEq": cond.get("expEq"),
-                    "all": cond.get("all"),
-                    "autcentOrder": orc.get("autcentOrder"),
-                    "autZZOrder": orc.get("autZZOrder"),
-                    "innOrder": orc.get("innOrder"),
-                    "verdict": r.lemma_checks[check],
-                }
+            doc = report_to_json_dict(r)
+            flat = {**doc, **(doc["conditionSide"] or {}), **(doc["oracleSide"] or {})}
+            for check, status in doc["lemmaChecks"].items():
+                row = {**flat, "check": check, "verdict": status}
                 lines.append(
-                    ",".join("" if row[c] is None else str(row[c]) for c in _CSV_COLUMNS)
+                    ",".join("" if row.get(c) is None else str(row[c]) for c in _CSV_COLUMNS)
                 )
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown output format {output_format!r}")
 
 
-def has_failures(reports: Iterable[TheoremReport]) -> bool:
+def has_failures(reports: Iterable[GroupReport]) -> bool:
     return any(r.verdict in ("COUNTEREXAMPLE", "error") for r in reports)

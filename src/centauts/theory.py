@@ -7,7 +7,7 @@ counterexample and carries a serializable witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .abelian import (
@@ -54,6 +54,10 @@ class ConditionSide:
             "all": self.all_met,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> ConditionSide:
+        return cls(doc["rEqS"], doc["residualIso"], doc["expEq"])
+
 
 @dataclass(frozen=True)
 class OracleSide:
@@ -74,21 +78,28 @@ class OracleSide:
             "autcentEqualsInn": self.autcent_equals_inn,
         }
 
+    @classmethod
+    def from_json(cls, doc: dict) -> OracleSide:
+        return cls(
+            doc["autcentOrder"],
+            doc["autZZOrder"],
+            doc["innOrder"],
+            doc["autcentEqualsAutZZ"],
+            doc["autcentEqualsInn"],
+        )
 
-@dataclass
-class TheoremReport:
-    """Per-group record: condition flags, oracle counts, lemma verdicts."""
 
-    group_id: str
-    order: int
-    prime: int | None
-    nilpotency_class: int | None
-    condition: ConditionSide | None
-    oracle: OracleSide | None
-    lemma_checks: dict[str, str] = field(default_factory=dict)
-    verdict: str = "agree"
-    error: str | None = None
+@dataclass(frozen=True)
+class TheoremResult:
+    """Center-fixing criterion against set equality, with a witness on a disagreement."""
+
+    condition: ConditionSide
+    oracle: OracleSide
     witness: dict | None = None
+
+    @property
+    def agree(self) -> bool:
+        return self.condition.all_met == self.oracle.autcent_equals_aut_zz
 
 
 def _center_fixing_subset(group: Group, budget: int | None) -> AutSet:
@@ -106,7 +117,7 @@ def theorem_condition(group: Group) -> ConditionSide:
     )
 
 
-def verify_theorem(group: Group, budget: int | None = None) -> TheoremReport:
+def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
     """Compare the structural criterion with exhaustive set equality.
 
     The oracle builds every central automorphism from the Hom search and the
@@ -128,24 +139,15 @@ def verify_theorem(group: Group, budget: int | None = None) -> TheoremReport:
         autcent_equals_aut_zz=ac == azz,
         autcent_equals_inn=ac == inner,
     )
-    agree = condition.all_met == oracle.autcent_equals_aut_zz
-    witness = None
-    if not agree:
-        moved = sorted(ac.images_set ^ azz.images_set)
-        witness = {
-            "conditionSide": condition.to_json(),
-            "automorphism": list(moved[0]) if moved else None,
-        }
-    return TheoremReport(
-        group_id=group.name,
-        order=group.n,
-        prime=group.p_group_prime(),
-        nilpotency_class=group.nilpotency_class(),
-        condition=condition,
-        oracle=oracle,
-        verdict="agree" if agree else "COUNTEREXAMPLE",
-        witness=witness,
-    )
+    result = TheoremResult(condition, oracle)
+    if result.agree:
+        return result
+    moved = sorted(ac.images_set ^ azz.images_set)
+    witness = {
+        "conditionSide": condition.to_json(),
+        "automorphism": list(moved[0]) if moved else None,
+    }
+    return TheoremResult(condition, oracle, witness)
 
 
 @dataclass(frozen=True)

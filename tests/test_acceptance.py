@@ -90,7 +90,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_theorem_equivalence(class2_corpus):
     started = time.time()
-    failures = [g.name for g in class2_corpus if verify_theorem(g).verdict != "agree"]
+    failures = [g.name for g in class2_corpus if not verify_theorem(g).agree]
     elapsed = time.time() - started
     ok = len(class2_corpus) >= 25 and not failures and elapsed < 300
     _report(

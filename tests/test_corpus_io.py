@@ -217,6 +217,14 @@ class TestEmission:
         assert len(lines) == 1 + 2 * 2
         assert lines[1].startswith("D8,cor1,8,2,2,True,True,True,True,4,4,4,pass")
         assert lines[4].endswith("not-applicable")
+        scan = emit_report(scan_corpus(RunConfig(max_order=16, primes=(2,))), "csv").splitlines()
+        assert len(scan) == 142
+        for row in (
+            "lemma4-sweep-p2,lemma4,16,2,,,,,,,,,pass",
+            "C4,theorem,4,2,1,,,,,,,,not-applicable",
+            "D8,theorem,8,2,2,True,True,True,True,4,4,4,pass",
+        ):
+            assert row in scan
 
     def test_serialize_group_shape(self, groups):
         doc = serialize_group(groups["C2"])
@@ -265,9 +273,27 @@ class TestCli:
         assert rc == 0
         assert "D8xQ8" in out and "Heis5" in out
 
-    def test_bad_group_file_reports_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"{",
+            None,  # a directory in place of the file
+            b"\xff\xfe{",
+            b'{"format": "cayley", "table": [[0, 1], [1]]}',
+            b'{"format": "cayley", "table": [["a"]]}',
+            b'{"format": "cayley", "table": [[0.5]]}',
+            b'{"format": "perm", "degree": 2, "generators": 5}',
+            b'{"format": "perm", "degree": 2, "generators": [[1, "x"]]}',
+        ],
+        ids=["bad-json", "directory", "non-utf8", "ragged", "strings", "float", "int-generators",
+             "string-generator"],
+    )
+    def test_bad_group_file_reports_error(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text("{")
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         rc = main(["analyze", str(path)])
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err

@@ -28,8 +28,11 @@ class TestCorruptCache:
             b'"a string"',
             b'{"groupId": "D8", "conditionSide": [1]}',
             b"{truncated",
+            b'{"groupId": "D8", "order": 8, "prime": 2, "class": 2, "conditionSide": null,'
+            b' "oracleSide": {"autcentOrder": 4, "autZZOrder": 4, "autcentEqualsAutZZ": true,'
+            b' "autcentEqualsInn": true}, "lemmaChecks": {}, "verdict": "agree"}',
         ],
-        ids=["list", "non-utf8", "string", "wrong-field-type", "bad-json"],
+        ids=["list", "non-utf8", "string", "wrong-field-type", "bad-json", "oracle-lacks-inn"],
     )
     def test_unreadable_entry_is_a_miss(self, tmp_path, payload):
         cfg = RunConfig(cache_dir=str(tmp_path), **self.CFG)

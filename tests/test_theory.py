@@ -4,6 +4,8 @@ import pytest
 
 from centauts import (
     AbelianType,
+    ConditionSide,
+    OracleSide,
     all_automorphisms,
     aut_fixing_quotient,
     aut_fixing_subgroup,
@@ -67,20 +69,20 @@ class TestTheoremCondition:
 class TestVerifyTheorem:
     def test_d8_agrees_with_sets_equal(self):
         rep = verify_theorem(d8())
-        assert rep.verdict == "agree"
+        assert rep.agree
         assert rep.oracle.autcent_equals_aut_zz
         assert rep.oracle.autcent_order == rep.oracle.aut_zz_order == 4
 
     def test_d8xq8_agrees_at_order_64(self):
         rep = verify_theorem(direct_product(d8(), q8()))
-        assert rep.verdict == "agree"
+        assert rep.agree
         assert rep.condition.all_met
         assert rep.oracle.autcent_equals_aut_zz
         assert rep.oracle.autcent_order == 256
 
     def test_d8xc2_condition_false_and_sets_differ(self):
         rep = verify_theorem(direct_product(d8(), cyclic_group(2)))
-        assert rep.verdict == "agree"
+        assert rep.agree
         assert not rep.condition.all_met
         assert not rep.oracle.autcent_equals_aut_zz
         assert rep.oracle.autcent_order > rep.oracle.aut_zz_order
@@ -88,7 +90,15 @@ class TestVerifyTheorem:
     def test_equivalence_corpuswide(self, class2_corpus):
         for g in class2_corpus:
             rep = verify_theorem(g)
-            assert rep.verdict == "agree", g.name
+            assert rep.agree, g.name
+
+    def test_sides_round_trip_through_json(self, class2_corpus):
+        for g in class2_corpus:
+            if g.n > 32:
+                continue
+            rep = verify_theorem(g)
+            assert ConditionSide.from_json(rep.condition.to_json()) == rep.condition, g.name
+            assert OracleSide.from_json(rep.oracle.to_json()) == rep.oracle, g.name
 
 
 class TestProposition1:
