@@ -415,60 +415,18 @@ def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet
     )
 
 
-@dataclass(frozen=True)
-class CentralHom:
-    """A homomorphism from a group into a central subgroup, as a value table."""
-
-    group: Group
-    target: Subgroup
-    values: tuple[int, ...]
-
-    @classmethod
-    def create(cls, group: Group, target: Subgroup, values: Sequence[int]) -> "CentralHom":
-        values = tuple(int(v) for v in values)
-        if not target.is_central():
-            raise NotCentral(f"target subgroup of {group.name} is not central")
-        if len(values) != group.n:
-            raise NotAGroup("value table length does not match the group order")
-        tset = target.member_set
-        if any(v not in tset for v in values):
-            raise NotCentral("some value falls outside the target subgroup")
-        rows = group.mul_rows()
-        gens = group.generating_set()
-        for x in range(group.n):
-            fx = values[x]
-            row = rows[x]
-            for w in gens:
-                if values[row[w]] != rows[fx][values[w]]:
-                    raise NotAGroup(f"value table is not a homomorphism at ({x}, {w})")
-        return cls(group, target, values)
-
-    def __call__(self, x: int) -> int:
-        return self.values[x]
-
-    def is_zero(self) -> bool:
-        e = self.group.identity
-        return all(v == e for v in self.values)
-
-    def kernel(self) -> Subgroup:
-        e = self.group.identity
-        return self.group.subgroup(x for x in range(self.group.n) if self.values[x] == e)
-
-    def __repr__(self) -> str:
-        return f"<CentralHom on {self.group.name} into order-{len(self.target)} subgroup>"
-
-
 def homs_to_central_subgroup(
     group: Group, target: Subgroup, budget: int | None = None
-) -> list[CentralHom]:
-    """All homomorphisms from the group into a central subgroup.
+) -> list[tuple[int, ...]]:
+    """Value tables of every homomorphism from the group into a central subgroup.
 
     Because the target is abelian these coincide with homomorphisms from the
-    abelianization, which is where the enumeration runs; tables are pulled
-    back to the group afterwards.  For a p-group their number is checked
-    against the Hom order of the two invariant types.  The budget bounds the
-    enumeration; its attempt count is cached with the result, so a later call
-    with a smaller budget raises exactly as a fresh search would.
+    abelianization, which is where the enumeration runs; the search-verified
+    tables are pulled back through the quotient map, sorted, and not checked
+    again.  For a p-group their number is checked against the Hom order of the
+    two invariant types.  The budget bounds the enumeration; its attempt count
+    is cached with the result, so a later call with a smaller budget raises
+    exactly as a fresh search would.
     """
     if not target.is_central():
         raise NotCentral(f"subgroup of {group.name} is not central")
@@ -487,29 +445,27 @@ def homs_to_central_subgroup(
                     f"enumerated {len(tables)} homomorphisms from the abelianization "
                     f"of {group.name} into a central subgroup, Hom order is {expected}"
                 )
-        homs = []
-        for table in tables:
-            values = tuple(target.members[table[ab.projection[x]]] for x in range(group.n))
-            homs.append(CentralHom.create(group, target, values))
-        homs.sort(key=lambda f: f.values)
+        members = target.members
+        homs = sorted(tuple(members[t[q]] for q in ab.projection) for t in tables)
         return homs, attempts, naive_space
 
     return _cached_search(group, ("central_homs", target.members), limit, what, compute)
 
 
-def alpha_from_f(group: Group, f: CentralHom) -> Automorphism | None:
+def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
     """The map x -> x * f(x), returned iff it is an automorphism.
 
-    The acceptance test is that no non-trivial element m of the target has
-    f(m) = m^-1; bijectivity of the produced table is asserted independently.
+    ``f`` is the value table of a homomorphism into a central subgroup, such
+    as one from :func:`homs_to_central_subgroup`; it is not checked again.
+    The acceptance test is that no non-trivial element m of the image has
+    f(m) = m^-1 (the image is a subgroup, so this covers the whole target);
+    bijectivity of the produced table is asserted independently.
     """
     rows = group.mul_rows()
     inv = group.inv
     e = group.identity
-    accepted = all(
-        m == e or f.values[m] != int(inv[m]) for m in f.target.members
-    )
-    images = tuple(rows[x][f.values[x]] for x in range(group.n))
+    accepted = all(m == e or f[m] != int(inv[m]) for m in set(f))
+    images = tuple(rows[x][f[x]] for x in range(group.n))
     bijective = len(set(images)) == group.n
     if accepted != bijective:
         raise InternalDisagreement(
@@ -521,8 +477,13 @@ def alpha_from_f(group: Group, f: CentralHom) -> Automorphism | None:
     return Automorphism(group, images)
 
 
-def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> CentralHom:
-    """The displacement map f(x) = x^-1 * aut(x), for aut centralizing G/target."""
+def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> tuple[int, ...]:
+    """Value table of f(x) = x^-1 * aut(x), for aut centralizing G/target.
+
+    With ``target`` central, f is a homomorphism into it; it is not checked again.
+    """
+    if not target.is_central():
+        raise NotCentral(f"target subgroup of {group.name} is not central")
     rows = group.mul_rows()
     inv = group.inv
     values = tuple(rows[int(inv[x])][aut.images[x]] for x in range(group.n))
@@ -531,7 +492,7 @@ def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> 
         raise HypothesisViolated(
             "automorphism does not act trivially on the quotient by the target"
         )
-    return CentralHom.create(group, target, values)
+    return values
 
 
 def abelian_factor_split(
@@ -552,10 +513,10 @@ def abelian_factor_split(
         e = group.identity
         splits = []
         for f in homs:
-            image = tuple(sorted(set(f.values)))
+            image = tuple(sorted(set(f)))
             # f is idempotent iff it fixes its image pointwise
-            if len(image) > 1 and all(f.values[y] == y for y in image):
-                kernel = tuple(x for x, y in enumerate(f.values) if y == e)
+            if len(image) > 1 and all(f[y] == y for y in image):
+                kernel = tuple(x for x, y in enumerate(f) if y == e)
                 splits.append((len(image), image, kernel))
         if not splits:
             return None
@@ -625,7 +586,7 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     """
     homs = homs_to_central_subgroup(group, target, budget)
     e = group.identity
-    hypothesis = all(f.values[m] == e for f in homs for m in target.members)
+    hypothesis = all(f[m] == e for f in homs for m in target.members)
 
     # an automorphism acting trivially on G/M, M central, is central
     aut_quotient = aut_fixing_quotient(group, target, autcent(group, budget))

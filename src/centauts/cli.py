@@ -66,6 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    if args.budget < 0:
+        raise ConfigError(f"budget must be non-negative, got {args.budget}")
     if args.group in catalog():
         group = catalog()[args.group]()
     elif os.path.exists(args.group):
@@ -76,7 +78,7 @@ def _cmd_analyze(args) -> int:
     checks = tuple(args.check) if args.check else PER_GROUP_CHECKS
     report = analyze_group(group, checks, args.budget)
     sys.stdout.write(emit_report([report], args.format))
-    return 1 if report.verdict in ("COUNTEREXAMPLE", "error") else 0
+    return 1 if has_failures([report]) else 0
 
 
 def _cmd_scan(args) -> int:

@@ -32,6 +32,7 @@ from .groups import (
 from .theory import (
     ConditionSide,
     OracleSide,
+    _typed,
     verify_attar,
     verify_corollary1,
     verify_lemma3,
@@ -531,20 +532,32 @@ def report_to_json_dict(report: GroupReport) -> dict:
     return doc
 
 
+_STATUSES = ("pass", "fail", "not-applicable", "error")
+_VERDICTS = ("agree", "COUNTEREXAMPLE", "error")
+
+
 def _report_from_json_dict(doc: dict) -> GroupReport:
-    cond = doc.get("conditionSide")
-    orc = doc.get("oracleSide")
+    """Decode a report document; a field of the wrong type or value raises
+    TypeError or ValueError."""
+    cond = _typed(doc.get("conditionSide"), dict, "conditionSide", nullable=True)
+    orc = _typed(doc.get("oracleSide"), dict, "oracleSide", nullable=True)
+    checks = dict(_typed(doc.get("lemmaChecks", {}), dict, "lemmaChecks"))
+    bad = {k: v for k, v in checks.items() if k not in CHECK_NAMES or v not in _STATUSES}
+    if bad:
+        raise ValueError(f"unknown checks or statuses in lemmaChecks: {bad}")
+    if doc["verdict"] not in _VERDICTS:
+        raise ValueError(f"unknown verdict {doc['verdict']!r}")
     return GroupReport(
-        group_id=doc["groupId"],
-        order=doc["order"],
-        prime=doc["prime"],
-        nilpotency_class=doc["class"],
-        condition=ConditionSide.from_json(cond) if cond else None,
-        oracle=OracleSide.from_json(orc) if orc else None,
-        lemma_checks=dict(doc.get("lemmaChecks", {})),
+        group_id=_typed(doc["groupId"], str, "groupId"),
+        order=_typed(doc["order"], int, "order"),
+        prime=_typed(doc["prime"], int, "prime", nullable=True),
+        nilpotency_class=_typed(doc["class"], int, "class", nullable=True),
+        condition=ConditionSide.from_json(cond) if cond is not None else None,
+        oracle=OracleSide.from_json(orc) if orc is not None else None,
+        lemma_checks=checks,
         verdict=doc["verdict"],
-        error=doc.get("error"),
-        witness=doc.get("witness"),
+        error=_typed(doc.get("error"), str, "error", nullable=True),
+        witness=_typed(doc.get("witness"), dict, "witness", nullable=True),
     )
 
 

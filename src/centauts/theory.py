@@ -24,14 +24,25 @@ from .automorphisms import (
     aut_fixing_quotient,
     aut_fixing_subgroup,
     autcent,
-    CentralHom,
     inner_automorphisms,
     is_purely_nonabelian,
     minimal_generating_set,
     _search_maps,
 )
 from .errors import HypothesisViolated, InternalDisagreement, NotPGroup, WrongClass
-from .groups import Group, Subgroup
+from .groups import Group
+
+
+def _typed(value, kind: type, what: str, nullable: bool = False):
+    """``value`` if it is a ``kind`` (an int is never a bool), or None when ``nullable``.
+
+    The JSON decoders use it so that a corrupt document raises TypeError.
+    """
+    if value is None and nullable:
+        return None
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,7 +67,10 @@ class ConditionSide:
 
     @classmethod
     def from_json(cls, doc: dict) -> ConditionSide:
-        return cls(doc["rEqS"], doc["residualIso"], doc["expEq"])
+        side = cls(*(_typed(doc[k], bool, k) for k in ("rEqS", "residualIso", "expEq")))
+        if _typed(doc["all"], bool, "all") != side.all_met:
+            raise ValueError(f"'all' disagrees with the condition flags in {doc}")
+        return side
 
 
 @dataclass(frozen=True)
@@ -81,11 +95,8 @@ class OracleSide:
     @classmethod
     def from_json(cls, doc: dict) -> OracleSide:
         return cls(
-            doc["autcentOrder"],
-            doc["autZZOrder"],
-            doc["innOrder"],
-            doc["autcentEqualsAutZZ"],
-            doc["autcentEqualsInn"],
+            *(_typed(doc[k], int, k) for k in ("autcentOrder", "autZZOrder", "innOrder")),
+            *(_typed(doc[k], bool, k) for k in ("autcentEqualsAutZZ", "autcentEqualsInn")),
         )
 
 
@@ -281,15 +292,16 @@ class PurelyNonabelianReport:
         return ok
 
 
-def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, "CentralHom"]:
+def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
     """The witness data for a group with an abelian direct factor.
 
     Splits G = H x A, picks an order-p element z of Z(H) inside the Frattini
-    subgroup, and returns z together with the homomorphism sending every
-    member of a minimal generating set (generators of H followed by those of
-    A) to z.  The induced map x -> x*f(x) is then a central automorphism
-    moving the central generators of A.  The budget bounds the Hom search
-    behind :func:`abelian_factor_split`.
+    subgroup, and returns z together with the value table of the homomorphism
+    f sending every member of a minimal generating set (generators of H
+    followed by those of A) to z; the table comes from the verified generator
+    extension and is not checked again.  The induced map x -> x*f(x) is then
+    a central automorphism moving the central generators of A.  The budget
+    bounds the Hom search behind :func:`abelian_factor_split`.
     """
     split = abelian_factor_split(group, budget)
     if split is None:
@@ -316,9 +328,7 @@ def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, 
     gens_a = [a_sub.members[i] for i in minimal_generating_set(a_group)]
     gens = gens_h + gens_a
 
-    target = group.subgroup_generated([z])
-    values = _extend_generator_map(group, gens, [z] * len(gens))
-    return z, CentralHom.create(group, target, values)
+    return z, _extend_generator_map(group, gens, [z] * len(gens))
 
 
 def _extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """Corrupt caches, budgets on cached searches, and configuration bounds."""
 
+import json
+
 import pytest
 
 from centauts import (
@@ -45,6 +47,42 @@ class TestCorruptCache:
         assert emit_report(scan_corpus(cfg), "json") == fresh
         # the misses were recomputed and written back
         assert all(_cache_read(tmp_path, path.stem) is not None for path in entries)
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            (("oracleSide", "innOrder"), lambda _: "four"),
+            (("verdict",), lambda _: "agree?"),
+            (("lemmaChecks", "theorem"), lambda _: 7),
+            (("conditionSide", "rEqS"), lambda _: "yes"),
+            (("conditionSide", "all"), lambda old: not old),
+            (("groupId",), lambda _: 8),
+            (("order",), lambda _: True),
+            (("class",), lambda _: "2"),
+        ],
+        ids=["inn-order-string", "unknown-verdict", "status-int", "flag-string", "all-disagrees",
+             "id-int", "order-bool", "class-string"],
+    )
+    def test_wrong_field_value_is_a_miss(self, tmp_path, field, edit):
+        cfg = RunConfig(cache_dir=str(tmp_path), **self.CFG)
+        fresh = emit_report(scan_corpus(cfg), "json")
+        *outer, key = field
+        edited = []
+        for path in sorted(tmp_path.glob("*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            holder = doc
+            for k in outer:
+                holder = holder[k]
+            if holder is None:  # no sides on a group the theorem does not apply to
+                continue
+            holder[key] = edit(holder[key])
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert _cache_read(tmp_path, path.stem) is None, (path.name, field)
+            edited.append(path)
+        assert edited
+        assert emit_report(scan_corpus(cfg), "json") == fresh
+        # the misses were recomputed and written back
+        assert all(_cache_read(tmp_path, path.stem) is not None for path in edited)
 
     def test_directory_in_place_of_entry_is_a_miss(self, tmp_path):
         (tmp_path / "abc.json").mkdir()
@@ -112,6 +150,15 @@ class TestBounds:
         # with p = 1 the lemma4 exponent search of a scan would never end
         with pytest.raises(ConfigError, match="prime"):
             RunConfig(primes=(p,))
+
+    def test_analyze_negative_budget_rejected(self, capsys):
+        # the same message and exit code as scan, before any check runs
+        assert main(["analyze", "D8", "--check", "theorem", "--budget", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: budget must be non-negative, got -5\n"
+        assert captured.out == ""
+        assert main(["scan", "--max-order", "8", "--budget", "-5"]) == 2
+        assert capsys.readouterr().err == captured.err
 
     def test_sweep_non_prime_rejected(self, capsys):
         assert main(["sweep-lemma4", "--prime", "4", "--max-exp", "2"]) == 2
