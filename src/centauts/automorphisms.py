@@ -10,7 +10,10 @@ are sorted by value table.
 
 The central automorphisms are built from Hom(G/[G,G], Z(G)) alone (see
 :func:`autcent`); the full automorphism group, :func:`all_automorphisms`, is
-the independent oracle the tests compare them against.
+the independent oracle the tests compare them against.  A set of Homs into a
+central subgroup and an :class:`AutSet` are both ``k x n`` arrays of element
+indices, one value table per row, so Autcent and its filters are array
+operations.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .abelian import hom_order, invariants
 from .errors import (
@@ -80,40 +85,112 @@ class Automorphism:
         return f"<Automorphism of {self.group.name} {self.images}>"
 
 
+def _index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned integer type holding every element index of an order-n group.
+
+    Every cached table of element indices (central Homs, automorphism sets and
+    the narrow multiplication table they are gathered from) uses it.
+    """
+    return np.min_scalar_type(n - 1)
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _canonical(tables: np.ndarray) -> np.ndarray:
+    """The distinct rows of a ``k x n`` table array, sorted lexicographically, read-only.
+
+    A row's big-endian bytes compare as the row does lexicographically, so
+    one unique over the rows as opaque byte strings sorts and deduplicates
+    them (several times faster than ``np.unique(tables, axis=0)``).
+    """
+    big = np.ascontiguousarray(tables, dtype=tables.dtype.newbyteorder(">"))
+    rows = big.view(np.dtype((np.void, big.itemsize * tables.shape[1])))
+    _, first = np.unique(rows.ravel(), return_index=True)
+    return _readonly(tables[first])
+
+
+def _index_tables(group: Group) -> tuple[np.ndarray, np.ndarray]:
+    """``group.mul`` and ``group.inv`` in the group's index dtype, cached read-only.
+
+    Gathers through them yield tables in that dtype without a further cast.
+    """
+
+    def compute():
+        dtype = _index_dtype(group.n)
+        return _readonly(group.mul.astype(dtype)), _readonly(group.inv.astype(dtype))
+
+    return group._cached("index_tables", compute)
+
+
 class AutSet:
-    """A canonically sorted, deduplicated collection of automorphisms."""
+    """A canonically sorted, deduplicated collection of automorphisms.
 
-    __slots__ = ("group", "elements", "images_set")
+    ``tables`` is a read-only ``k x n`` array whose row i is the image table
+    of the i-th automorphism, in the dtype of :func:`_index_dtype`; rows are
+    distinct and sorted lexicographically.  Equal sets of one group therefore
+    have equal arrays, which ``==`` compares.  ``elements`` and ``images_set``
+    are built from the array on first use; their image tables are tuples of
+    Python ints.
+    """
 
-    def __init__(self, group: Group, elements: Iterable[Automorphism]) -> None:
-        tables = sorted({a.images for a in elements})
+    __slots__ = ("group", "tables", "_elements")
+
+    def __init__(self, group: Group, automorphisms: Iterable[Automorphism]) -> None:
+        rows = np.array([a.images for a in automorphisms], dtype=_index_dtype(group.n))
+        self._init(group, _canonical(rows.reshape(-1, group.n)))
+
+    def _init(self, group: Group, tables: np.ndarray) -> None:
         self.group = group
-        self.elements = tuple(Automorphism(group, t) for t in tables)
-        self.images_set = frozenset(tables)
+        self.tables = tables
+        self._elements = None
+
+    @classmethod
+    def _of(cls, group: Group, tables: np.ndarray) -> "AutSet":
+        """The set over ``tables``, which must already be canonical (a row mask of
+        a canonical array is)."""
+        self = cls.__new__(cls)
+        self._init(group, tables)
+        return self
+
+    @property
+    def elements(self) -> tuple[Automorphism, ...]:
+        if self._elements is None:
+            group = self.group
+            self._elements = tuple(Automorphism(group, tuple(t)) for t in self.tables.tolist())
+        return self._elements
+
+    @property
+    def images_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(a.images for a in self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.tables)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, item) -> bool:
         images = item.images if isinstance(item, Automorphism) else tuple(item)
-        return images in self.images_set
+        if len(images) != self.group.n:
+            return False
+        return bool((self.tables == np.asarray(images)).all(axis=1).any())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AutSet):
             return NotImplemented
-        return self.group is other.group and self.images_set == other.images_set
+        return self.group is other.group and np.array_equal(self.tables, other.tables)
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.images_set))
+        return hash((id(self.group), self.tables.tobytes()))
 
     def __repr__(self) -> str:
-        return f"<AutSet of {self.group.name}, {len(self.elements)} automorphisms>"
+        return f"<AutSet of {self.group.name}, {len(self)} automorphisms>"
 
     def is_subset_of(self, other: "AutSet") -> bool:
-        return self.images_set <= other.images_set
+        return len(_canonical(np.concatenate((self.tables, other.tables)))) == len(other)
 
 
 def minimal_generating_set(group: Group) -> tuple[int, ...]:
@@ -277,6 +354,9 @@ def _search_maps(
         found.append(tuple(phi0))
     else:
         descend(0, phi0, (), {target.identity} if injective else set())
+    # descend refers to itself, a reference cycle through its closure that
+    # would keep ``found`` alive until the next cycle collection
+    del descend
     found.sort()
     return found, attempts
 
@@ -295,8 +375,9 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     what = f"automorphism search for {group.name}"
 
     def compute():
+        dtype = _index_dtype(group.n)
         if group.n == 1:
-            return AutSet(group, (Automorphism(group, (group.identity,)),)), 0, 1
+            return AutSet._of(group, _readonly(np.zeros((1, 1), dtype=dtype))), 0, 1
         gens = _search_generating_set(group)
         orders = group.element_orders()
         frat = (
@@ -311,7 +392,7 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
         tables, attempts = _search_maps(
             group, group, gens, cands, injective=True, limit=limit, what=what
         )
-        auts = AutSet(group, (Automorphism(group, t) for t in tables))
+        auts = AutSet._of(group, _canonical(np.array(tables, dtype=dtype)))
         return auts, attempts, math.prod(map(len, cands))
 
     return _cached_search(group, "all_automorphisms", limit, what, compute)
@@ -340,15 +421,17 @@ def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> l
 
 
 def inner_automorphisms(group: Group) -> AutSet:
-    """Conjugation maps x -> g^-1 x g, deduplicated; |result| = |G| / |Z(G)|."""
+    """Conjugation maps x -> g^-1 x g, deduplicated; |result| = |G| / |Z(G)|.
+
+    Row g of the ``n x n`` array of conjugation tables is gathered as
+    ``mul[mul[inv[g], x], g]``; the distinct rows are the result, and their
+    number is checked against |G| / |Z(G)|.
+    """
 
     def compute():
-        seen = {}
-        for g in range(group.n):
-            left = group.mul[group.inv[g]]
-            images = tuple(int(v) for v in group.mul[left, g])
-            seen.setdefault(images, None)
-        result = AutSet(group, (Automorphism(group, im) for im in seen))
+        mul, inv = _index_tables(group)
+        conj = mul[mul[inv], np.arange(group.n)[:, None]]
+        result = AutSet._of(group, _canonical(conj))
         expected = group.n // len(group.center())
         if len(result) != expected:
             raise InternalDisagreement(
@@ -373,58 +456,72 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
 
     A central automorphism is exactly a bijective map x -> x f(x) with f a
     homomorphism from G into Z(G) (Adney and Yen, Illinois J. Math. 9, 1965),
-    so the set is read off :func:`homs_to_central_subgroup` through
-    :func:`alpha_from_f` without enumerating the full automorphism group.
-    The budget bounds that Hom search and applies on every call, cached or
-    not.  The tests compare the result with the centrality filter and the
-    Inn-centralizer test over :func:`all_automorphisms`.
+    so the set is read off the ``k x n`` array of
+    :func:`homs_to_central_subgroup` in one batched pass of the map behind
+    :func:`alpha_from_f`, inverse-image criterion against bijectivity
+    included, without enumerating the full automorphism group.  The kept
+    rows are sorted into the :class:`AutSet` table array.  The budget bounds
+    that Hom search and applies on every call, cached or not.  The tests
+    compare the result with the centrality filter and the Inn-centralizer
+    test over :func:`all_automorphisms`.
     """
     homs = homs_to_central_subgroup(group, group.center(), budget)
 
     def compute():
-        built = (alpha_from_f(group, f) for f in homs)
-        return AutSet(group, (a for a in built if a is not None))
+        images, accepted = _alpha_tables(group, homs)
+        return AutSet._of(group, _canonical(images[accepted]))
 
     return group._cached("autcent", compute)
 
 
 def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSet:
-    """Automorphisms in ``within`` acting trivially on the quotient by ``kernel``."""
+    """Automorphisms in ``within`` acting trivially on the quotient by ``kernel``.
+
+    The kernel must be a normal subgroup of the group (:class:`NotNormal`
+    otherwise).  A row a of ``within.tables`` is kept iff every x^-1 a(x),
+    gathered as ``mul[inv, a]``, lies in the kernel; the kept rows of the
+    canonical array are the result's array, in the same order and dtype.
+    """
     if kernel.parent is not group:
         raise NotNormal("subgroup belongs to a different group")
     witness = kernel.normality_witness()
     if witness is not None:
         raise NotNormal(f"subgroup is not normal (witness {witness})")
-    rows = group.mul_rows()
-    inv = group.inv
-    nset = kernel.member_set
-    keep = []
-    for a in within:
-        im = a.images
-        if all(rows[int(inv[x])][im[x]] in nset for x in range(group.n)):
-            keep.append(a)
-    return AutSet(group, keep)
+    mul, inv = _index_tables(group)
+    in_kernel = np.zeros(group.n, dtype=bool)
+    in_kernel[list(kernel.members)] = True
+    tables = within.tables
+    keep = in_kernel[mul[inv, tables]].all(axis=1)
+    return AutSet._of(group, _readonly(tables[keep]))
 
 
 def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet:
-    """Automorphisms in ``within`` fixing every element of ``fixed``."""
-    members = fixed.members
-    return AutSet(
-        group,
-        (a for a in within if all(a.images[m] == m for m in members)),
-    )
+    """Automorphisms in ``within`` fixing every element of ``fixed``.
+
+    A row of ``within.tables`` is kept iff it equals the identity on the
+    members of ``fixed``; the kept rows of the canonical array are the
+    result's array, in the same order and dtype.
+    """
+    members = np.asarray(fixed.members)
+    tables = within.tables
+    keep = (tables[:, members] == members).all(axis=1)
+    return AutSet._of(group, _readonly(tables[keep]))
 
 
 def homs_to_central_subgroup(
     group: Group, target: Subgroup, budget: int | None = None
-) -> list[tuple[int, ...]]:
+) -> np.ndarray:
     """Value tables of every homomorphism from the group into a central subgroup.
 
-    Because the target is abelian these coincide with homomorphisms from the
-    abelianization, which is where the enumeration runs; the search-verified
-    tables are pulled back through the quotient map, sorted, and not checked
-    again.  For a p-group their number is checked against the Hom order of the
-    two invariant types.  The budget bounds the enumeration; its attempt count
+    The result is one read-only ``k x n`` array in the dtype of
+    :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
+    rows sorted lexicographically.  The target must be central
+    (:class:`NotCentral` otherwise).  Because it is abelian these maps
+    coincide with homomorphisms from the abelianization, which is where the
+    enumeration runs; the search-verified tables are pulled back through the
+    quotient map as ``members[tables[:, projection]]`` and not checked again.
+    For a p-group their number is checked against the Hom order of the two
+    invariant types.  The budget bounds the enumeration; its attempt count
     is cached with the result, so a later call with a smaller budget raises
     exactly as a fresh search would.
     """
@@ -445,36 +542,53 @@ def homs_to_central_subgroup(
                     f"enumerated {len(tables)} homomorphisms from the abelianization "
                     f"of {group.name} into a central subgroup, Hom order is {expected}"
                 )
-        members = target.members
-        homs = sorted(tuple(members[t[q]] for q in ab.projection) for t in tables)
+        dtype = _index_dtype(group.n)
+        members = np.asarray(target.members, dtype=dtype)
+        quotient_tables = np.array(tables, dtype=dtype)
+        homs = _canonical(members[quotient_tables[:, list(ab.projection)]])
         return homs, attempts, naive_space
 
     return _cached_search(group, ("central_homs", target.members), limit, what, compute)
+
+
+def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of x -> x * f(x) for every row f of a ``k x n`` Hom array, and which are bijective.
+
+    Each row must be the value table of a homomorphism into a central
+    subgroup; it is not checked again.  Returns the ``k x n`` image array
+    ``mul[x, f(x)]`` and a length-k mask of the accepted rows.  A row is
+    accepted iff no non-trivial m in the image of f has f(m) = m^-1 (the
+    image is a subgroup, so this covers the whole target); the criterion is
+    compared with bijectivity of the image row, read off the sorted row, and
+    any disagreement raises :class:`InternalDisagreement`.
+    """
+    mul, inv = _index_tables(group)
+    n = group.n
+    images = mul[np.arange(n), homs]
+    bijective = (np.sort(images, axis=1) == np.arange(n)).all(axis=1)
+    inverted = (homs != group.identity) & (np.take_along_axis(homs, homs, axis=1) == inv[homs])
+    accepted = ~inverted.any(axis=1)
+    if not np.array_equal(accepted, bijective):
+        raise InternalDisagreement(
+            "the inverse-image criterion and direct bijectivity disagree "
+            f"on {group.name}"
+        )
+    return images, accepted
 
 
 def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
     """The map x -> x * f(x), returned iff it is an automorphism.
 
     ``f`` is the value table of a homomorphism into a central subgroup, such
-    as one from :func:`homs_to_central_subgroup`; it is not checked again.
-    The acceptance test is that no non-trivial element m of the image has
-    f(m) = m^-1 (the image is a subgroup, so this covers the whole target);
-    bijectivity of the produced table is asserted independently.
+    as a row of :func:`homs_to_central_subgroup`; it is not checked again.
+    This is the one-row case of the batched map behind :func:`autcent`, so
+    the inverse-image criterion is still compared with direct bijectivity.
+    The returned image table is a tuple of Python ints.
     """
-    rows = group.mul_rows()
-    inv = group.inv
-    e = group.identity
-    accepted = all(m == e or f[m] != int(inv[m]) for m in set(f))
-    images = tuple(rows[x][f[x]] for x in range(group.n))
-    bijective = len(set(images)) == group.n
-    if accepted != bijective:
-        raise InternalDisagreement(
-            "the inverse-image criterion and direct bijectivity disagree "
-            f"on {group.name}"
-        )
-    if not accepted:
+    images, accepted = _alpha_tables(group, np.asarray(f).reshape(1, group.n))
+    if not accepted[0]:
         return None
-    return Automorphism(group, images)
+    return Automorphism(group, tuple(images[0].tolist()))
 
 
 def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> tuple[int, ...]:
@@ -511,13 +625,13 @@ def abelian_factor_split(
 
     def compute():
         e = group.identity
+        idempotent = (np.take_along_axis(homs, homs, axis=1) == homs).all(axis=1)
+        nonzero = (homs != e).any(axis=1)
         splits = []
-        for f in homs:
+        for f in homs[idempotent & nonzero].tolist():
             image = tuple(sorted(set(f)))
-            # f is idempotent iff it fixes its image pointwise
-            if len(image) > 1 and all(f[y] == y for y in image):
-                kernel = tuple(x for x, y in enumerate(f) if y == e)
-                splits.append((len(image), image, kernel))
+            kernel = tuple(x for x, y in enumerate(f) if y == e)
+            splits.append((len(image), image, kernel))
         if not splits:
             return None
         _, image, kernel = min(splits)
@@ -586,7 +700,7 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     """
     homs = homs_to_central_subgroup(group, target, budget)
     e = group.identity
-    hypothesis = all(f[m] == e for f in homs for m in target.members)
+    hypothesis = bool((homs[:, list(target.members)] == e).all())
 
     # an automorphism acting trivially on G/M, M central, is central
     aut_quotient = aut_fixing_quotient(group, target, autcent(group, budget))

@@ -181,3 +181,24 @@ def relabel(table, perm):
     for i, v in enumerate(perm):
         inv[v] = i
     return [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+
+
+def naive_alpha(table, f):
+    """The image table of x -> x f(x) for a value table f, or None when the
+    map is not a bijection (decided by counting distinct images)."""
+    images = tuple(table[x][f[x]] for x in range(len(table)))
+    return images if len(set(images)) == len(table) else None
+
+
+def naive_fixing_quotient(table, kernel, auts):
+    """The sorted image tables in ``auts`` with x^-1 a(x) in ``kernel`` for every x."""
+    n = len(table)
+    e = identity_of(table)
+    invs = [next(y for y in range(n) if table[x][y] == e) for x in range(n)]
+    kset = set(kernel)
+    return sorted(a for a in auts if all(table[invs[x]][a[x]] in kset for x in range(n)))
+
+
+def naive_fixing_subgroup(fixed, auts):
+    """The sorted image tables in ``auts`` that fix every element of ``fixed``."""
+    return sorted(a for a in auts if all(a[m] == m for m in fixed))

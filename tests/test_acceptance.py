@@ -242,7 +242,7 @@ def test_criterion_7_engine_self_consistency(corpus):
                 aut = alpha_from_f(g, f)
                 if aut is None:
                     continue
-                if hom_from_automorphism(g, aut, z) != f:
+                if hom_from_automorphism(g, aut, z) != tuple(f):
                     roundtrip_failures.append(g.name)
                 recovered.add(aut.images)
             if recovered != set(a.images for a in autcent(g)):

@@ -40,7 +40,12 @@ from centauts.errors import (
     NotPurelyNonabelian,
 )
 
-from oracles import naive_all_automorphisms
+from oracles import (
+    naive_all_automorphisms,
+    naive_alpha,
+    naive_fixing_quotient,
+    naive_fixing_subgroup,
+)
 
 
 class TestMinimalGeneratingSet:
@@ -360,7 +365,7 @@ class TestAlphaFromF:
                 if aut is None:
                     continue
                 back = hom_from_automorphism(g, aut, z)
-                assert back == f, g.name
+                assert back == tuple(f), g.name
                 assert aut.images not in seen
                 seen.add(aut.images)
             # every central automorphism arises from some displacement hom
@@ -439,3 +444,54 @@ class TestLemma0a:
         g = direct_product(dihedral_group(4), cyclic_group(2))
         with pytest.raises(NotPurelyNonabelian):
             verify_lemma0a(g)
+
+
+@pytest.fixture(scope="module")
+def array_route_groups(groups):
+    """Catalog p-groups of order <= 81, the trivial group (a 1 x 1 table) and
+    C343, whose indices need uint16."""
+    small = [g for g in groups.values() if g.p_group_prime() is not None and g.n <= 81]
+    return small + [from_cayley_table([[0]], name="C1"), cyclic_group(343)]
+
+
+class TestArrayRouteAgainstScalarOracles:
+    def test_autcent_is_every_bijective_x_fx(self, array_route_groups):
+        for g in array_route_groups:
+            table = g.mul_rows()
+            homs = homs_to_central_subgroup(g, g.center())
+            dtype = np.min_scalar_type(g.n - 1)
+            assert homs.dtype == dtype and homs.shape[1] == g.n, g.name
+            built = [naive_alpha(table, f) for f in homs.tolist()]
+            alphas = [alpha_from_f(g, f) for f in homs]
+            assert [None if a is None else a.images for a in alphas] == built, g.name
+            ac = autcent(g)
+            assert ac.tables.dtype == dtype, g.name
+            assert [a.images for a in ac] == sorted(a for a in built if a is not None), g.name
+
+    def test_filters_match_the_scalar_loops(self, array_route_groups):
+        # Aut^M and Aut^M_Z for every M <= Z(G), filtered from Autcent
+        for g in array_route_groups:
+            table = g.mul_rows()
+            ac = autcent(g)
+            ac_tables = [a.images for a in ac]
+            z = g.center()
+            for m in z.all_subgroups():
+                aut_m = aut_fixing_quotient(g, m, ac)
+                expected = naive_fixing_quotient(table, m.members, ac_tables)
+                assert [a.images for a in aut_m] == expected, (g.name, m.members)
+                aut_m_z = aut_fixing_subgroup(g, z, aut_m)
+                assert [a.images for a in aut_m_z] == naive_fixing_subgroup(
+                    z.members, expected
+                ), (g.name, m.members)
+
+    def test_narrow_dtype_never_leaks(self, groups):
+        for g in groups.values():
+            if g.p_group_prime() is None or g.n > 81:
+                continue
+            ac = autcent(g)
+            for s in (ac, inner_automorphisms(g), aut_fixing_subgroup(g, g.center(), ac)):
+                images = [a.images for a in s]
+                assert images == sorted(s.images_set), g.name
+                assert all(type(v) is int for t in images for v in t), g.name
+                rebuilt = AutSet(g, list(s))
+                assert rebuilt == s and hash(rebuilt) == hash(s), g.name

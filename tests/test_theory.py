@@ -100,6 +100,31 @@ class TestVerifyTheorem:
             assert ConditionSide.from_json(rep.condition.to_json()) == rep.condition, g.name
             assert OracleSide.from_json(rep.oracle.to_json()) == rep.oracle, g.name
 
+    def test_forced_disagreement_reports_a_counterexample(self, monkeypatch, capsys):
+        # on D8xC2, Autcent != Aut^Z_Z; claiming the condition holds must
+        # make the theorem check disagree and name a moved automorphism
+        from centauts import analyze_group, catalog_group, emit_report
+        from centauts.cli import main
+
+        monkeypatch.setattr(
+            theory, "theorem_condition", lambda group: ConditionSide(True, True, True)
+        )
+        g = catalog_group("D8xC2")
+        report = analyze_group(g, ("theorem",))
+        assert report.verdict == "COUNTEREXAMPLE"
+        assert report.lemma_checks == {"theorem": "fail"}
+        moved = report.witness["automorphism"]
+        assert isinstance(moved, list) and all(type(v) is int for v in moved)
+        ac = autcent(g)
+        assert moved in ac
+        assert moved not in aut_fixing_subgroup(g, g.center(), ac)
+        assert '"verdict": "COUNTEREXAMPLE"' in emit_report([report], "json")
+        rows = emit_report([report], "csv").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("D8xC2,theorem,16,2,2,True,True,True,True,")
+        assert rows[1].endswith(",fail")
+        assert main(["analyze", "D8xC2", "--check", "theorem"]) == 1
+        assert '"verdict": "COUNTEREXAMPLE"' in capsys.readouterr().out
+
 
 class TestProposition1:
     def test_d8_center_case(self):
