@@ -1,9 +1,10 @@
 """Exhaustive Aut/Hom search, central automorphisms, and the f <-> alpha duality.
 
-The search assigns images to a minimal generating set level by level.  At each
-level the partial map is extended over the subgroup generated so far by
-breadth-first derivations, pruned on injectivity when searching automorphisms,
-and verified against every (element, generator) product; a full assignment is
+The search assigns images to a minimal generating set level by level, over
+numpy arrays of partial maps: at each level every surviving partial map is
+paired with every candidate image at once, extended over the subgroup
+generated so far, pruned on injectivity when searching automorphisms, and
+verified against every (element, generator) product; a full assignment is
 therefore exactly a homomorphism (an automorphism, with the prune).
 Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.
@@ -276,6 +277,38 @@ def _cached_search(owner, key, limit: int, what: str, search):
     return result
 
 
+def _level_schedule(source: Group, gens: Sequence[int]):
+    """Index arrays that derive and verify each level of the chain H_i = <gens[0..i]>.
+
+    Per level i: the elements x of H_{i-1} and the products x * gens[i]; the
+    new elements of H_i in waves, as (elements, parents, slots) arrays whose
+    parents are old or in an earlier wave; the new elements t and the
+    ``len(new) x (i + 1)`` array of the products t * gens[s], s <= i; and
+    every element of H_i.
+    """
+    smul = source.mul
+    schedule = []
+    for i, (old, new) in enumerate(_generator_chain(source, gens)):
+        depth: dict[int, int] = {}
+        waves: list[list[tuple[int, int, int]]] = []
+        for t, parent, slot in new:
+            d = depth[t] = depth.get(parent, -1) + 1
+            if d == len(waves):
+                waves.append([])
+            waves[d].append((t, parent, slot))
+        old = np.array(old, dtype=np.intp)
+        new_elems = np.array([t for t, _, _ in new], dtype=np.intp)
+        schedule.append((
+            old,
+            smul[old, gens[i]],
+            [tuple(np.array(c, dtype=np.intp) for c in zip(*wave)) for wave in waves],
+            new_elems,
+            smul[new_elems[:, None], np.asarray(gens[: i + 1], dtype=np.intp)],
+            np.concatenate((old, new_elems)),
+        ))
+    return schedule
+
+
 def _search_maps(
     source: Group,
     target: Group,
@@ -284,81 +317,62 @@ def _search_maps(
     injective: bool,
     limit: int,
     what: str,
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[np.ndarray, int]:
     """All maps on ``gens`` extending to homomorphisms source -> target.
 
-    Candidate images are tried in the given order; each partial assignment is
-    extended over the subgroup generated so far and verified on every
-    (element, generator) product, with an injectivity prune when requested.
-    Returns the sorted value tables and the number of extension attempts;
-    ``what`` names the search in its budget error.
+    A breadth-first search over frontier arrays: level i pairs every
+    surviving partial map with every candidate image y of ``gens[i]`` (rows
+    in partial-map-major, candidate-minor order), fills in the new elements
+    of H_i = <gens[0..i]> one wave of parents at a time, and keeps the rows
+    that pass, as masks: with ``injective``, y is not an image of H_{i-1}
+    and the images of H_i are distinct (adjacent compare of the sorted
+    rows); phi(x * gens[i]) = phi(x) * y for every x in H_{i-1}; and
+    phi(t * gens[s]) = phi(t) * phi(gens[s]) for every new t and s <= i.  A
+    full assignment is therefore exactly a homomorphism (an automorphism,
+    with injectivity).  ``gens`` must generate the source; outside <gens>
+    a table holds the target identity.
+
+    Returns the value tables as a read-only ``k x source.n`` array in the
+    target's index dtype (:func:`_index_dtype`), rows distinct and sorted
+    lexicographically, and the number of extension attempts: the sum over
+    levels of surviving partial maps times candidates.  Each level's term is
+    added before the level is expanded, and the search raises the error of
+    :func:`_budget_exceeded` (``what`` names the search) as soon as the sum
+    passes ``limit``, so an over-budget search fails before the work.
     """
-    levels = _generator_chain(source, gens)
-    srows = source.mul_rows()
-    trows = target.mul_rows()
-    d = len(gens)
-    found: list[tuple[int, ...]] = []
+    tmul, _ = _index_tables(target)
+    naive_space = math.prod(map(len, cands))
+    phi = np.full((1, source.n), target.identity, dtype=tmul.dtype)
+    imgs = np.zeros((1, 0), dtype=tmul.dtype)
     attempts = 0
-
-    phi0 = [-1] * source.n
-    phi0[source.identity] = target.identity
-
-    def descend(level: int, phi: list[int], imgs: tuple[int, ...], used: set[int]):
-        nonlocal attempts
-        old_elems, new_list = levels[level]
-        w = gens[level]
-        last = level == d - 1
-        for y in cands[level]:
-            attempts += 1
-            if attempts > limit:
-                raise _budget_exceeded(what, limit, math.prod(map(len, cands)))
-            if injective and y in used:
-                continue
-            phi2 = phi[:]
-            used2 = set(used) if injective else used
-            imgs2 = imgs + (y,)
-            ok = True
-            for t, parent, slot in new_list:
-                v = trows[phi2[parent]][imgs2[slot]]
-                if injective:
-                    if v in used2:
-                        ok = False
-                        break
-                    used2.add(v)
-                phi2[t] = v
-            if not ok:
-                continue
-            for x in old_elems:
-                if phi2[srows[x][w]] != trows[phi2[x]][y]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for t, _, _ in new_list:
-                rt = srows[t]
-                prt = trows[phi2[t]]
-                for s in range(level + 1):
-                    if phi2[rt[gens[s]]] != prt[imgs2[s]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            if last:
-                found.append(tuple(phi2))
-            else:
-                descend(level + 1, phi2, imgs2, used2)
-
-    if d == 0:
-        found.append(tuple(phi0))
-    else:
-        descend(0, phi0, (), {target.identity} if injective else set())
-    # descend refers to itself, a reference cycle through its closure that
-    # would keep ``found`` alive until the next cycle collection
-    del descend
-    found.sort()
-    return found, attempts
+    for i, (old, old_products, waves, new, new_products, members) in enumerate(
+        _level_schedule(source, gens)
+    ):
+        cand = np.asarray(cands[i], dtype=tmul.dtype)
+        k, m = len(phi), len(cand)
+        attempts += k * m
+        if attempts > max(limit, 0):
+            raise _budget_exceeded(what, limit, naive_space)
+        rows = np.repeat(np.arange(k), m)
+        y = np.tile(cand, k)
+        if injective:
+            used = np.zeros((k, target.n), dtype=bool)
+            used[np.arange(k)[:, None], phi[:, old]] = True
+            fresh = ~used[:, cand].ravel()
+            rows, y = rows[fresh], y[fresh]
+        phi = phi[rows]
+        imgs = np.concatenate((imgs[rows], y[:, None]), axis=1)
+        for elems, parents, slots in waves:
+            phi[:, elems] = tmul[phi[:, parents], imgs[:, slots]]
+        ok = (phi[:, old_products] == tmul[phi[:, old], y[:, None]]).all(axis=1)
+        new_images = phi[:, new]
+        for s in range(i + 1):
+            ok &= (phi[:, new_products[:, s]] == tmul[new_images, imgs[:, s, None]]).all(axis=1)
+        if injective:
+            image = np.sort(phi[:, members], axis=1)
+            ok &= (image[:, 1:] != image[:, :-1]).all(axis=1)
+        phi, imgs = phi[ok], imgs[ok]
+    return _canonical(phi), attempts
 
 
 def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
@@ -375,9 +389,6 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     what = f"automorphism search for {group.name}"
 
     def compute():
-        dtype = _index_dtype(group.n)
-        if group.n == 1:
-            return AutSet._of(group, _readonly(np.zeros((1, 1), dtype=dtype))), 0, 1
         gens = _search_generating_set(group)
         orders = group.element_orders()
         frat = (
@@ -392,16 +403,17 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
         tables, attempts = _search_maps(
             group, group, gens, cands, injective=True, limit=limit, what=what
         )
-        auts = AutSet._of(group, _canonical(np.array(tables, dtype=dtype)))
-        return auts, attempts, math.prod(map(len, cands))
+        return AutSet._of(group, tables), attempts, math.prod(map(len, cands))
 
     return _cached_search(group, "all_automorphisms", limit, what, compute)
 
 
 def _hom_search(source: Group, target: Group, limit: int, what: str):
-    """(value tables of every homomorphism source -> target, attempts, naive space)."""
-    if source.n == 1:
-        return [(target.identity,)], 0, 1
+    """(``k x source.n`` array of every homomorphism's value table, attempts, naive space).
+
+    The array is :func:`_search_maps`'s: read-only, rows sorted, in the
+    target's index dtype.
+    """
     gens = _search_generating_set(source)
     sorders = source.element_orders()
     torders = target.element_orders()
@@ -415,9 +427,13 @@ def _hom_search(source: Group, target: Group, limit: int, what: str):
 
 
 def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
-    """Value tables of every homomorphism from source into target."""
+    """Value tables of every homomorphism from source into target, sorted.
+
+    Each table is a tuple of Python ints.
+    """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    return _hom_search(source, target, limit, f"homomorphism search for {source.name}")[0]
+    tables = _hom_search(source, target, limit, f"homomorphism search for {source.name}")[0]
+    return [tuple(t) for t in tables.tolist()]
 
 
 def inner_automorphisms(group: Group) -> AutSet:
@@ -544,8 +560,7 @@ def homs_to_central_subgroup(
                 )
         dtype = _index_dtype(group.n)
         members = np.asarray(target.members, dtype=dtype)
-        quotient_tables = np.array(tables, dtype=dtype)
-        homs = _canonical(members[quotient_tables[:, list(ab.projection)]])
+        homs = _canonical(members[tables[:, list(ab.projection)]])
         return homs, attempts, naive_space
 
     return _cached_search(group, ("central_homs", target.members), limit, what, compute)

@@ -114,10 +114,10 @@ class Group(_Cached):
             raise NotAGroup(f"associativity fails at ({x}, {y}, {z}): (xy)z != x(yz)")
 
         eye = np.arange(n)
-        ids = [e for e in range(n) if np.array_equal(mul[e], eye) and np.array_equal(mul[:, e], eye)]
-        if not ids:
+        ids = np.flatnonzero((mul == eye).all(axis=1) & (mul == eye[:, None]).all(axis=0))
+        if not ids.size:
             raise NotAGroup("no two-sided identity element")
-        identity = ids[0]
+        identity = int(ids[0])
 
         has_inverse = mul == identity
         missing = np.flatnonzero(~has_inverse.any(axis=1))

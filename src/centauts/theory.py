@@ -332,19 +332,22 @@ def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, 
 
 
 def _extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tuple[int, ...]:
-    """Extend a generator assignment multiplicatively; the result must be total."""
+    """Extend a generator assignment multiplicatively; the result must be total.
+
+    Returns the value table as a tuple of Python ints.
+    """
     # one candidate per generator: at most one extension attempt per level
     tables, _ = _search_maps(
         group, group, gens, [[y] for y in images], injective=False,
         limit=len(images), what=f"generator extension for {group.name}",
     )
-    if not tables:
+    if not len(tables):
         raise InternalDisagreement(
             f"generator assignment on {group.name} does not extend to a homomorphism"
         )
-    if -1 in tables[0]:
+    if len(group.closure(gens)) != group.n:
         raise InternalDisagreement(f"generators do not generate {group.name}")
-    return tables[0]
+    return tuple(tables[0].tolist())
 
 
 def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianReport:

@@ -2,10 +2,19 @@
 
 Everything here works on raw multiplication tables (lists of lists) and uses
 only exhaustive scans, so the expected values in the tests do not share code
-with the implementations they check.
+with the implementations they check.  The one exception is
+:func:`dfs_search_maps`, the recursive generator-image search the library
+used before its level-wise array search: it is kept unchanged but for its
+name as that search's reference, and shares with it only the derivation
+schedule (``_generator_chain``) and the budget error.
 """
 
+import math
 from itertools import permutations, product
+from typing import Sequence
+
+from centauts.automorphisms import _budget_exceeded, _generator_chain
+from centauts.groups import Group
 
 
 def identity_of(table):
@@ -202,3 +211,88 @@ def naive_fixing_quotient(table, kernel, auts):
 def naive_fixing_subgroup(fixed, auts):
     """The sorted image tables in ``auts`` that fix every element of ``fixed``."""
     return sorted(a for a in auts if all(a[m] == m for m in fixed))
+
+
+def dfs_search_maps(
+    source: Group,
+    target: Group,
+    gens: Sequence[int],
+    cands: Sequence[Sequence[int]],
+    injective: bool,
+    limit: int,
+    what: str,
+) -> tuple[list[tuple[int, ...]], int]:
+    """All maps on ``gens`` extending to homomorphisms source -> target.
+
+    Candidate images are tried in the given order; each partial assignment is
+    extended over the subgroup generated so far and verified on every
+    (element, generator) product, with an injectivity prune when requested.
+    Returns the sorted value tables and the number of extension attempts;
+    ``what`` names the search in its budget error.
+    """
+    levels = _generator_chain(source, gens)
+    srows = source.mul_rows()
+    trows = target.mul_rows()
+    d = len(gens)
+    found: list[tuple[int, ...]] = []
+    attempts = 0
+
+    phi0 = [-1] * source.n
+    phi0[source.identity] = target.identity
+
+    def descend(level: int, phi: list[int], imgs: tuple[int, ...], used: set[int]):
+        nonlocal attempts
+        old_elems, new_list = levels[level]
+        w = gens[level]
+        last = level == d - 1
+        for y in cands[level]:
+            attempts += 1
+            if attempts > limit:
+                raise _budget_exceeded(what, limit, math.prod(map(len, cands)))
+            if injective and y in used:
+                continue
+            phi2 = phi[:]
+            used2 = set(used) if injective else used
+            imgs2 = imgs + (y,)
+            ok = True
+            for t, parent, slot in new_list:
+                v = trows[phi2[parent]][imgs2[slot]]
+                if injective:
+                    if v in used2:
+                        ok = False
+                        break
+                    used2.add(v)
+                phi2[t] = v
+            if not ok:
+                continue
+            for x in old_elems:
+                if phi2[srows[x][w]] != trows[phi2[x]][y]:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            for t, _, _ in new_list:
+                rt = srows[t]
+                prt = trows[phi2[t]]
+                for s in range(level + 1):
+                    if phi2[rt[gens[s]]] != prt[imgs2[s]]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            if last:
+                found.append(tuple(phi2))
+            else:
+                descend(level + 1, phi2, imgs2, used2)
+
+    if d == 0:
+        found.append(tuple(phi0))
+    else:
+        descend(0, phi0, (), {target.identity} if injective else set())
+    # descend refers to itself, a reference cycle through its closure that
+    # would keep ``found`` alive until the next cycle collection
+    del descend
+    found.sort()
+    return found, attempts

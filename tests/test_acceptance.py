@@ -1,4 +1,4 @@
-"""Acceptance suite: the seven gate criteria, one pass/fail line each.
+"""Acceptance suite: the gate criteria, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.  The corpus is the built-in catalog restricted to orders <= 64 at
@@ -34,7 +34,12 @@ from centauts import (
 from centauts.corpus import abelian_group
 from centauts.theory import _types_up_to as _all_types
 
-from oracles import brute_force_hom_count, order_census_hom_count
+from oracles import (
+    brute_force_hom_count,
+    dfs_search_maps,
+    naive_generating_set,
+    order_census_hom_count,
+)
 
 
 @functools.cache
@@ -59,6 +64,23 @@ def _autcent_by_inn_centralizer(g) -> AutSet:
             if all(all(a.images[t[x]] == t[a.images[x]] for x in range(g.n)) for t in inner_tables)
         ),
     )
+
+
+def _autcent_by_coset_search(g) -> list[tuple[int, ...]]:
+    """Oracle route three: the injective maps G -> G sending each generator w
+    into its coset wZ(G), by the recursive search.
+
+    Such a map acts trivially on G/Z(G) on a generating set, hence
+    everywhere, so these are exactly the central automorphisms.  The route
+    shares no code with the Hom route, and with the library's search only
+    the derivation schedule of the generator chain.
+    """
+    table = g.mul_rows()
+    center = g.center().members
+    gens = naive_generating_set(table)
+    cands = [[table[w][z] for z in center] for w in gens]
+    tables, _ = dfs_search_maps(g, g, gens, cands, True, 10**7, "coset search")
+    return tables
 
 
 def _abelian_factor_split_by_normal_pairs(g):
@@ -261,4 +283,18 @@ def test_criterion_7_engine_self_consistency(corpus):
         f"inner-index failures {len(index_failures)}, "
         f"round-trip failures {len(roundtrip_failures)}, "
         f"repeated scans byte-identical: {deterministic}",
+    )
+
+
+def test_criterion_8_autcent_by_coset_search(groups):
+    p_groups = [g for g in groups.values() if g.p_group_prime() and g.n <= 81]
+    failures = [
+        g.name
+        for g in p_groups
+        if [tuple(t) for t in autcent(g).tables.tolist()] != _autcent_by_coset_search(g)
+    ]
+    _report(
+        "criterion 8 (Autcent against the coset-restricted search)",
+        len(p_groups) >= 45 and not failures,
+        f"{len(p_groups)} p-groups of order <= 81, {len(failures)} disagreements",
     )
