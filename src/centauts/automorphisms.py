@@ -4,8 +4,9 @@ The search assigns images to a minimal generating set level by level, over
 numpy arrays of partial maps: at each level every surviving partial map is
 paired with every candidate image at once, extended over the subgroup
 generated so far, pruned on injectivity when searching automorphisms, and
-verified against every (element, generator) product; a full assignment is
-therefore exactly a homomorphism (an automorphism, with the prune).
+verified on every (element, generator) product that can fail (see
+:func:`_generator_chain`); a full assignment is therefore exactly a
+homomorphism (an automorphism, with the prune).
 Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.
 
@@ -213,46 +214,41 @@ def minimal_generating_set(group: Group) -> tuple[int, ...]:
 
 
 def _search_generating_set(group: Group) -> tuple[int, ...]:
-    """Generating set used by image searches, ordered by (element order, index)."""
-    if group.n == 1 or group.p_group_prime() is not None:
-        gens = minimal_generating_set(group)
-    else:
-        gens = group.generating_set()
+    """Irredundant generating set used by image searches: a p-group's minimal
+    one (a basis of G/Frattini in any order) sorted by (element order, index),
+    else the greedy one in its own order, which sorting could make redundant."""
+    if group.n > 1 and group.p_group_prime() is None:
+        return group.generating_set()
     orders = group.element_orders()
-    return tuple(sorted(gens, key=lambda w: (orders[w], w)))
+    return tuple(sorted(minimal_generating_set(group), key=lambda w: (orders[w], w)))
 
 
 def _generator_chain(group: Group, gens: Sequence[int]):
     """Derivation schedule for the chain H_i = <gens[0..i]>.
 
-    Returns one entry per level: (elements of H_{i-1} in discovery order,
+    Returns one entry per level i: (elements of H_{i-1} in discovery order,
     new elements of H_i as (element, parent, slot) with element = parent *
-    gens[slot] and parent discovered earlier).
+    gens[slot] and parent discovered earlier, relations (element, slot,
+    element * gens[slot])).  These are the products x * gens[i], x in H_{i-1},
+    and x * gens[s], x new and s <= i; the rest lie in H_{i-1}, computed earlier.
     """
     rows = group.mul_rows()
-    e = group.identity
     levels = []
-    known: list[int] = [e]
-    known_set = {e}
-    for i, w in enumerate(gens):
-        new: list[tuple[int, int, int]] = []
-        pool = list(known)
-        if w not in known_set:
-            known_set.add(w)
-            new.append((w, e, i))
-            pool.append(w)
-        qi = 0
-        while qi < len(pool):
-            x = pool[qi]
-            qi += 1
+    known = [group.identity]
+    known_set = set(known)
+    for i in range(len(gens)):
+        new, relations, pool = [], [], list(known)
+        for qi, x in enumerate(pool):  # pool grows while walked: breadth-first
             row = rows[x]
-            for j in range(i + 1):
-                t = row[gens[j]]
-                if t not in known_set:
+            for s in range(i + 1) if qi >= len(known) else (i,):
+                t = row[gens[s]]
+                if t in known_set:
+                    relations.append((x, s, t))
+                else:
                     known_set.add(t)
-                    new.append((t, x, j))
+                    new.append((t, x, s))
                     pool.append(t)
-        levels.append((list(known), new))
+        levels.append((known, new, relations))
         known = pool
     return levels
 
@@ -280,15 +276,13 @@ def _cached_search(owner, key, limit: int, what: str, search):
 def _level_schedule(source: Group, gens: Sequence[int]):
     """Index arrays that derive and verify each level of the chain H_i = <gens[0..i]>.
 
-    Per level i: the elements x of H_{i-1} and the products x * gens[i]; the
-    new elements of H_i in waves, as (elements, parents, slots) arrays whose
-    parents are old or in an earlier wave; the new elements t and the
-    ``len(new) x (i + 1)`` array of the products t * gens[s], s <= i; and
-    every element of H_i.
+    Per level i: the elements of H_{i-1}; the new elements of H_i in waves,
+    as (elements, parents, slots) arrays whose parents are old or in an
+    earlier wave; the relations of :func:`_generator_chain` grouped by slot,
+    as (slot, elements, products) arrays; and every element of H_i.
     """
-    smul = source.mul
     schedule = []
-    for i, (old, new) in enumerate(_generator_chain(source, gens)):
+    for old, new, relations in _generator_chain(source, gens):
         depth: dict[int, int] = {}
         waves: list[list[tuple[int, int, int]]] = []
         for t, parent, slot in new:
@@ -296,15 +290,13 @@ def _level_schedule(source: Group, gens: Sequence[int]):
             if d == len(waves):
                 waves.append([])
             waves[d].append((t, parent, slot))
+        rel = np.array(relations, dtype=np.intp).reshape(-1, 3)
         old = np.array(old, dtype=np.intp)
-        new_elems = np.array([t for t, _, _ in new], dtype=np.intp)
         schedule.append((
             old,
-            smul[old, gens[i]],
             [tuple(np.array(c, dtype=np.intp) for c in zip(*wave)) for wave in waves],
-            new_elems,
-            smul[new_elems[:, None], np.asarray(gens[: i + 1], dtype=np.intp)],
-            np.concatenate((old, new_elems)),
+            [(s, rel[rel[:, 1] == s, 0], rel[rel[:, 1] == s, 2]) for s in np.unique(rel[:, 1])],
+            np.concatenate((old, np.array([t for t, _, _ in new], dtype=np.intp))),
         ))
     return schedule
 
@@ -326,11 +318,14 @@ def _search_maps(
     of H_i = <gens[0..i]> one wave of parents at a time, and keeps the rows
     that pass, as masks: with ``injective``, y is not an image of H_{i-1}
     and the images of H_i are distinct (adjacent compare of the sorted
-    rows); phi(x * gens[i]) = phi(x) * y for every x in H_{i-1}; and
-    phi(t * gens[s]) = phi(t) * phi(gens[s]) for every new t and s <= i.  A
-    full assignment is therefore exactly a homomorphism (an automorphism,
-    with injectivity).  ``gens`` must generate the source; outside <gens>
-    a table holds the target identity.
+    rows); and phi(x * gens[s]) = phi(x) * phi(gens[s]) for every relation
+    (x, s) of the level, one gather per slot s.  The products that define new
+    elements hold by construction and those inside H_{i-1} held at earlier
+    levels, so a full assignment is exactly a homomorphism (an automorphism,
+    with injectivity).  ``gens`` must generate the source (outside <gens> a
+    table holds the target identity) and, with ``injective``, be irredundant:
+    the prune rejects the image that the relation (identity, i) forces on a
+    generator inside the span of the earlier ones.
 
     Returns the value tables as a read-only ``k x source.n`` array in the
     target's index dtype (:func:`_index_dtype`), rows distinct and sorted
@@ -345,9 +340,7 @@ def _search_maps(
     phi = np.full((1, source.n), target.identity, dtype=tmul.dtype)
     imgs = np.zeros((1, 0), dtype=tmul.dtype)
     attempts = 0
-    for i, (old, old_products, waves, new, new_products, members) in enumerate(
-        _level_schedule(source, gens)
-    ):
+    for i, (old, waves, relations, members) in enumerate(_level_schedule(source, gens)):
         cand = np.asarray(cands[i], dtype=tmul.dtype)
         k, m = len(phi), len(cand)
         attempts += k * m
@@ -364,10 +357,9 @@ def _search_maps(
         imgs = np.concatenate((imgs[rows], y[:, None]), axis=1)
         for elems, parents, slots in waves:
             phi[:, elems] = tmul[phi[:, parents], imgs[:, slots]]
-        ok = (phi[:, old_products] == tmul[phi[:, old], y[:, None]]).all(axis=1)
-        new_images = phi[:, new]
-        for s in range(i + 1):
-            ok &= (phi[:, new_products[:, s]] == tmul[new_images, imgs[:, s, None]]).all(axis=1)
+        ok = np.ones(len(phi), dtype=bool)
+        for s, elems, products in relations:
+            ok &= (phi[:, products] == tmul[phi[:, elems], imgs[:, s, None]]).all(axis=1)
         if injective:
             image = np.sort(phi[:, members], axis=1)
             ok &= (image[:, 1:] != image[:, :-1]).all(axis=1)

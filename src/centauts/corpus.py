@@ -286,6 +286,14 @@ def _int_rows(doc: dict, key: str) -> list[list[int]]:
     return rows
 
 
+def _int_field(doc: dict, key: str) -> int:
+    """Field ``key`` of a group document, which must be an integer (a bool is not)."""
+    try:
+        return _typed(doc[key], int, f"field {key!r}")
+    except TypeError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _parse_group_document(doc, max_order: int) -> Group:
     if not isinstance(doc, dict):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
@@ -299,16 +307,15 @@ def _parse_group_document(doc, max_order: int) -> Group:
         table = _int_rows(doc, "table")
         if any(len(row) != len(table) for row in table):
             raise ParseError("field 'table' must be square")
-        if "n" in doc and (not isinstance(doc["n"], int) or doc["n"] != len(table)):
-            raise ParseError(f"field 'n' ({doc.get('n')}) does not match the table size")
+        if "n" in doc and _int_field(doc, "n") != len(table):
+            raise ParseError(f"field 'n' ({doc['n']}) does not match the table size")
         return from_cayley_table(table, name=name, max_order=max_order)
     if fmt == "perm":
         if "degree" not in doc or "generators" not in doc:
             raise ParseError("perm format requires fields 'degree' and 'generators'")
-        if not isinstance(doc["degree"], int):
-            raise ParseError("field 'degree' must be an integer")
         return from_permutation_generators(
-            doc["degree"], _int_rows(doc, "generators"), name=name, max_order=max_order
+            _int_field(doc, "degree"), _int_rows(doc, "generators"), name=name,
+            max_order=max_order,
         )
     if fmt == "product":
         factors = doc.get("factors")

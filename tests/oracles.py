@@ -242,7 +242,7 @@ def dfs_search_maps(
 
     def descend(level: int, phi: list[int], imgs: tuple[int, ...], used: set[int]):
         nonlocal attempts
-        old_elems, new_list = levels[level]
+        old_elems, new_list, _ = levels[level]
         w = gens[level]
         last = level == d - 1
         for y in cands[level]:

@@ -24,9 +24,15 @@ from centauts import (
     verify_lemma0,
     verify_lemma0a,
 )
-from centauts.automorphisms import Automorphism, _independent_hom_count
+from centauts.automorphisms import (
+    Automorphism,
+    _generator_chain,
+    _independent_hom_count,
+    _search_generating_set,
+)
 from centauts.corpus import (
     abelian_group,
+    catalog,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -45,6 +51,7 @@ from oracles import (
     naive_alpha,
     naive_fixing_quotient,
     naive_fixing_subgroup,
+    relabel,
 )
 
 
@@ -87,6 +94,15 @@ class TestAllAutomorphisms:
         assert len(auts) == 8
         assert [a.images for a in auts] == naive_all_automorphisms(g.mul.tolist())
 
+    def test_relabelled_non_p_group(self):
+        # for seeds 14, 19 and 31 the greedy generating set of the relabelled
+        # D12 is an element of order 3 followed by two involutions that alone
+        # generate D12: sorted by order, the order-3 generator is redundant
+        d12 = dihedral_group(6).mul.tolist()
+        for seed in range(40):
+            perm = np.random.default_rng(seed).permutation(12).tolist()
+            assert len(all_automorphisms(from_cayley_table(relabel(d12, perm)))) == 12, seed
+
     def test_closed_under_composition_and_inverse(self):
         for g in (dihedral_group(4), dicyclic_group(2), abelian_group([4, 2])):
             auts = all_automorphisms(g)
@@ -117,6 +133,42 @@ class TestAllAutomorphisms:
         swapped[x], swapped[y] = y, x
         with pytest.raises(NotAGroup):
             Automorphism.from_images(g, swapped)
+
+
+def _assert_chain_covers_each_product_once(group, gens):
+    """Level i computes each x * gens[s] with x in H_i, s <= i, and x or s new
+    at level i exactly once, as a defining product or as a relation."""
+    known = {group.identity}
+    levels = _generator_chain(group, gens)
+    for i, (old, new, relations) in enumerate(levels):
+        assert sorted(old) == sorted(known)
+        members = known | {t for t, _, _ in new}
+        assert len(members) == len(known) + len(new)
+        assert sorted(members) == group.closure(gens[: i + 1])
+        assert all(group.mul[x, gens[s]] == t for t, x, s in new)
+        assert all(group.mul[x, gens[s]] == t for x, s, t in relations)
+        computed = [(x, s) for _, x, s in new] + [(x, s) for x, s, _ in relations]
+        expected = {(x, s) for x in members for s in range(i + 1) if x not in known or s == i}
+        assert len(computed) == len(expected) and set(computed) == expected
+        if gens[i] not in known:
+            # gens[i] is irredundant: every old x * gens[i] is a new element
+            assert all(x not in known for x, _, _ in relations)
+        known = members
+    return levels
+
+
+def test_generator_chain_computes_each_product_once():
+    for name, make in catalog().items():
+        group = make()
+        for source in (group, group.abelianization().target, group.center_quotient().target):
+            gens = _search_generating_set(source)
+            assert all(
+                gens[i] not in source.closure(gens[:i]) for i in range(len(gens))
+            ), name
+            _assert_chain_covers_each_product_once(source, gens)
+    # 2 already lies in <1>: the relation identity * 2 = 2 pins its image
+    levels = _assert_chain_covers_each_product_once(cyclic_group(4), [1, 2])
+    assert (0, 1, 2) in levels[1][2] and not levels[1][1]
 
 
 class TestInnerAutomorphisms:

@@ -284,9 +284,11 @@ class TestCli:
             b'{"format": "cayley", "table": [[0.5]]}',
             b'{"format": "perm", "degree": 2, "generators": 5}',
             b'{"format": "perm", "degree": 2, "generators": [[1, "x"]]}',
+            b'{"format": "cayley", "n": true, "table": [[0]]}',
+            b'{"format": "perm", "degree": true, "generators": [[0]]}',
         ],
         ids=["bad-json", "directory", "non-utf8", "ragged", "strings", "float", "int-generators",
-             "string-generator"],
+             "string-generator", "bool-n", "bool-degree"],
     )
     def test_bad_group_file_reports_error(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"

@@ -1,10 +1,14 @@
 """The level-wise array search against the recursive search it replaced.
 
 ``dfs_search_maps`` in ``oracles.py`` is that recursive search, unchanged.
-Every search the library makes for central Homs, full automorphism groups
-and generator extensions is recorded and replayed through both, which must
-return the same tables in the same order, the same attempt count and, at a
-budget one below that count, the same error.
+It verifies every (element, generator) product at every level, while the
+array search verifies only the relations of ``_generator_chain``: the
+products that neither define a new element nor lie in the previous,
+already verified subgroup.  Every search the library makes for central
+Homs, full automorphism groups and generator extensions is recorded and
+replayed through both, which must return the same tables in the same
+order, the same attempt count and, at a budget one below that count, the
+same error.
 """
 
 import re
