@@ -8,8 +8,11 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .automorphisms import DEFAULT_SEARCH_BUDGET, verify_lemma0, verify_lemma0a
@@ -66,8 +69,31 @@ _CSV_COLUMNS = (
 def _table_group(
     elements: Sequence, mul: Callable, name: str, max_order: int = DEFAULT_ELEMENT_CAP
 ) -> Group:
-    index = {t: k for k, t in enumerate(elements)}
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    """The group on ``elements`` (element k is index k, labelled ``str(elements[k])``)
+    whose product is ``mul``, evaluated once over the whole table.
+
+    Array contract: every element is a non-negative int, or every element is
+    a tuple of non-negative ints of one length, and no two are equal.
+    ``mul(a, b)`` is called once, with ``a`` and ``b`` of that form but with
+    integer arrays in place of the ints: ``a`` runs down the rows (shape
+    ``(n, 1)``) and ``b`` along the columns (shape ``(1, n)``).  It returns
+    the products in the same form, integer arrays that broadcast together
+    to ``(n, n)``.  Products are encoded in mixed radix over the
+    coordinate ranges of ``elements`` and mapped to indices by one lookup
+    array; a product coordinate outside its range raises ``ValueError``, and
+    a product that is no element becomes -1, which the constructor rejects.
+    """
+    coords = np.array(elements, dtype=np.int64).reshape(len(elements), -1).T
+    radix = tuple(int(c) + 1 for c in coords.max(axis=1))
+    lookup = np.full(math.prod(radix), -1, dtype=np.int64)
+    lookup[np.ravel_multi_index(tuple(coords), radix)] = np.arange(len(elements))
+    rows = tuple(c[:, None] for c in coords)
+    cols = tuple(c[None, :] for c in coords)
+    if isinstance(elements[0], tuple):
+        prod = mul(rows, cols)
+    else:
+        prod = (mul(rows[0], cols[0]),)
+    table = lookup[np.ravel_multi_index(prod, radix)]
     labels = tuple(str(t) for t in elements)
     return from_cayley_table(table, labels=labels, name=name, max_order=max_order)
 
@@ -85,11 +111,12 @@ def abelian_group(
     """Direct product of cyclic groups of the given orders."""
     if not factor_orders:
         return cyclic_group(1, name or "C1")
-    group = cyclic_group(factor_orders[0], max_order=max_order)
-    for k in factor_orders[1:]:
-        group = direct_product(group, cyclic_group(k, max_order=max_order), max_order=max_order)
-    default = "x".join(f"C{k}" for k in factor_orders)
-    return from_cayley_table(group.mul, labels=group.labels, name=name or default, max_order=max_order)
+    name = name or "x".join(f"C{k}" for k in factor_orders)
+    if len(factor_orders) == 1:
+        return cyclic_group(factor_orders[0], name, max_order)
+    head = abelian_group(factor_orders[:-1], max_order=max_order)
+    last = cyclic_group(factor_orders[-1], max_order=max_order)
+    return direct_product(head, last, name=name, max_order=max_order)
 
 
 def dihedral_group(m: int, name: str | None = None) -> Group:
@@ -97,9 +124,8 @@ def dihedral_group(m: int, name: str | None = None) -> Group:
     elems = [(i, j) for j in (0, 1) for i in range(m)]
 
     def mul(a, b):
-        i, j = a
-        k, l = b
-        return ((i + k) % m, l) if j == 0 else ((i - k) % m, 1 - l)
+        (i, j), (k, l) = a, b
+        return np.where(j == 0, i + k, i - k) % m, (j + l) % 2
 
     return _table_group(elems, mul, name or f"D{2 * m}")
 
@@ -109,13 +135,9 @@ def dicyclic_group(m: int, name: str | None = None) -> Group:
     elems = [(i, j) for j in (0, 1) for i in range(2 * m)]
 
     def mul(a, b):
-        i, j = a
-        k, l = b
-        if j == 0:
-            return ((i + k) % (2 * m), l)
-        if l == 0:
-            return ((i - k) % (2 * m), 1)
-        return ((i - k + m) % (2 * m), 0)
+        (i, j), (k, l) = a, b
+        # a^i x^j * a^k x^l, with x a^k = a^-k x and x^2 = a^m
+        return np.where(j == 0, i + k, i - k + m * l) % (2 * m), (j + l) % 2
 
     return _table_group(elems, mul, name or f"Dic{m}")
 
@@ -125,12 +147,11 @@ def metacyclic_group(n: int, m: int, r: int, name: str | None = None) -> Group:
     if math.gcd(r, n) != 1 or pow(r, m, n) != 1:
         raise ConfigError(f"invalid metacyclic parameters n={n}, m={m}, r={r}")
     elems = [(j, i) for j in range(m) for i in range(n)]
-    powers = [pow(r, j, n) for j in range(m)]
+    powers = np.array([pow(r, j, n) for j in range(m)])
 
     def mul(a, b):
-        j, i = a
-        jp, ip = b
-        return ((j + jp) % m, (i * powers[jp] + ip) % n)
+        (j, i), (jp, ip) = a, b
+        return (j + jp) % m, (i * powers[jp] + ip) % n
 
     return _table_group(elems, mul, name or f"C{n}sdC{m}r{r}")
 
@@ -162,8 +183,7 @@ def _central_involution(group: Group) -> int:
     raise ConfigError(f"{group.name} has no central element of order {p}")
 
 
-def _cp(maker_a: Callable[[], Group], maker_b: Callable[[], Group], name: str) -> Group:
-    a, b = maker_a(), maker_b()
+def _cp(a: Group, b: Group, name: str) -> Group:
     return central_product(a, b, _central_involution(a), _central_involution(b), name)
 
 
@@ -173,79 +193,74 @@ def catalog() -> dict[str, Callable[[], Group]]:
     The corpus mixes the class-2 study subjects (dihedral/quaternion groups,
     modular and extraspecial-style groups, Heisenberg groups, products and
     central products) with abelian, higher-class, and non-prime-power
-    negative controls.
+    negative controls.  Each entry hands its name to the builder that makes
+    its final table, so every table is validated once.
     """
-
-    def named(name: str, maker: Callable[[], Group]) -> Callable[[], Group]:
-        def build() -> Group:
-            g = maker()
-            return g if g.name == name else from_cayley_table(g.mul, labels=g.labels, name=name)
-
-        return build
-
     entries: dict[str, Callable[[], Group]] = {}
 
-    def add(name: str, maker: Callable[[], Group]) -> None:
-        entries[name] = named(name, maker)
+    def add(name: str, build: Callable[[str], Group]) -> None:
+        entries[name] = partial(build, name)
 
     # abelian p-groups (controls for the non-abelian criteria)
-    add("C2", lambda: cyclic_group(2))
-    add("C4", lambda: cyclic_group(4))
-    add("C8", lambda: cyclic_group(8))
-    add("C16", lambda: cyclic_group(16))
-    add("C2xC2", lambda: abelian_group([2, 2]))
-    add("C2xC4", lambda: abelian_group([2, 4]))
-    add("C4xC4", lambda: abelian_group([4, 4]))
-    add("C2xC2xC2", lambda: abelian_group([2, 2, 2]))
-    add("C3", lambda: cyclic_group(3))
-    add("C9", lambda: cyclic_group(9))
-    add("C27", lambda: cyclic_group(27))
-    add("C3xC3", lambda: abelian_group([3, 3]))
-    add("C3xC9", lambda: abelian_group([3, 9]))
-    add("C5", lambda: cyclic_group(5))
+    add("C2", lambda name: cyclic_group(2, name))
+    add("C4", lambda name: cyclic_group(4, name))
+    add("C8", lambda name: cyclic_group(8, name))
+    add("C16", lambda name: cyclic_group(16, name))
+    add("C2xC2", lambda name: abelian_group([2, 2], name))
+    add("C2xC4", lambda name: abelian_group([2, 4], name))
+    add("C4xC4", lambda name: abelian_group([4, 4], name))
+    add("C2xC2xC2", lambda name: abelian_group([2, 2, 2], name))
+    add("C3", lambda name: cyclic_group(3, name))
+    add("C9", lambda name: cyclic_group(9, name))
+    add("C27", lambda name: cyclic_group(27, name))
+    add("C3xC3", lambda name: abelian_group([3, 3], name))
+    add("C3xC9", lambda name: abelian_group([3, 9], name))
+    add("C5", lambda name: cyclic_group(5, name))
 
     # class-2 2-groups
-    add("D8", lambda: dihedral_group(4))
-    add("Q8", lambda: dicyclic_group(2))
-    add("M16", lambda: metacyclic_group(8, 2, 5))
-    add("M32", lambda: metacyclic_group(16, 2, 9))
-    add("C4sdC4", lambda: metacyclic_group(4, 4, 3))
-    add("D8cpC4", lambda: _cp(lambda: dihedral_group(4), lambda: cyclic_group(4), "D8cpC4"))
-    add("D8xC2", lambda: direct_product(dihedral_group(4), cyclic_group(2)))
-    add("Q8xC2", lambda: direct_product(dicyclic_group(2), cyclic_group(2)))
-    add("D8xC4", lambda: direct_product(dihedral_group(4), cyclic_group(4)))
-    add("Q8xC4", lambda: direct_product(dicyclic_group(2), cyclic_group(4)))
-    add("M16xC2", lambda: direct_product(metacyclic_group(8, 2, 5), cyclic_group(2)))
-    add("C4sdC4xC2", lambda: direct_product(metacyclic_group(4, 4, 3), cyclic_group(2)))
-    add("D8xC2xC2", lambda: direct_product(direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2)))
-    add("Q8xC2xC2", lambda: direct_product(direct_product(dicyclic_group(2), cyclic_group(2)), cyclic_group(2)))
-    add("D8cpD8", lambda: _cp(lambda: dihedral_group(4), lambda: dihedral_group(4), "D8cpD8"))
-    add("D8cpQ8", lambda: _cp(lambda: dihedral_group(4), lambda: dicyclic_group(2), "D8cpQ8"))
-    add("D8xC8", lambda: direct_product(dihedral_group(4), cyclic_group(8)))
-    add("M16xC4", lambda: direct_product(metacyclic_group(8, 2, 5), cyclic_group(4)))
-    add("D8xQ8", lambda: direct_product(dihedral_group(4), dicyclic_group(2)))
-    add("D8xD8", lambda: direct_product(dihedral_group(4), dihedral_group(4)))
-    add("Q8xQ8", lambda: direct_product(dicyclic_group(2), dicyclic_group(2)))
-    add("D8cpD8xC2", lambda: direct_product(
-        _cp(lambda: dihedral_group(4), lambda: dihedral_group(4), "D8cpD8"), cyclic_group(2)))
+    add("D8", lambda name: dihedral_group(4, name))
+    add("Q8", lambda name: dicyclic_group(2, name))
+    add("M16", lambda name: metacyclic_group(8, 2, 5, name))
+    add("M32", lambda name: metacyclic_group(16, 2, 9, name))
+    add("C4sdC4", lambda name: metacyclic_group(4, 4, 3, name))
+    add("D8cpC4", lambda name: _cp(dihedral_group(4), cyclic_group(4), name))
+    add("D8xC2", lambda name: direct_product(dihedral_group(4), cyclic_group(2), name))
+    add("Q8xC2", lambda name: direct_product(dicyclic_group(2), cyclic_group(2), name))
+    add("D8xC4", lambda name: direct_product(dihedral_group(4), cyclic_group(4), name))
+    add("Q8xC4", lambda name: direct_product(dicyclic_group(2), cyclic_group(4), name))
+    add("M16xC2", lambda name: direct_product(metacyclic_group(8, 2, 5), cyclic_group(2), name))
+    add("C4sdC4xC2", lambda name: direct_product(metacyclic_group(4, 4, 3), cyclic_group(2), name))
+    add("D8xC2xC2", lambda name: direct_product(
+        direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2), name))
+    add("Q8xC2xC2", lambda name: direct_product(
+        direct_product(dicyclic_group(2), cyclic_group(2)), cyclic_group(2), name))
+    add("D8cpD8", lambda name: _cp(dihedral_group(4), dihedral_group(4), name))
+    add("D8cpQ8", lambda name: _cp(dihedral_group(4), dicyclic_group(2), name))
+    add("D8xC8", lambda name: direct_product(dihedral_group(4), cyclic_group(8), name))
+    add("M16xC4", lambda name: direct_product(metacyclic_group(8, 2, 5), cyclic_group(4), name))
+    add("D8xQ8", lambda name: direct_product(dihedral_group(4), dicyclic_group(2), name))
+    add("D8xD8", lambda name: direct_product(dihedral_group(4), dihedral_group(4), name))
+    add("Q8xQ8", lambda name: direct_product(dicyclic_group(2), dicyclic_group(2), name))
+    add("D8cpD8xC2", lambda name: direct_product(
+        _cp(dihedral_group(4), dihedral_group(4), "D8cpD8"), cyclic_group(2), name))
 
     # class-2 odd-order groups
-    add("Heis3", lambda: heisenberg_group(3))
-    add("M27", lambda: metacyclic_group(9, 3, 4))
-    add("Heis3xC3", lambda: direct_product(heisenberg_group(3), cyclic_group(3)))
-    add("M27xC3", lambda: direct_product(metacyclic_group(9, 3, 4), cyclic_group(3)))
-    add("C9sdC9", lambda: metacyclic_group(9, 9, 4))
-    add("Heis3cpC9", lambda: central_product(
-        heisenberg_group(3), cyclic_group(9), 2, 3, "Heis3cpC9"))
-    add("Heis5", lambda: heisenberg_group(5))
+    add("Heis3", lambda name: heisenberg_group(3, name))
+    add("M27", lambda name: metacyclic_group(9, 3, 4, name))
+    add("Heis3xC3", lambda name: direct_product(heisenberg_group(3), cyclic_group(3), name))
+    add("M27xC3", lambda name: direct_product(metacyclic_group(9, 3, 4), cyclic_group(3), name))
+    add("C9sdC9", lambda name: metacyclic_group(9, 9, 4, name))
+    add("Heis3cpC9", lambda name: central_product(
+        heisenberg_group(3), cyclic_group(9), 2, 3, name))
+    add("Heis5", lambda name: heisenberg_group(5, name))
 
     # higher-class and non-prime-power controls
-    add("D16", lambda: dihedral_group(8))
-    add("SD16", lambda: metacyclic_group(8, 2, 3))
-    add("Q16", lambda: dicyclic_group(4))
-    add("D32", lambda: dihedral_group(16))
-    add("S3", lambda: dihedral_group(3))
-    add("C6", lambda: cyclic_group(6))
+    add("D16", lambda name: dihedral_group(8, name))
+    add("SD16", lambda name: metacyclic_group(8, 2, 3, name))
+    add("Q16", lambda name: dicyclic_group(4, name))
+    add("D32", lambda name: dihedral_group(16, name))
+    add("S3", lambda name: dihedral_group(3, name))
+    add("C6", lambda name: cyclic_group(6, name))
 
     return entries
 
@@ -266,7 +281,7 @@ def serialize_group(group: Group, name: str | None = None) -> dict:
         "name": name or group.name,
         "format": "cayley",
         "n": group.n,
-        "table": [[int(v) for v in row] for row in group.mul],
+        "table": group.mul.tolist(),
     }
 
 

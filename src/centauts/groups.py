@@ -4,6 +4,16 @@ Every group lives on elements ``0..n-1`` with a full multiplication table that
 is validated at construction (associativity on all triples, identity, inverses).
 All objects are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
+
+Associativity is checked by Light's test: if ``(x*s)*z == x*(s*z)`` for every
+x, z and every s in a set S that generates the table as a magma, the table is
+associative.  S is found by closing it under right multiplication only,
+``w -> w*s`` for s in S.  That closure is the set of left-normed words
+``(..((s1*s2)*s3)..)*sk``, which lie in the magma generated by S whatever the
+table; so once they reach every element, S generates the magma and Light's
+test applies, at O(n*|S|) table lookups.  On an associative table every
+product of members of S is a left-normed word, so S is the same set a full
+product closure picks.
 """
 
 from __future__ import annotations
@@ -25,23 +35,40 @@ DEFAULT_ELEMENT_CAP = 512
 
 
 def _magma_generators(mul: np.ndarray) -> list[int]:
-    """A small set whose multiplicative closure under the table is everything."""
-    n = mul.shape[0]
+    """Elements picked in index order, each whenever it falls outside the set
+    reached so far, until that set is everything.
+
+    The set reached is the closure of the picks under right multiplication
+    by a pick: every left-normed word in the picks.  Those words lie in the
+    magma the picks generate, so when they reach all n elements the picks
+    generate the table as a magma, associative or not.
+    """
+    rows = mul.tolist()
+    n = len(rows)
     gens: list[int] = []
-    members = np.zeros(n, dtype=bool)
+    seen = [False] * n
+    reached: list[int] = []
+    done = 0  # reached[:done] have been multiplied by every pick but the newest
     for x in range(n):
-        if members[x]:
+        if seen[x]:
             continue
         gens.append(x)
-        members[x] = True
-        while True:
-            idx = np.flatnonzero(members)
-            prods = np.unique(mul[np.ix_(idx, idx)])
-            fresh = prods[~members[prods]]
-            if fresh.size == 0:
-                break
-            members[fresh] = True
-        if bool(members.all()):
+        seen[x] = True
+        reached.append(x)
+        for w in reached[:done]:
+            t = rows[w][x]
+            if not seen[t]:
+                seen[t] = True
+                reached.append(t)
+        while done < len(reached):
+            row = rows[reached[done]]
+            for s in gens:
+                t = row[s]
+                if not seen[t]:
+                    seen[t] = True
+                    reached.append(t)
+            done += 1
+        if len(reached) == n:
             break
     return gens
 
@@ -50,7 +77,10 @@ def _associativity_failure(mul: np.ndarray) -> tuple[int, int, int] | None:
     """A triple (x, y, z) with (x*y)*z != x*(y*z), or None if fully associative.
 
     Uses Light's test: associativity on all triples follows from associativity
-    on triples whose middle element lies in a generating set of the table.
+    on triples whose middle element lies in a set that generates the table as
+    a magma.  :func:`_magma_generators` gives such a set: its left-normed words
+    already reach every element.  The witness is the first failing (x, z) in
+    row-major order for the first failing generator s.
     """
     for s in _magma_generators(mul):
         left = mul[mul[:, s]]   # left[x, z]  = (x*s)*z
@@ -96,9 +126,12 @@ class Group(_Cached):
         name: str | None = None,
         max_order: int = DEFAULT_ELEMENT_CAP,
     ) -> None:
-        mul = np.array(table, dtype=np.int64)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1] or mul.shape[0] == 0:
-            raise NotAGroup(f"table must be a non-empty square matrix, got shape {mul.shape}")
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
+            raise NotAGroup(f"table must be a non-empty square matrix, got shape {raw.shape}")
+        if raw.dtype.kind not in "iu":
+            raise NotAGroup(f"table entries must be integers, got dtype {raw.dtype}")
+        mul = np.array(raw, dtype=np.int64)
         n = int(mul.shape[0])
         if n > max_order:
             raise SizeLimitExceeded(f"group order {n} exceeds the element cap {max_order}")
@@ -461,9 +494,8 @@ class Subgroup(_Cached):
         """This subgroup as a standalone group; element i is ``members[i]``."""
 
         def compute():
-            index = {m: i for i, m in enumerate(self.members)}
-            rows = self.parent.mul_rows()
-            table = [[index[rows[a][b]] for b in self.members] for a in self.members]
+            members = np.array(self.members)
+            table = np.searchsorted(members, self.parent.mul[np.ix_(members, members)])
             labels = None
             if self.parent.labels is not None:
                 labels = tuple(self.parent.labels[m] for m in self.members)

@@ -6,12 +6,16 @@ with the implementations they check.  The one exception is
 :func:`dfs_search_maps`, the recursive generator-image search the library
 used before its level-wise array search: it is kept unchanged but for its
 name as that search's reference, and shares with it only the derivation
-schedule (``_generator_chain``) and the budget error.
+schedule (``_generator_chain``) and the budget error.  Likewise
+:func:`product_closure_generators` is the magma generator search the library
+used before its right-multiplication closure, kept as that search's reference.
 """
 
 import math
 from itertools import permutations, product
 from typing import Sequence
+
+import numpy as np
 
 from centauts.automorphisms import _budget_exceeded, _generator_chain
 from centauts.groups import Group
@@ -30,6 +34,45 @@ def naive_center(table):
     return sorted(
         z for z in range(n) if all(table[z][g] == table[g][z] for g in range(n))
     )
+
+
+def naive_associativity_failure(table):
+    """The first triple (x, y, z) in lexicographic order with (xy)z != x(yz), or None."""
+    n = len(table)
+    for x, y, z in product(range(n), repeat=3):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return x, y, z
+    return None
+
+
+def product_closure_generators(table) -> list[int]:
+    """Elements picked in index order, each whenever it falls outside the
+    closure of the picks under all products, until that closure is everything."""
+    mul = np.asarray(table)
+    n = mul.shape[0]
+    gens: list[int] = []
+    members = np.zeros(n, dtype=bool)
+    for x in range(n):
+        if members[x]:
+            continue
+        gens.append(x)
+        members[x] = True
+        while True:
+            idx = np.flatnonzero(members)
+            prods = np.unique(mul[np.ix_(idx, idx)])
+            fresh = prods[~members[prods]]
+            if fresh.size == 0:
+                break
+            members[fresh] = True
+        if bool(members.all()):
+            break
+    return gens
+
+
+def scalar_table(elements, mul):
+    """The index table of ``mul`` on ``elements``, one scalar product per entry."""
+    index = {t: k for k, t in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
 
 
 def naive_element_order(table, x):

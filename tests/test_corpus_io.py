@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,8 +16,63 @@ from centauts import (
     serialize_group,
 )
 from centauts.cli import main
-from centauts.corpus import catalog, catalog_group, has_failures
+from centauts.corpus import (
+    _cache_key,
+    catalog,
+    catalog_group,
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    has_failures,
+    heisenberg_group,
+    metacyclic_group,
+)
 from centauts.errors import ConfigError, NotAGroup, ParseError
+from oracles import scalar_table
+
+# sha256 of the concatenated cache keys of every catalog group under the
+# default checks and budget.  A cache key hashes the group's table and name,
+# so this pins every catalog table, its element order and its name; a catalog
+# change that moves it leaves every existing cache directory stale.
+CATALOG_CACHE_DIGEST = "010591cdd59540da2eb853cedec4a07e4def4e3ca252e8bb924a8edb3d090e26"
+
+
+def _scalar_builders():
+    """(library group, elements, scalar product) for each table-built family."""
+    for k in (1, 2, 5, 9):
+        yield cyclic_group(k), list(range(k)), lambda a, b, k=k: (a + b) % k
+    for m in (3, 4, 8):
+        def dihedral(a, b, m=m):
+            (i, j), (k, l) = a, b
+            return ((i + k) % m, l) if j == 0 else ((i - k) % m, 1 - l)
+
+        yield dihedral_group(m), [(i, j) for j in (0, 1) for i in range(m)], dihedral
+    for m in (2, 3, 4):
+        def dicyclic(a, b, m=m):
+            (i, j), (k, l) = a, b
+            if j == 0:
+                return (i + k) % (2 * m), l
+            if l == 0:
+                return (i - k) % (2 * m), 1
+            return (i - k + m) % (2 * m), 0
+
+        yield dicyclic_group(m), [(i, j) for j in (0, 1) for i in range(2 * m)], dicyclic
+    for n, m, r in ((8, 2, 5), (8, 2, 3), (4, 4, 3), (9, 3, 4), (9, 9, 4), (7, 3, 2)):
+        def metacyclic(a, b, n=n, r=r, m=m):
+            (j, i), (jp, ip) = a, b
+            return (j + jp) % m, (i * pow(r, jp, n) + ip) % n
+
+        yield (
+            metacyclic_group(n, m, r),
+            [(j, i) for j in range(m) for i in range(n)],
+            metacyclic,
+        )
+    for p in (2, 3):
+        def heisenberg(a, b, p=p):
+            return (a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p
+
+        elems = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
+        yield heisenberg_group(p), elems, heisenberg
 
 
 class TestCatalog:
@@ -44,6 +100,19 @@ class TestCatalog:
         assert groups["D8xD8"].n == 64
         assert groups["Heis3cpC9"].n == 81
         assert groups["C9sdC9"].n == 81
+
+    def test_entries_carry_their_names(self, groups):
+        assert all(g.name == name for name, g in groups.items())
+
+    def test_cache_keys_pin_the_catalog(self):
+        cfg = RunConfig()
+        keys = "".join(_cache_key(make(), cfg.checks, cfg.budget) for make in catalog().values())
+        assert hashlib.sha256(keys.encode()).hexdigest() == CATALOG_CACHE_DIGEST
+
+    def test_builders_match_scalar_reference(self):
+        for group, elements, mul in _scalar_builders():
+            assert group.mul.tolist() == scalar_table(elements, mul), group.name
+            assert group.labels == tuple(str(t) for t in elements), group.name
 
     def test_catalog_group_unknown(self):
         with pytest.raises(ParseError):

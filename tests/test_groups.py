@@ -18,18 +18,30 @@ from centauts.errors import (
     SizeLimitExceeded,
 )
 
+from centauts.groups import _associativity_failure, _magma_generators
 from oracles import (
     identity_of,
+    naive_associativity_failure,
     naive_center,
     naive_commutator_subgroup,
     naive_normal_subgroups,
     naive_subgroups,
+    product_closure_generators,
     relabel,
 )
 
 
 def d8():
     return from_permutation_generators(4, [[1, 2, 3, 0], [2, 1, 0, 3]], name="D8")
+
+
+LATIN5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
 
 
 class TestFromCayleyTable:
@@ -59,15 +71,28 @@ class TestFromCayleyTable:
 
     def test_rejects_non_associative(self):
         # a quasigroup (Latin square) that is not a group
-        table = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
         with pytest.raises(NotAGroup, match="associativity"):
+            from_cayley_table(LATIN5)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            [[0, 1.7], [1, 0]],
+            [[0.0, 1.0], [1.0, 0.0]],
+            [["0", "1"], ["1", "0"]],
+            np.array([[False, True], [True, False]]),
+            [[0, 1], [1, None]],
+        ],
+        ids=["fraction", "float", "str", "bool", "object"],
+    )
+    def test_rejects_non_integer_entries(self, table):
+        with pytest.raises(NotAGroup, match="integers, got dtype"):
             from_cayley_table(table)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_accepts_any_integer_dtype(self, dtype):
+        g = from_cayley_table(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert g.mul.dtype == np.int64 and g.inv.tolist() == [0, 1]
 
     def test_rejects_missing_identity(self):
         with pytest.raises(NotAGroup, match="identity"):
@@ -76,6 +101,74 @@ class TestFromCayleyTable:
     def test_element_cap(self):
         with pytest.raises(SizeLimitExceeded):
             from_cayley_table(cyclic_group(8).mul, max_order=4)
+
+
+def _fails(table, witness):
+    x, y, z = witness
+    return table[table[x][y]][z] != table[x][table[y][z]]
+
+
+def _magma_closure(table, seed):
+    """Everything reachable from ``seed`` by products of any bracketing."""
+    members = set(seed)
+    while True:
+        fresh = {table[a][b] for a in members for b in members} - members
+        if not fresh:
+            return members
+        members |= fresh
+
+
+class TestLightsTest:
+    """Light's test over right-multiplication generators against brute force."""
+
+    def test_latin_square_witness(self):
+        witness = _associativity_failure(np.array(LATIN5))
+        assert witness == (1, 1, 2)
+        assert _fails(LATIN5, witness)
+
+    def test_random_magmas(self):
+        rng = np.random.default_rng(20081)
+        for n in range(1, 7):
+            for _ in range(300):
+                mul = rng.integers(0, n, size=(n, n))
+                table = mul.tolist()
+                gens = _magma_generators(mul)
+                assert _magma_closure(table, gens) == set(range(n))
+                witness = _associativity_failure(mul)
+                assert (witness is None) == (naive_associativity_failure(table) is None)
+                if witness is not None:
+                    assert _fails(table, witness)
+
+    def test_single_entry_perturbations_of_catalog_tables(self, groups):
+        rng = np.random.default_rng(1965)
+        for g in groups.values():
+            if g.n > 16:
+                continue
+            assert _associativity_failure(g.mul) is None
+            assert naive_associativity_failure(g.mul.tolist()) is None
+            for _ in range(12):
+                mul = g.mul.copy()
+                x, y = rng.integers(0, g.n, size=2)
+                mul[x, y] = (mul[x, y] + rng.integers(1, max(g.n, 2))) % g.n
+                table = mul.tolist()
+                witness = _associativity_failure(mul)
+                assert (witness is None) == (naive_associativity_failure(table) is None)
+                if witness is not None:
+                    assert _fails(table, witness)
+
+    def test_generators_match_product_closure(self, groups):
+        for g in groups.values():
+            tables = [
+                g.mul,
+                g.abelianization().target.mul,
+                g.center_quotient().target.mul,
+                g.center().as_group().mul,
+                g.commutator_subgroup().as_group().mul,
+            ]
+            if g.p_group_prime() is not None:
+                tables.append(g.frattini_subgroup().as_group().mul)
+            for mul in tables:
+                assert _magma_generators(mul) == product_closure_generators(mul), g.name
 
 
 class TestFromPermutationGenerators:
@@ -185,6 +278,17 @@ class TestSubgroupGeneration:
         b = g.op(a, z)
         sub = g.subgroup_generated([a, b])
         assert len(sub) == 4 and sub.exponent() == 2
+
+    def test_as_group_relabels_members(self, groups):
+        g = groups["D8xC2"]
+        rows = g.mul_rows()
+        for sub in g.all_subgroups():
+            members = list(sub.members)
+            h = sub.as_group()
+            assert h.mul.tolist() == [
+                [members.index(rows[a][b]) for b in members] for a in members
+            ]
+            assert h.labels == tuple(g.labels[m] for m in members)
 
     def test_subgroup_validation(self):
         g = cyclic_group(4)
