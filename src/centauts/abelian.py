@@ -64,10 +64,8 @@ def invariants(group: Group, p: int | None = None) -> AbelianType:
     """
     if not group.is_abelian():
         raise NotAbelian(f"{group.name} is not abelian")
-    detected = group.p_group_prime()
     if group.n > 1:
-        if detected is None:
-            raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+        detected = group.prime()
         if p is None:
             p = detected
         elif p != detected:
@@ -158,9 +156,7 @@ class ClassTwoInvariants:
 
 def class_two_invariants(group: Group) -> ClassTwoInvariants:
     """Compute the class-2 invariant bundle; raises unless class is exactly 2."""
-    p = group.p_group_prime()
-    if p is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    p = group.prime()
     if group.nilpotency_class() != 2:
         raise WrongClass(
             f"{group.name} has nilpotency class {group.nilpotency_class()}, need 2"

@@ -34,7 +34,6 @@ from .errors import (
     NotAGroup,
     NotCentral,
     NotNormal,
-    NotPGroup,
     NotPurelyNonabelian,
 )
 from .groups import Group, Subgroup
@@ -192,6 +191,8 @@ class AutSet:
         return f"<AutSet of {self.group.name}, {len(self)} automorphisms>"
 
     def is_subset_of(self, other: "AutSet") -> bool:
+        if self.group is not other.group:  # as ``==`` is across groups
+            return False
         return len(_canonical(np.concatenate((self.tables, other.tables)))) == len(other)
 
 
@@ -203,11 +204,7 @@ def minimal_generating_set(group: Group) -> tuple[int, ...]:
     equal to the rank of the Frattini quotient.
     """
 
-    def compute():
-        if group.n == 1:
-            return ()
-        if group.p_group_prime() is None:
-            raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    def compute():  # the Frattini subgroup raises NotPGroup for a non-p-group
         return group._greedy_generators(group.frattini_subgroup().members)
 
     return group._cached("minimal_generating_set", compute)
@@ -383,11 +380,8 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     def compute():
         gens = _search_generating_set(group)
         orders = group.element_orders()
-        frat = (
-            group.frattini_subgroup().member_set
-            if group.p_group_prime() is not None
-            else frozenset()
-        )
+        p_group = group.p_group_prime() is not None
+        frat = group.frattini_subgroup().member_set if p_group else frozenset()
         cands = [
             [x for x in range(group.n) if orders[x] == orders[w] and x not in frat]
             for w in gens
@@ -482,16 +476,30 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     return group._cached("autcent", compute)
 
 
+def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
+    """Aut^Z_Z(G): the rows of :func:`autcent` fixing Z(G) element-wise, cached.
+
+    The budget applies on every call, as in :func:`autcent`.  For M <= Z(G),
+    Aut^M_Z(G) is this set filtered by :func:`aut_fixing_quotient`: an
+    automorphism trivial on G/M is trivial on G/Z(G), so it is central.
+    """
+    ac = autcent(group, budget)
+    return group._cached("center_fixing", lambda: aut_fixing_subgroup(group, group.center(), ac))
+
+
 def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSet:
     """Automorphisms in ``within`` acting trivially on the quotient by ``kernel``.
 
     The kernel must be a normal subgroup of the group (:class:`NotNormal`
-    otherwise).  A row a of ``within.tables`` is kept iff every x^-1 a(x),
-    gathered as ``mul[inv, a]``, lies in the kernel; the kept rows of the
-    canonical array are the result's array, in the same order and dtype.
+    otherwise), ``within`` a set of its automorphisms (else
+    :class:`HypothesisViolated`).  A row a of ``within.tables`` is kept iff
+    every x^-1 a(x), gathered as ``mul[inv, a]``, lies in the kernel; the
+    kept rows of the canonical array are the result's array, in order.
     """
     if kernel.parent is not group:
         raise NotNormal("subgroup belongs to a different group")
+    if not group.same_table(within.group):
+        raise HypothesisViolated("automorphism set belongs to a different group")
     witness = kernel.normality_witness()
     if witness is not None:
         raise NotNormal(f"subgroup is not normal (witness {witness})")
@@ -506,10 +514,12 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
 def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet:
     """Automorphisms in ``within`` fixing every element of ``fixed``.
 
-    A row of ``within.tables`` is kept iff it equals the identity on the
-    members of ``fixed``; the kept rows of the canonical array are the
-    result's array, in the same order and dtype.
+    Both must belong to the group (:class:`HypothesisViolated` otherwise).  A
+    row of ``within.tables`` is kept iff it is the identity on ``fixed``; the
+    kept rows of the canonical array are the result's array, in order.
     """
+    if not (group.same_table(fixed.parent) and group.same_table(within.group)):
+        raise HypothesisViolated("subgroup or automorphism set belongs to a different group")
     members = np.asarray(fixed.members)
     tables = within.tables
     keep = (tables[:, members] == members).all(axis=1)
@@ -523,8 +533,8 @@ def homs_to_central_subgroup(
 
     The result is one read-only ``k x n`` array in the dtype of
     :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
-    rows sorted lexicographically.  The target must be central
-    (:class:`NotCentral` otherwise).  Because it is abelian these maps
+    rows sorted lexicographically.  The target must be a central subgroup of
+    the group (:class:`NotCentral` otherwise).  Because it is abelian these maps
     coincide with homomorphisms from the abelianization, which is where the
     enumeration runs; the search-verified tables are pulled back through the
     quotient map as ``members[tables[:, projection]]`` and not checked again.
@@ -533,7 +543,7 @@ def homs_to_central_subgroup(
     is cached with the result, so a later call with a smaller budget raises
     exactly as a fresh search would.
     """
-    if not target.is_central():
+    if not (group.same_table(target.parent) and target.is_central()):
         raise NotCentral(f"subgroup of {group.name} is not central")
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     what = f"homomorphism search for {group.name}"
@@ -603,7 +613,7 @@ def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> 
 
     With ``target`` central, f is a homomorphism into it; it is not checked again.
     """
-    if not target.is_central():
+    if not (group.same_table(target.parent) and target.is_central()):
         raise NotCentral(f"target subgroup of {group.name} is not central")
     rows = group.mul_rows()
     inv = group.inv
@@ -711,8 +721,7 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
 
     # an automorphism acting trivially on G/M, M central, is central
     aut_quotient = aut_fixing_quotient(group, target, autcent(group, budget))
-    center = group.center()
-    center_fixing = aut_fixing_subgroup(group, center, aut_quotient)
+    center_fixing = aut_fixing_quotient(group, target, center_fixing_autcent(group, budget))
     center_homs = _independent_hom_count(
         group.center_quotient().target, target.as_group(), budget
     )

@@ -14,6 +14,10 @@ table; so once they reach every element, S generates the magma and Light's
 test applies, at O(n*|S|) table lookups.  On an associative table every
 product of members of S is a left-normed word, so S is the same set a full
 product closure picks.
+
+The same closure picks a group's generators greedily from a normal subgroup N:
+what it reaches from N and picks S is N<S>, the subgroup N and S generate, so
+it picks what re-closing N and the picks after every pick would.
 """
 
 from __future__ import annotations
@@ -34,22 +38,27 @@ from .errors import (
 DEFAULT_ELEMENT_CAP = 512
 
 
-def _magma_generators(mul: np.ndarray) -> list[int]:
+def _right_closure_generators(mul: np.ndarray, start: Iterable[int] = ()) -> list[int]:
     """Elements picked in index order, each whenever it falls outside the set
     reached so far, until that set is everything.
 
-    The set reached is the closure of the picks under right multiplication
-    by a pick: every left-normed word in the picks.  Those words lie in the
-    magma the picks generate, so when they reach all n elements the picks
-    generate the table as a magma, associative or not.
+    The set reached is ``start`` and the picks, closed under right
+    multiplication by a pick.  From an empty start it is every left-normed
+    word in the picks; those lie in the magma the picks generate, so when
+    they reach all n elements the picks generate the table as a magma,
+    associative or not.  From a normal subgroup N of a group it is N<picks>.
     """
     rows = mul.tolist()
     n = len(rows)
     gens: list[int] = []
+    reached = list(start)
     seen = [False] * n
-    reached: list[int] = []
-    done = 0  # reached[:done] have been multiplied by every pick but the newest
+    for x in reached:
+        seen[x] = True
+    done = len(reached)  # reached[:done] have been multiplied by every pick but the newest
     for x in range(n):
+        if len(reached) == n:
+            break
         if seen[x]:
             continue
         gens.append(x)
@@ -68,8 +77,6 @@ def _magma_generators(mul: np.ndarray) -> list[int]:
                     seen[t] = True
                     reached.append(t)
             done += 1
-        if len(reached) == n:
-            break
     return gens
 
 
@@ -78,11 +85,11 @@ def _associativity_failure(mul: np.ndarray) -> tuple[int, int, int] | None:
 
     Uses Light's test: associativity on all triples follows from associativity
     on triples whose middle element lies in a set that generates the table as
-    a magma.  :func:`_magma_generators` gives such a set: its left-normed words
-    already reach every element.  The witness is the first failing (x, z) in
-    row-major order for the first failing generator s.
+    a magma.  :func:`_right_closure_generators` gives such a set: its
+    left-normed words already reach every element.  The witness is the first
+    failing (x, z) in row-major order for the first failing generator s.
     """
-    for s in _magma_generators(mul):
+    for s in _right_closure_generators(mul):
         left = mul[mul[:, s]]   # left[x, z]  = (x*s)*z
         right = mul[:, mul[s]]  # right[x, z] = x*(s*z)
         if not np.array_equal(left, right):
@@ -126,7 +133,10 @@ class Group(_Cached):
         name: str | None = None,
         max_order: int = DEFAULT_ELEMENT_CAP,
     ) -> None:
-        raw = np.asarray(table)
+        try:
+            raw = np.asarray(table)
+        except ValueError:  # numpy's "inhomogeneous shape": rows of unequal length
+            raise NotAGroup("table must be a non-empty square matrix, got ragged rows") from None
         if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] == 0:
             raise NotAGroup(f"table must be a non-empty square matrix, got shape {raw.shape}")
         if raw.dtype.kind not in "iu":
@@ -184,6 +194,10 @@ class Group(_Cached):
     def __len__(self) -> int:
         return self.n
 
+    def same_table(self, other: "Group") -> bool:
+        """True iff ``other`` is this group or has the same table (indices mean the same)."""
+        return other is self or np.array_equal(other.mul, self.mul)
+
     def op(self, x: int, y: int) -> int:
         return int(self.mul[x, y])
 
@@ -238,6 +252,13 @@ class Group(_Cached):
 
         return self._cached("p_prime", compute)
 
+    def prime(self) -> int:
+        """The prime p with ``n = p**k``; :class:`NotPGroup` for any other order, 1 included."""
+        p = self.p_group_prime()
+        if p is None:
+            raise NotPGroup(f"{self.name} has order {self.n}, not a prime power")
+        return p
+
     # -- subgroup construction ------------------------------------------
 
     def subgroup(self, members: Iterable[int]) -> "Subgroup":
@@ -279,16 +300,10 @@ class Group(_Cached):
     def _greedy_generators(self, base: Sequence[int] = ()) -> tuple[int, ...]:
         """Elements picked in index order, each whenever it falls outside the
         subgroup generated by ``base`` and the picks so far, until that
-        subgroup is the whole group."""
-        gens: list[int] = []
-        current = set(self.closure(base))
-        for x in range(self.n):
-            if len(current) == self.n:
-                break
-            if x not in current:
-                gens.append(x)
-                current = set(self.closure([*base, *gens]))
-        return tuple(gens)
+        subgroup is the whole group: one right-multiplication closure from
+        ``closure(base)``, exact as the base (nothing or the Frattini
+        subgroup) generates a normal subgroup."""
+        return tuple(_right_closure_generators(self.mul, self.closure(base)))
 
     def generating_set(self) -> tuple[int, ...]:
         """A small generating set found greedily in index order."""
@@ -310,31 +325,36 @@ class Group(_Cached):
         c = self.mul[b, hs[None, :]]
         return np.unique(c)
 
+    def _lower_central_series(self) -> tuple[tuple[int, ...], ...]:
+        """Members of the distinct lower central terms G, [G,G], [[G,G],G], ..., down
+        to the trivial subgroup or, if the series stalls, to the term it repeats."""
+
+        def compute():
+            terms = [tuple(range(self.n))]
+            while len(terms[-1]) > 1:
+                nxt = tuple(self.closure(self._commutators_with(terms[-1])))
+                if len(nxt) == len(terms[-1]):
+                    break
+                terms.append(nxt)
+            return tuple(terms)
+
+        return self._cached("lower_central_series", compute)
+
     def commutator_subgroup(self) -> "Subgroup":
         def compute():
-            comms = self._commutators_with(np.arange(self.n))
-            return self.subgroup_generated(int(c) for c in comms)
+            terms = self._lower_central_series()
+            return self.subgroup(terms[1] if len(terms) > 1 else terms[0])
 
         return self._cached("commutator_subgroup", compute)
 
     def nilpotency_class(self) -> int:
         """Length of the lower central series down to the trivial subgroup."""
-
-        def compute():
-            prev = tuple(range(self.n))
-            klass = 0
-            while len(prev) > 1:
-                klass += 1
-                comms = self._commutators_with(prev)
-                nxt = tuple(self.closure(int(c) for c in comms))
-                if len(nxt) == len(prev):
-                    raise NotNilpotent(
-                        f"lower central series of {self.name} stabilises at order {len(nxt)}"
-                    )
-                prev = nxt
-            return klass
-
-        return self._cached("nilpotency_class", compute)
+        terms = self._lower_central_series()
+        if len(terms[-1]) > 1:
+            raise NotNilpotent(
+                f"lower central series of {self.name} stabilises at order {len(terms[-1])}"
+            )
+        return len(terms) - 1
 
     def frattini_subgroup(self) -> "Subgroup":
         """Subgroup generated by p-th powers and commutators (p-groups only)."""
@@ -342,16 +362,11 @@ class Group(_Cached):
         def compute():
             if self.n == 1:
                 return self.trivial_subgroup()
-            p = self.p_group_prime()
-            if p is None:
-                raise NotPGroup(f"{self.name} has order {self.n}, not a prime power")
+            p = self.prime()
             cur = np.arange(self.n)
-            base = np.arange(self.n)
             for _ in range(p - 1):
-                cur = self.mul[cur, base]
-            seed = set(int(x) for x in np.unique(cur))
-            seed.update(int(c) for c in self._commutators_with(base))
-            return self.subgroup_generated(seed)
+                cur = self.mul[cur, np.arange(self.n)]
+            return self.subgroup_generated([*cur.tolist(), *self.commutator_subgroup().members])
 
         return self._cached("frattini", compute)
 

@@ -18,18 +18,17 @@ from .abelian import (
     hom_order,
 )
 from .automorphisms import (
-    AutSet,
     abelian_factor_split,
     alpha_from_f,
     aut_fixing_quotient,
-    aut_fixing_subgroup,
     autcent,
+    center_fixing_autcent,
     inner_automorphisms,
     is_purely_nonabelian,
     minimal_generating_set,
     _search_maps,
 )
-from .errors import HypothesisViolated, InternalDisagreement, NotPGroup, WrongClass
+from .errors import HypothesisViolated, InternalDisagreement, WrongClass
 from .groups import Group
 
 
@@ -113,11 +112,6 @@ class TheoremResult:
         return self.condition.all_met == self.oracle.autcent_equals_aut_zz
 
 
-def _center_fixing_subset(group: Group, budget: int | None) -> AutSet:
-    """Aut^Z_Z(G): central automorphisms fixing the center element-wise."""
-    return aut_fixing_subgroup(group, group.center(), autcent(group, budget))
-
-
 def theorem_condition(group: Group) -> ConditionSide:
     """Evaluate the three structural conditions of the center-fixing criterion."""
     inv = class_two_invariants(group)
@@ -137,7 +131,7 @@ def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
     """
     condition = theorem_condition(group)  # raises WrongClass / NotPGroup first
     ac = autcent(group, budget)
-    azz = _center_fixing_subset(group, budget)
+    azz = center_fixing_autcent(group, budget)
     inner = inner_automorphisms(group)
     if not azz.is_subset_of(ac):
         raise InternalDisagreement(
@@ -187,34 +181,27 @@ def verify_proposition1(group: Group, budget: int | None = None) -> list[Subgrou
     Requires a non-abelian p-group; both sides are computed independently for
     every subgroup of the center.
     """
-    if group.p_group_prime() is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    group.prime()  # NotPGroup unless a p-group
     if group.is_abelian():
         raise WrongClass(f"{group.name} is abelian; the criterion needs a non-abelian group")
 
-    # an automorphism acting trivially on G/M, M central, is central
-    ac = autcent(group, budget)
-    center = group.center()
+    azz = center_fixing_autcent(group, budget)
     inner = inner_automorphisms(group)
     gamma2 = group.commutator_subgroup()
     class_two = group.nilpotency_class() == 2
 
-    reports = []
-    for m_sub in center.all_subgroups():
-        aut_m_z = aut_fixing_subgroup(
-            group, center, aut_fixing_quotient(group, m_sub, ac)
+    # Aut^M_Z(G), M <= Z(G), is Aut^Z_Z(G) filtered by G/M
+    return [
+        SubgroupCriterionReport(
+            group=group.name,
+            target_members=m_sub.members,
+            set_equal_inner=aut_fixing_quotient(group, m_sub, azz) == inner,
+            class_is_two=class_two,
+            commutator_contained=gamma2.member_set <= m_sub.member_set,
+            target_cyclic=m_sub.is_cyclic(),
         )
-        reports.append(
-            SubgroupCriterionReport(
-                group=group.name,
-                target_members=m_sub.members,
-                set_equal_inner=aut_m_z == inner,
-                class_is_two=class_two,
-                commutator_contained=gamma2.member_set <= m_sub.member_set,
-                target_cyclic=m_sub.is_cyclic(),
-            )
-        )
-    return reports
+        for m_sub in group.center().all_subgroups()
+    ]
 
 
 @dataclass(frozen=True)
@@ -237,8 +224,7 @@ class InnerEqualityReport:
 
 def verify_corollary1(group: Group, budget: int | None = None) -> InnerEqualityReport:
     """Check Autcent(G) = Inn(G) iff the center is cyclic and equals [G,G]."""
-    if group.p_group_prime() is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    group.prime()  # NotPGroup unless a p-group
     if group.is_abelian():
         raise WrongClass(f"{group.name} is abelian; the criterion needs a non-abelian group")
     ac = autcent(group, budget)
@@ -307,9 +293,7 @@ def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, 
     if split is None:
         raise InternalDisagreement(f"{group.name} has no abelian direct factor")
     h_sub, a_sub = split
-    p = group.p_group_prime()
-    if p is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    p = group.prime()
 
     h_group = h_sub.as_group()
     h_center = {h_sub.members[i] for i in h_group.center().members}
@@ -358,14 +342,13 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     abelian factor exists the constructed witness must be a central
     automorphism that moves a central element (so the two sets differ).
     """
-    if group.p_group_prime() is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
+    group.prime()  # NotPGroup unless a p-group
     if group.is_abelian():
         raise WrongClass(
             f"{group.name} is abelian; the necessity statement concerns non-abelian groups"
         )
     ac = autcent(group, budget)
-    azz = _center_fixing_subset(group, budget)
+    azz = center_fixing_autcent(group, budget)
     sets_equal = ac == azz
     purely = is_purely_nonabelian(group, budget)
     if purely:
@@ -377,12 +360,8 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     aut = alpha_from_f(group, f)
     witness_images = aut.images if aut is not None else None
     is_central = aut is not None and aut in ac
-    moved = None
-    if aut is not None:
-        for u in group.center().members:
-            if aut.images[u] != u:
-                moved = u
-                break
+    center = group.center().members
+    moved = next((u for u in center if aut.images[u] != u), None) if aut is not None else None
     return PurelyNonabelianReport(
         group=group.name,
         sets_equal=sets_equal,
@@ -485,9 +464,8 @@ class StrictCenterReport:
 def verify_attar(group: Group, budget: int | None = None) -> StrictCenterReport:
     """Cross-check: center-fixing central automorphisms collapse to Inn(G)
     exactly for abelian groups and class-2 groups with cyclic center."""
-    if group.p_group_prime() is None:
-        raise NotPGroup(f"{group.name} has order {group.n}, not a prime power")
-    azz = _center_fixing_subset(group, budget)
+    group.prime()  # NotPGroup unless a p-group
+    azz = center_fixing_autcent(group, budget)
     inner = inner_automorphisms(group)
     return StrictCenterReport(
         group=group.name,

@@ -160,17 +160,38 @@ def naive_all_automorphisms(table):
     return sorted(auts)
 
 
-def naive_generating_set(table):
+def naive_generating_set(table, base=()):
+    """Elements picked in index order, each whenever it falls outside the
+    subgroup generated by ``base`` and the picks so far, re-closed from
+    scratch after every pick, until that subgroup is everything."""
     n = len(table)
     gens = []
-    current = naive_closure(table, [])
+    current = naive_closure(table, base)
     for x in range(n):
+        if len(current) == n:
+            break
         if x not in current:
             gens.append(x)
-            current = naive_closure(table, gens)
-            if len(current) == n:
-                break
+            current = naive_closure(table, [*base, *gens])
     return gens
+
+
+def naive_lower_central_series(table):
+    """Member lists of the distinct terms G, [G,G], [[G,G],G], ..., stopping at
+    the trivial subgroup or before the first term equal to the one before it."""
+    n = len(table)
+    e = identity_of(table)
+    invs = [next(y for y in range(n) if table[x][y] == e) for x in range(n)]
+    terms = [list(range(n))]
+    while len(terms[-1]) > 1:
+        comms = {
+            table[table[table[invs[g]][invs[h]]][g]][h] for g in range(n) for h in terms[-1]
+        }
+        nxt = naive_closure(table, comms)
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return terms
 
 
 def brute_force_hom_count(table_a, table_b):

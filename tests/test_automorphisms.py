@@ -10,6 +10,7 @@ from centauts import (
     aut_fixing_quotient,
     aut_fixing_subgroup,
     autcent,
+    center_fixing_autcent,
     direct_product,
     enumerate_homs,
     from_cayley_table,
@@ -33,6 +34,7 @@ from centauts.automorphisms import (
 from centauts.corpus import (
     abelian_group,
     catalog,
+    catalog_group,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -40,6 +42,7 @@ from centauts.corpus import (
 )
 from centauts.errors import (
     BudgetExceeded,
+    HypothesisViolated,
     NotCentral,
     NotNormal,
     NotPGroup,
@@ -364,6 +367,57 @@ class TestHomSearchBudget:
         with pytest.raises(BudgetExceeded) as cached:
             _independent_hom_count(source, target, budget=1)
         assert str(cached.value) == str(fresh.value)
+
+
+    def test_center_fixing_autcent_obeys_budget_after_caching(self):
+        g = dihedral_group(4, name="D8")
+        assert center_fixing_autcent(g) == autcent(g)
+        with pytest.raises(BudgetExceeded, match=r"^homomorphism search for D8: "):
+            center_fixing_autcent(g, budget=1)
+
+
+class TestForeignObjects:
+    """A subgroup or automorphism set of another group is rejected, not read as indices."""
+
+    @pytest.fixture
+    def d8_q8(self):
+        return catalog_group("D8"), catalog_group("Q8")
+
+    def test_fixing_subgroup_rejects_a_foreign_subgroup(self, d8_q8):
+        d8, q8 = d8_q8
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_subgroup(d8, q8.subgroup(q8.closure([1])), autcent(d8))
+
+    def test_fixing_subgroup_rejects_a_foreign_set(self, d8_q8):
+        d8, q8 = d8_q8
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_subgroup(d8, d8.center(), autcent(q8))
+
+    def test_fixing_quotient_rejects_a_foreign_set(self, d8_q8):
+        d8, q8 = d8_q8
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_quotient(d8, d8.center(), autcent(q8))
+        with pytest.raises(NotNormal, match="belongs to a different group"):
+            aut_fixing_quotient(d8, q8.center(), autcent(d8))
+
+    def test_central_homs_reject_a_foreign_target(self, d8_q8):
+        d8, q8 = d8_q8
+        with pytest.raises(NotCentral):
+            homs_to_central_subgroup(d8, q8.center())
+        aut = next(iter(autcent(d8)))
+        with pytest.raises(NotCentral):
+            hom_from_automorphism(d8, aut, q8.center())
+
+    def test_subset_is_false_across_groups(self, d8_q8):
+        d8, q8 = d8_q8
+        assert not autcent(d8).is_subset_of(autcent(q8))
+        assert autcent(d8).is_subset_of(autcent(d8))
+
+    def test_a_copy_on_the_same_table_is_accepted(self, d8_q8):
+        d8, _ = d8_q8
+        copy = catalog_group("D8")
+        assert len(homs_to_central_subgroup(d8, copy.center())) == 4
+        assert aut_fixing_subgroup(d8, copy.center(), autcent(d8)) == autcent(d8)
 
 
 class TestAlphaFromF:

@@ -8,6 +8,7 @@ from centauts import (
     from_cayley_table,
     from_permutation_generators,
     invariants,
+    minimal_generating_set,
 )
 from centauts.corpus import abelian_group, cyclic_group, dicyclic_group, dihedral_group
 from centauts.errors import (
@@ -18,12 +19,15 @@ from centauts.errors import (
     SizeLimitExceeded,
 )
 
-from centauts.groups import _associativity_failure, _magma_generators
+from centauts.groups import _associativity_failure
+from centauts.groups import _right_closure_generators as _magma_generators
 from oracles import (
     identity_of,
     naive_associativity_failure,
     naive_center,
     naive_commutator_subgroup,
+    naive_generating_set,
+    naive_lower_central_series,
     naive_normal_subgroups,
     naive_subgroups,
     product_closure_generators,
@@ -64,6 +68,10 @@ class TestFromCayleyTable:
     def test_rejects_non_square(self):
         with pytest.raises(NotAGroup):
             from_cayley_table([[0, 1]])
+
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(NotAGroup, match="square matrix, got ragged rows"):
+            from_cayley_table([[0, 1], [1]])
 
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(NotAGroup, match="outside"):
@@ -384,6 +392,93 @@ class TestPGroupPrime:
         assert cyclic_group(27).p_group_prime() == 3
         assert abelian_group([12]).p_group_prime() is None
         assert from_cayley_table([[0]]).p_group_prime() is None
+
+    def test_prime_raises_where_there_is_none(self):
+        assert dihedral_group(4).prime() == 2
+        for g in (abelian_group([12], name="C12"), from_cayley_table([[0]], name="C1")):
+            with pytest.raises(NotPGroup, match=f"^{g.name} has order {g.n}, not a prime power$"):
+                g.prime()
+
+
+def test_same_table_means_same_indices():
+    g = d8()
+    assert g.same_table(g) and g.same_table(d8())
+    assert not g.same_table(dicyclic_group(2)) and not g.same_table(cyclic_group(8))
+
+
+def _a5():
+    return from_permutation_generators(5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]], name="A5")
+
+
+def _s4():
+    return from_permutation_generators(4, [[1, 2, 3, 0], [1, 0, 2, 3]], name="S4")
+
+
+@pytest.fixture(scope="module")
+def derived_groups(groups):
+    """Every catalog group; its abelianization and central quotient; its center,
+    commutator subgroup and (p-groups) Frattini subgroup as groups; three seeded
+    relabellings of each catalog group of order <= 81; and S4 and A5, whose
+    lower central series stall at A4 and at the whole group."""
+    rng = np.random.default_rng(1304)
+    out = [_s4(), _a5()]
+    for name, g in groups.items():
+        out += [
+            g,
+            g.abelianization().target,
+            g.center_quotient().target,
+            g.center().as_group(),
+            g.commutator_subgroup().as_group(),
+        ]
+        if g.p_group_prime() is not None:
+            out.append(g.frattini_subgroup().as_group())
+        if g.n <= 81:
+            for k in range(3):
+                table = relabel(g.mul.tolist(), rng.permutation(g.n).tolist())
+                out.append(from_cayley_table(table, name=f"{name}~{k}"))
+    return out
+
+
+class TestDerivedObjectsAgainstOracles:
+    """The one generator closure and the one lower-central-series walk against
+    oracles that re-close from scratch."""
+
+    def test_generating_sets(self, derived_groups):
+        assert len(derived_groups) == 438
+        for g in derived_groups:
+            table = g.mul.tolist()
+            assert list(g.generating_set()) == naive_generating_set(table), g.name
+            if g.p_group_prime() is not None:
+                frattini = g.frattini_subgroup().members
+                expected = naive_generating_set(table, frattini)
+                assert list(minimal_generating_set(g)) == expected, g.name
+
+    def test_lower_central_series(self, derived_groups):
+        stalled = 0
+        for g in derived_groups:
+            terms = naive_lower_central_series(g.mul.tolist())
+            second = terms[1] if len(terms) > 1 else terms[0]
+            assert list(g.commutator_subgroup().members) == second, g.name
+            if len(terms[-1]) == 1:
+                assert g.nilpotency_class() == len(terms) - 1, g.name
+            else:
+                stalled += 1
+                match = f"^lower central series of {g.name} stabilises at order {len(terms[-1])}$"
+                with pytest.raises(NotNilpotent, match=match):
+                    g.nilpotency_class()
+        assert stalled == 7  # S4, A5, S3 and S3/Z(S3), three relabellings of S3
+
+    def test_perfect_group_is_its_own_commutator_subgroup(self):
+        g = _a5()
+        assert g.commutator_subgroup() == g.full_subgroup()
+        with pytest.raises(NotNilpotent, match="stabilises at order 60$"):
+            g.nilpotency_class()
+
+    def test_series_stalling_below_the_group(self):
+        g = _s4()
+        assert len(g.commutator_subgroup()) == 12
+        with pytest.raises(NotNilpotent, match="stabilises at order 12$"):
+            g.nilpotency_class()
 
 
 class TestSubgroupEnumeration:

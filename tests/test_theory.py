@@ -10,6 +10,7 @@ from centauts import (
     aut_fixing_quotient,
     aut_fixing_subgroup,
     autcent,
+    center_fixing_autcent,
     direct_product,
     hom_order,
     lemma4_compare,
@@ -313,9 +314,14 @@ def test_center_fixing_subset_is_monotone(corpus):
         center = g.center()
         azz = aut_fixing_subgroup(g, center, aut_fixing_quotient(g, center, auts))
         assert azz.is_subset_of(ac), g.name
+        assert center_fixing_autcent(g) == aut_fixing_subgroup(g, center, ac) == azz, g.name
         # for central M every automorphism acting trivially on G/M is central,
         # so filtering Autcent instead of the full Aut loses nothing
         for m_sub in center.all_subgroups():
             assert aut_fixing_quotient(g, m_sub, auts) == aut_fixing_quotient(
                 g, m_sub, ac
+            ), (g.name, m_sub.members)
+            # so Aut^M_Z is Aut^Z_Z filtered by G/M, in the same row order
+            assert aut_fixing_quotient(g, m_sub, center_fixing_autcent(g)) == aut_fixing_subgroup(
+                g, center, aut_fixing_quotient(g, m_sub, ac)
             ), (g.name, m_sub.members)
