@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     HypothesisViolated,
@@ -121,6 +124,39 @@ def hom_order(a: AbelianType, b: AbelianType) -> int:
     if a.p != b.p:
         raise PrimeMismatch(f"types over different primes: {a.p} vs {b.p}")
     return math.prod(a.p ** min(x, y) for x in a.exps for y in b.exps)
+
+
+def _exponent_matrix(types: Sequence[AbelianType]) -> np.ndarray:
+    """The exponents of each type as one row, zero-padded to the largest rank.
+
+    There is at least one column, so column 0 holds every type's top exponent
+    (0 for the trivial type).  The dtype is the narrowest unsigned one that
+    holds the largest exponent.
+    """
+    width = max((t.rank for t in types), default=0) or 1
+    top = max((t.exps[0] for t in types if t.exps), default=0)
+    rows = [t.exps + (0,) * (width - t.rank) for t in types]
+    return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(types), width)
+
+
+def hom_exponents(types: Sequence[AbelianType]) -> np.ndarray:
+    """``log_p |Hom(x, c)|`` for every pair of types over one prime p.
+
+    Entry ``[i, j]`` is ``sum min(x_k, c_l)`` over the factor pairs of
+    ``x = types[i]`` and ``c = types[j]``; so ``p ** table[i, j] ==
+    hom_order(x, c)``.  That sum equals ``sum_k x'_k c'_k`` over the conjugate
+    partitions (``x'_k = #{i : x_i >= k}``), so the table is one integer
+    matmul.  No entry or partial sum exceeds the square of the largest total
+    exponent, and the dtype is the narrowest unsigned one that holds it.
+    """
+    primes = sorted({t.p for t in types if t.exps})
+    if len(primes) > 1:
+        raise PrimeMismatch(f"types over different primes: {primes}")
+    exps = _exponent_matrix(types)
+    largest = max((sum(t.exps) for t in types), default=0)
+    levels = np.arange(1, int(exps.max(initial=0)) + 1, dtype=exps.dtype)
+    conj = (exps[:, :, None] >= levels).sum(axis=1, dtype=np.min_scalar_type(largest**2))
+    return conj @ conj.T
 
 
 @dataclass(frozen=True, slots=True)

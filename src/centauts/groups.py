@@ -52,10 +52,9 @@ def _right_closure_generators(mul: np.ndarray, start: Iterable[int] = ()) -> lis
     n = len(rows)
     gens: list[int] = []
     reached = list(start)
-    seen = [False] * n
+    seen = bytearray(n)
     for x in reached:
         seen[x] = True
-    done = len(reached)  # reached[:done] have been multiplied by every pick but the newest
     for x in range(n):
         if len(reached) == n:
             break
@@ -64,20 +63,33 @@ def _right_closure_generators(mul: np.ndarray, start: Iterable[int] = ()) -> lis
         gens.append(x)
         seen[x] = True
         reached.append(x)
-        for w in reached[:done]:
-            t = rows[w][x]
+        _extend_right_closure(rows, reached, seen, len(reached) - 1, gens)
+    return gens
+
+
+def _extend_right_closure(
+    rows: list[list[int]], reached: list[int], seen: bytearray, done: int, gens: list[int]
+) -> None:
+    """Close ``reached`` under right multiplication by ``gens``, in place.
+
+    ``reached[:done]`` must already be closed under every generator but the
+    last, so they are multiplied by the last one only; the elements after
+    them are multiplied by every generator.  ``seen`` marks ``reached``.
+    """
+    x = gens[-1]
+    for w in reached[:done]:
+        t = rows[w][x]
+        if not seen[t]:
+            seen[t] = True
+            reached.append(t)
+    while done < len(reached):
+        row = rows[reached[done]]
+        for s in gens:
+            t = row[s]
             if not seen[t]:
                 seen[t] = True
                 reached.append(t)
-        while done < len(reached):
-            row = rows[reached[done]]
-            for s in gens:
-                t = row[s]
-                if not seen[t]:
-                    seen[t] = True
-                    reached.append(t)
-            done += 1
-    return gens
+        done += 1
 
 
 def _associativity_failure(mul: np.ndarray) -> tuple[int, int, int] | None:
@@ -273,26 +285,18 @@ class Group(_Cached):
     def closure(self, seed: Iterable[int]) -> list[int]:
         """Sorted members of the subgroup generated by ``seed``."""
         rows = self.mul_rows()
-        elems = [self.identity]
-        seen = {self.identity}
+        reached = [self.identity]
+        seen = bytearray(self.n)
+        seen[self.identity] = True
+        gens: list[int] = []
         for s in seed:
             s = int(s)
             if not 0 <= s < self.n:
                 raise NotAGroup(f"seed element {s} outside [0, {self.n})")
-            if s not in seen:
-                seen.add(s)
-                elems.append(s)
-        gens = elems[1:]
-        i = 0
-        while i < len(elems):
-            row = rows[elems[i]]
-            for s in gens:
-                t = row[s]
-                if t not in seen:
-                    seen.add(t)
-                    elems.append(t)
-            i += 1
-        return sorted(seen)
+            if not seen[s]:
+                gens.append(s)
+                _extend_right_closure(rows, reached, seen, len(reached), gens)
+        return sorted(reached)
 
     def subgroup_generated(self, seed: Iterable[int]) -> "Subgroup":
         return self.subgroup(self.closure(seed))
@@ -522,9 +526,10 @@ class Subgroup(_Cached):
         """Every subgroup contained in this one, sorted by (size, members).
 
         Breadth-first walk from the trivial subgroup, closing each found
-        subgroup together with one more member of this one.  Raises
-        :class:`SizeLimitExceeded` once more than ``subgroup_cap`` subgroups
-        are found; a cached walk raises the same for a smaller cap.
+        subgroup H together with one more member g of this one.  <H, g> grows
+        from H's members, which are closed under H's generators already.
+        Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
+        subgroups are found; a cached walk raises the same for a smaller cap.
         """
         parent = self.parent
 
@@ -532,16 +537,22 @@ class Subgroup(_Cached):
             return SizeLimitExceeded(f"more than {subgroup_cap} subgroups during enumeration")
 
         def compute():
+            rows = parent.mul_rows()
             trivial = frozenset({parent.identity})
             found: dict[frozenset[int], list[int]] = {trivial: []}
             queue = [trivial]
             for base in queue:
                 base_gens = found[base]
+                base_seen = bytearray(parent.n)
+                for x in base:
+                    base_seen[x] = True
                 for g in self.members:
                     if g in base:
                         continue
                     gens = base_gens + [g]
-                    closed = frozenset(parent.closure(gens))
+                    reached = list(base)
+                    _extend_right_closure(rows, reached, bytearray(base_seen), len(reached), gens)
+                    closed = frozenset(reached)
                     if closed not in found:
                         if len(found) >= subgroup_cap:
                             raise too_many()

@@ -10,12 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .abelian import (
     AbelianType,
+    _exponent_matrix,
     _growth_disagreement,
-    _growth_threshold,
     class_two_invariants,
-    hom_order,
+    hom_exponents,
 )
 from .automorphisms import (
     abelian_factor_split,
@@ -28,7 +30,7 @@ from .automorphisms import (
     minimal_generating_set,
     _search_maps,
 )
-from .errors import HypothesisViolated, InternalDisagreement, WrongClass
+from .errors import InternalDisagreement, WrongClass
 from .groups import Group
 
 
@@ -412,33 +414,52 @@ def _types_up_to(p: int, max_exp: int) -> list[AbelianType]:
     return types
 
 
+# Pairs of types compared per batch: bounds the (pairs x types) temporaries.
+_SWEEP_PAIR_CHUNK = 128
+
+
 def verify_lemma4_sweep(p: int, max_exp: int) -> HomGrowthSweep:
     """Sweep every dominated same-length type pair (A, B) and every C.
 
     For each hypothesis-satisfying triple, the strictness of
     |Hom(A, C)| < |Hom(B, C)| must coincide with the exponent of C reaching
-    p**(a_t + 1).  Each Hom order is computed once per (type, C) and the
-    threshold once per pair; every triple is still compared, on exact
-    integer Hom orders, with the failure message of :func:`lemma4_compare`.
+    p**(a_t + 1).  One array pass: the Hom orders come as exponents from
+    :func:`hom_exponents` (``p**x < p**y`` iff ``x < y``, so this compares
+    the exact orders), the dominated pairs as a mask, and the threshold test
+    as ``c_1 >= a_t + 1`` on C's top exponent ``c_1``.  Every triple is
+    compared, in batches of pairs; only a disagreeing triple builds a
+    message, that of :func:`lemma4_compare`, in nested-loop (A, B, C) order.
     """
     types = _types_up_to(p, max_exp)
-    nonempty = [t for t in types if not t.is_trivial()]
-    exponents = [c.exponent() for c in types]
-    homs = {x: [hom_order(x, c) for c in types] for x in nonempty}
-    checked = 0
+    homs = hom_exponents(types)
+    exps = _exponent_matrix(types)
+    ranks = np.count_nonzero(exps, axis=1)
+    totals = exps.sum(axis=1)
+    # row 0 is the trivial type; A and B range over the rest
+    dominated = (ranks[1:, None] == ranks[None, 1:]) & (totals[1:, None] < totals[None, 1:])
+    for slot in exps[1:].T:
+        dominated &= slot[:, None] <= slot[None, :]
+    a_rows, b_rows = np.nonzero(dominated)
+    a_rows += 1
+    b_rows += 1
+    differs = exps[a_rows] != exps[b_rows]
+    last = exps.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
+    a_t = exps[a_rows, last]
+    top = exps[:, 0]
+
     failures: list[str] = []
-    for a in nonempty:
-        for b in nonempty:
-            try:
-                _, threshold = _growth_threshold(a, b)
-            except HypothesisViolated:
-                continue
-            checked += len(types)
-            for c, exp_c, hom_a, hom_b in zip(types, exponents, homs[a], homs[b]):
-                if (exp_c >= threshold) != (hom_a < hom_b):
-                    failures.append(_growth_disagreement(a, b, c))
+    for start in range(0, len(a_rows), _SWEEP_PAIR_CHUNK):
+        a = a_rows[start : start + _SWEEP_PAIR_CHUNK]
+        b = b_rows[start : start + _SWEEP_PAIR_CHUNK]
+        strict = top > a_t[start : start + _SWEEP_PAIR_CHUNK, None]
+        grows = homs[a] < homs[b]
+        for pair, c in zip(*np.nonzero(strict != grows)):
+            failures.append(_growth_disagreement(types[a[pair]], types[b[pair]], types[c]))
     return HomGrowthSweep(
-        prime=p, max_exp=max_exp, triples_checked=checked, failures=tuple(failures)
+        prime=p,
+        max_exp=max_exp,
+        triples_checked=len(a_rows) * len(types),
+        failures=tuple(failures),
     )
 
 

@@ -8,6 +8,7 @@ from centauts import (
     AbelianType,
     class_two_invariants,
     from_cayley_table,
+    hom_exponents,
     hom_order,
     invariants,
     lemma4_compare,
@@ -134,6 +135,29 @@ class TestHomOrder:
                 assert expected == order_census_hom_count(ta.exps, p, gb.mul.tolist())
                 if ga.n <= 8 and gb.n <= 8:
                     assert expected == brute_force_hom_count(ga.mul.tolist(), gb.mul.tolist())
+
+
+class TestHomExponents:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_hom_order_up_to_exponent_8(self, p):
+        types = list(all_types(p, 8))
+        table = hom_exponents(types)
+        assert table.shape == (len(types), len(types))
+        for x, row in zip(types, table.tolist()):
+            assert [p**e for e in row] == [hom_order(x, c) for c in types]
+
+    def test_dtype_holds_the_largest_entry(self):
+        # 16 * 16 = 256 overflows uint8
+        c2_16 = AbelianType(2, (1,) * 16)
+        assert hom_exponents([c2_16]).tolist() == [[256]]
+
+    def test_trivial_only(self):
+        assert hom_exponents([AbelianType(3, ())]).tolist() == [[0]]
+        assert hom_exponents([]).shape == (0, 0)
+
+    def test_prime_mismatch(self):
+        with pytest.raises(PrimeMismatch):
+            hom_exponents([AbelianType(2, (1,)), AbelianType(3, (1,))])
 
 
 class TestClassTwoInvariants:

@@ -494,6 +494,16 @@ class TestSubgroupEnumeration:
             tuple(s) for s in naive_subgroups(g.mul.tolist())
         ]
 
+    def test_catalog_walks_match_powerset_scan(self, groups):
+        # order 16 is the largest the powerset scan finishes in about 2 s;
+        # the next catalog order, 27, would scan 2**26 subsets
+        small = [g for g in groups.values() if g.n <= 16]
+        assert len(small) == 24
+        for g in small:
+            assert [s.members for s in g.all_subgroups()] == [
+                tuple(s) for s in naive_subgroups(g.mul.tolist())
+            ], g.name
+
     def test_c4_has_three(self):
         assert len(cyclic_group(4).all_subgroups()) == 3
 

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from centauts import (
@@ -227,9 +228,16 @@ def _per_triple_sweep(p, max_exp):
 
 
 def _patch_hom_order(monkeypatch, hom):
-    """Route every ``hom_order`` the sweep or ``lemma4_compare`` may call to ``hom``."""
+    """Route both Hom-order routes to ``hom``: the scalar ``hom_order`` that
+    ``lemma4_compare`` reads, and the sweep's ``hom_exponents`` table.
+
+    The sweep only compares table entries, and ``p**x < p**y`` iff ``x < y``,
+    so a table of the orders ``hom`` gives stands in for their exponents.
+    """
     monkeypatch.setattr(abelian, "hom_order", hom)
-    monkeypatch.setattr(theory, "hom_order", hom)
+    monkeypatch.setattr(
+        theory, "hom_exponents", lambda types: np.array([[hom(x, c) for c in types] for x in types])
+    )
 
 
 class TestLemma4Sweep:
@@ -243,23 +251,34 @@ class TestLemma4Sweep:
         large = verify_lemma4_sweep(2, 3)
         assert large.triples_checked > small.triples_checked
 
-    @pytest.mark.parametrize("p, max_exp", [(2, 5), (3, 4), (5, 4)])
+    @pytest.mark.parametrize("p, max_exp", [(2, 5), (2, 7), (3, 4), (3, 5), (5, 4)])
     def test_same_triples_as_lemma4_compare(self, p, max_exp):
         sweep = verify_lemma4_sweep(p, max_exp)
         assert (sweep.triples_checked, list(sweep.failures)) == _per_triple_sweep(p, max_exp)
 
     @pytest.mark.parametrize("p, max_exp", [(2, 6), (3, 4), (5, 4)])
-    def test_each_hom_order_computed_once(self, monkeypatch, p, max_exp):
-        calls = []
+    def test_one_hom_table_and_no_scalar_hom_order(self, monkeypatch, p, max_exp):
+        tables, scalar = [], []
 
-        def counted(a, c):
-            calls.append((a, c))
+        def counted_table(types):
+            tables.append(len(types))
+            return abelian.hom_exponents(types)
+
+        def counted_scalar(a, c):
+            scalar.append((a, c))
             return hom_order(a, c)
 
-        _patch_hom_order(monkeypatch, counted)
+        monkeypatch.setattr(theory, "hom_exponents", counted_table)
+        monkeypatch.setattr(abelian, "hom_order", counted_scalar)
         assert verify_lemma4_sweep(p, max_exp).agree
-        types = _types_up_to(p, max_exp)
-        assert len(calls) <= (len(types) - 1) * len(types)
+        assert tables == [len(_types_up_to(p, max_exp))]
+        assert scalar == []
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("max_exp", [0, 1])
+    def test_no_dominated_pair_below_exponent_2(self, p, max_exp):
+        sweep = verify_lemma4_sweep(p, max_exp)
+        assert (sweep.triples_checked, sweep.failures) == (0, ())
 
     def test_one_wrong_hom_order_gives_the_per_triple_failure(self, monkeypatch):
         wrong = (AbelianType(2, (2, 1)), AbelianType(2, (2,)))
