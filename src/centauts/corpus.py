@@ -19,7 +19,9 @@ from .automorphisms import DEFAULT_SEARCH_BUDGET, verify_lemma0, verify_lemma0a
 from .errors import (
     CentautsError,
     ConfigError,
+    NotAGroup,
     NotNilpotent,
+    NotNormal,
     NotPGroup,
     NotPurelyNonabelian,
     ParseError,
@@ -28,6 +30,9 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     Group,
+    Table,
+    _coset_table,
+    _product_table,
     direct_product,
     from_cayley_table,
     from_permutation_generators,
@@ -64,12 +69,14 @@ _CSV_COLUMNS = (
 
 
 # -- catalog constructions -------------------------------------------------
+#
+# Every family and product is a table step returning (table, labels); catalog
+# entries compose those raw tables and hand only the final one to the Group
+# constructor, so each entry's table is validated exactly once.
 
 
-def _table_group(
-    elements: Sequence, mul: Callable, name: str, max_order: int = DEFAULT_ELEMENT_CAP
-) -> Group:
-    """The group on ``elements`` (element k is index k, labelled ``str(elements[k])``)
+def _element_table(elements: Sequence, mul: Callable) -> Table:
+    """The table on ``elements`` (element k is index k, labelled ``str(elements[k])``)
     whose product is ``mul``, evaluated once over the whole table.
 
     Array contract: every element is a non-negative int, or every element is
@@ -94,13 +101,20 @@ def _table_group(
     else:
         prod = (mul(rows[0], cols[0]),)
     table = lookup[np.ravel_multi_index(prod, radix)]
-    labels = tuple(str(t) for t in elements)
-    return from_cayley_table(table, labels=labels, name=name, max_order=max_order)
+    return table, tuple(str(t) for t in elements)
+
+
+def _cyclic_table(k: int) -> Table:
+    return _element_table(list(range(k)), lambda a, b: (a + b) % k)
 
 
 def cyclic_group(k: int, name: str | None = None, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
     """C_k with element i representing the i-th power of the generator."""
-    return _table_group(list(range(k)), lambda a, b: (a + b) % k, name or f"C{k}", max_order)
+    return from_cayley_table(*_cyclic_table(k), name=name or f"C{k}", max_order=max_order)
+
+
+def _abelian_table(factor_orders: Sequence[int], max_order: int = DEFAULT_ELEMENT_CAP) -> Table:
+    return _product_table([_cyclic_table(k) for k in factor_orders], max_order)
 
 
 def abelian_group(
@@ -112,79 +126,112 @@ def abelian_group(
     if not factor_orders:
         return cyclic_group(1, name or "C1")
     name = name or "x".join(f"C{k}" for k in factor_orders)
-    if len(factor_orders) == 1:
-        return cyclic_group(factor_orders[0], name, max_order)
-    head = abelian_group(factor_orders[:-1], max_order=max_order)
-    last = cyclic_group(factor_orders[-1], max_order=max_order)
-    return direct_product(head, last, name=name, max_order=max_order)
+    table = _abelian_table(factor_orders, max_order)
+    return from_cayley_table(*table, name=name, max_order=max_order)
 
 
-def dihedral_group(m: int, name: str | None = None) -> Group:
-    """Dihedral group of order 2m (symmetries of the m-gon)."""
-    elems = [(i, j) for j in (0, 1) for i in range(m)]
-
+def _dihedral_table(m: int) -> Table:
     def mul(a, b):
         (i, j), (k, l) = a, b
         return np.where(j == 0, i + k, i - k) % m, (j + l) % 2
 
-    return _table_group(elems, mul, name or f"D{2 * m}")
+    return _element_table([(i, j) for j in (0, 1) for i in range(m)], mul)
 
 
-def dicyclic_group(m: int, name: str | None = None) -> Group:
-    """Dicyclic group of order 4m; m = 2 gives the quaternion group."""
-    elems = [(i, j) for j in (0, 1) for i in range(2 * m)]
+def dihedral_group(m: int, name: str | None = None) -> Group:
+    """Dihedral group of order 2m (symmetries of the m-gon)."""
+    return from_cayley_table(*_dihedral_table(m), name=name or f"D{2 * m}")
 
+
+def _dicyclic_table(m: int) -> Table:
     def mul(a, b):
         (i, j), (k, l) = a, b
         # a^i x^j * a^k x^l, with x a^k = a^-k x and x^2 = a^m
         return np.where(j == 0, i + k, i - k + m * l) % (2 * m), (j + l) % 2
 
-    return _table_group(elems, mul, name or f"Dic{m}")
+    return _element_table([(i, j) for j in (0, 1) for i in range(2 * m)], mul)
 
 
-def metacyclic_group(n: int, m: int, r: int, name: str | None = None) -> Group:
-    """The split extension <a, b | a^n = b^m = 1, b^-1 a b = a^r>."""
+def dicyclic_group(m: int, name: str | None = None) -> Group:
+    """Dicyclic group of order 4m; m = 2 gives the quaternion group."""
+    return from_cayley_table(*_dicyclic_table(m), name=name or f"Dic{m}")
+
+
+def _metacyclic_table(n: int, m: int, r: int) -> Table:
     if math.gcd(r, n) != 1 or pow(r, m, n) != 1:
         raise ConfigError(f"invalid metacyclic parameters n={n}, m={m}, r={r}")
-    elems = [(j, i) for j in range(m) for i in range(n)]
     powers = np.array([pow(r, j, n) for j in range(m)])
 
     def mul(a, b):
         (j, i), (jp, ip) = a, b
         return (j + jp) % m, (i * powers[jp] + ip) % n
 
-    return _table_group(elems, mul, name or f"C{n}sdC{m}r{r}")
+    return _element_table([(j, i) for j in range(m) for i in range(n)], mul)
+
+
+def metacyclic_group(n: int, m: int, r: int, name: str | None = None) -> Group:
+    """The split extension <a, b | a^n = b^m = 1, b^-1 a b = a^r>."""
+    return from_cayley_table(*_metacyclic_table(n, m, r), name=name or f"C{n}sdC{m}r{r}")
+
+
+def _heisenberg_table(p: int) -> Table:
+    def mul(a, b):
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
+
+    return _element_table([(x, y, z) for x in range(p) for y in range(p) for z in range(p)], mul)
 
 
 def heisenberg_group(p: int, name: str | None = None) -> Group:
     """Upper unitriangular 3x3 matrices over the field with p elements."""
-    elems = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
+    return from_cayley_table(*_heisenberg_table(p), name=name or f"Heis{p}")
 
-    def mul(a, b):
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
 
-    return _table_group(elems, mul, name or f"Heis{p}")
+def _identity(table: np.ndarray) -> int:
+    return int(np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0])
+
+
+def _central_product_table(g: np.ndarray, h: np.ndarray, zg: int, zh: int) -> Table:
+    """The table of G x H over its central subgroup <(zg, zh^-1)>, on least-index
+    coset representatives; the result has no labels.
+
+    :class:`NotNormal` unless zg is central in G and zh in H.
+    """
+    for name, table, z in (("zg", g, zg), ("zh", h, zh)):
+        if not 0 <= z < len(table):
+            raise NotAGroup(f"{name}={z} is outside [0, {len(table)})")
+        if not np.array_equal(table[z], table[:, z]):
+            raise NotNormal(f"{name}={z} is not central, so it spans no central product")
+    prod, _ = _product_table([(g, None), (h, None)], 4 * DEFAULT_ELEMENT_CAP)
+    e_h = _identity(h)
+    e = _identity(g) * len(h) + e_h
+    diag = zg * len(h) + int(np.flatnonzero(h[zh] == e_h)[0])
+    kernel = [e]
+    x = diag
+    while x != e:
+        kernel.append(x)
+        x = int(prod[x, diag])
+    return _coset_table(prod, kernel)[2], None
 
 
 def central_product(g: Group, h: Group, zg: int, zh: int, name: str) -> Group:
-    """Quotient of G x H identifying the central elements zg and zh."""
-    prod = direct_product(g, h, max_order=4 * DEFAULT_ELEMENT_CAP)
-    diag = zg * h.n + int(h.inv[zh])
-    kernel = prod.subgroup_generated([diag])
-    target = prod.quotient(kernel).target
-    return from_cayley_table(target.mul, name=name)
+    """Quotient of G x H identifying the central elements zg and zh.
+
+    :class:`NotNormal` unless zg is central in G and zh in H.
+    """
+    return from_cayley_table(*_central_product_table(g.mul, h.mul, zg, zh), name=name)
 
 
-def _central_involution(group: Group) -> int:
-    p = group.p_group_prime() or 2
-    for z in group.center().members:
-        if group.element_order(z) == p:
-            return z
-    raise ConfigError(f"{group.name} has no central element of order {p}")
+def _central_involution(table: np.ndarray) -> int:
+    """The least-index central element of order 2."""
+    e = _identity(table)
+    idx = np.arange(len(table))
+    hits = (table == table.T).all(axis=1) & (table[idx, idx] == e) & (idx != e)
+    return int(np.flatnonzero(hits)[0])
 
 
-def _cp(a: Group, b: Group, name: str) -> Group:
-    return central_product(a, b, _central_involution(a), _central_involution(b), name)
+def _cp(a: Table, b: Table) -> Table:
+    """The central product of two 2-group tables over their first central involutions."""
+    return _central_product_table(a[0], b[0], _central_involution(a[0]), _central_involution(b[0]))
 
 
 def catalog() -> dict[str, Callable[[], Group]]:
@@ -193,76 +240,85 @@ def catalog() -> dict[str, Callable[[], Group]]:
     The corpus mixes the class-2 study subjects (dihedral/quaternion groups,
     modular and extraspecial-style groups, Heisenberg groups, products and
     central products) with abelian, higher-class, and non-prime-power
-    negative controls.  Each entry hands its name to the builder that makes
-    its final table, so every table is validated once.
+    negative controls.  Each entry composes raw tables and runs the Group
+    constructor once, on its final table.
     """
-    entries: dict[str, Callable[[], Group]] = {}
 
-    def add(name: str, build: Callable[[str], Group]) -> None:
-        entries[name] = partial(build, name)
+    def cyc(k: int) -> Callable[[], Table]:
+        return partial(_cyclic_table, k)
 
-    # abelian p-groups (controls for the non-abelian criteria)
-    add("C2", lambda name: cyclic_group(2, name))
-    add("C4", lambda name: cyclic_group(4, name))
-    add("C8", lambda name: cyclic_group(8, name))
-    add("C16", lambda name: cyclic_group(16, name))
-    add("C2xC2", lambda name: abelian_group([2, 2], name))
-    add("C2xC4", lambda name: abelian_group([2, 4], name))
-    add("C4xC4", lambda name: abelian_group([4, 4], name))
-    add("C2xC2xC2", lambda name: abelian_group([2, 2, 2], name))
-    add("C3", lambda name: cyclic_group(3, name))
-    add("C9", lambda name: cyclic_group(9, name))
-    add("C27", lambda name: cyclic_group(27, name))
-    add("C3xC3", lambda name: abelian_group([3, 3], name))
-    add("C3xC9", lambda name: abelian_group([3, 9], name))
-    add("C5", lambda name: cyclic_group(5, name))
+    def ab(*orders: int) -> Callable[[], Table]:
+        return partial(_abelian_table, orders)
 
-    # class-2 2-groups
-    add("D8", lambda name: dihedral_group(4, name))
-    add("Q8", lambda name: dicyclic_group(2, name))
-    add("M16", lambda name: metacyclic_group(8, 2, 5, name))
-    add("M32", lambda name: metacyclic_group(16, 2, 9, name))
-    add("C4sdC4", lambda name: metacyclic_group(4, 4, 3, name))
-    add("D8cpC4", lambda name: _cp(dihedral_group(4), cyclic_group(4), name))
-    add("D8xC2", lambda name: direct_product(dihedral_group(4), cyclic_group(2), name))
-    add("Q8xC2", lambda name: direct_product(dicyclic_group(2), cyclic_group(2), name))
-    add("D8xC4", lambda name: direct_product(dihedral_group(4), cyclic_group(4), name))
-    add("Q8xC4", lambda name: direct_product(dicyclic_group(2), cyclic_group(4), name))
-    add("M16xC2", lambda name: direct_product(metacyclic_group(8, 2, 5), cyclic_group(2), name))
-    add("C4sdC4xC2", lambda name: direct_product(metacyclic_group(4, 4, 3), cyclic_group(2), name))
-    add("D8xC2xC2", lambda name: direct_product(
-        direct_product(dihedral_group(4), cyclic_group(2)), cyclic_group(2), name))
-    add("Q8xC2xC2", lambda name: direct_product(
-        direct_product(dicyclic_group(2), cyclic_group(2)), cyclic_group(2), name))
-    add("D8cpD8", lambda name: _cp(dihedral_group(4), dihedral_group(4), name))
-    add("D8cpQ8", lambda name: _cp(dihedral_group(4), dicyclic_group(2), name))
-    add("D8xC8", lambda name: direct_product(dihedral_group(4), cyclic_group(8), name))
-    add("M16xC4", lambda name: direct_product(metacyclic_group(8, 2, 5), cyclic_group(4), name))
-    add("D8xQ8", lambda name: direct_product(dihedral_group(4), dicyclic_group(2), name))
-    add("D8xD8", lambda name: direct_product(dihedral_group(4), dihedral_group(4), name))
-    add("Q8xQ8", lambda name: direct_product(dicyclic_group(2), dicyclic_group(2), name))
-    add("D8cpD8xC2", lambda name: direct_product(
-        _cp(dihedral_group(4), dihedral_group(4), "D8cpD8"), cyclic_group(2), name))
+    def prod(*factors: Callable[[], Table]) -> Callable[[], Table]:
+        return lambda: _product_table([f() for f in factors])
 
-    # class-2 odd-order groups
-    add("Heis3", lambda name: heisenberg_group(3, name))
-    add("M27", lambda name: metacyclic_group(9, 3, 4, name))
-    add("Heis3xC3", lambda name: direct_product(heisenberg_group(3), cyclic_group(3), name))
-    add("M27xC3", lambda name: direct_product(metacyclic_group(9, 3, 4), cyclic_group(3), name))
-    add("C9sdC9", lambda name: metacyclic_group(9, 9, 4, name))
-    add("Heis3cpC9", lambda name: central_product(
-        heisenberg_group(3), cyclic_group(9), 2, 3, name))
-    add("Heis5", lambda name: heisenberg_group(5, name))
+    def cp(a: Callable[[], Table], b: Callable[[], Table]) -> Callable[[], Table]:
+        return lambda: _cp(a(), b())
 
-    # higher-class and non-prime-power controls
-    add("D16", lambda name: dihedral_group(8, name))
-    add("SD16", lambda name: metacyclic_group(8, 2, 3, name))
-    add("Q16", lambda name: dicyclic_group(4, name))
-    add("D32", lambda name: dihedral_group(16, name))
-    add("S3", lambda name: dihedral_group(3, name))
-    add("C6", lambda name: cyclic_group(6, name))
+    d8, q8 = partial(_dihedral_table, 4), partial(_dicyclic_table, 2)
+    m16, c4sdc4 = partial(_metacyclic_table, 8, 2, 5), partial(_metacyclic_table, 4, 4, 3)
+    heis3, m27 = partial(_heisenberg_table, 3), partial(_metacyclic_table, 9, 3, 4)
+    tables: dict[str, Callable[[], Table]] = {
+        # abelian p-groups (controls for the non-abelian criteria)
+        "C2": cyc(2),
+        "C4": cyc(4),
+        "C8": cyc(8),
+        "C16": cyc(16),
+        "C2xC2": ab(2, 2),
+        "C2xC4": ab(2, 4),
+        "C4xC4": ab(4, 4),
+        "C2xC2xC2": ab(2, 2, 2),
+        "C3": cyc(3),
+        "C9": cyc(9),
+        "C27": cyc(27),
+        "C3xC3": ab(3, 3),
+        "C3xC9": ab(3, 9),
+        "C5": cyc(5),
+        # class-2 2-groups
+        "D8": d8,
+        "Q8": q8,
+        "M16": m16,
+        "M32": partial(_metacyclic_table, 16, 2, 9),
+        "C4sdC4": c4sdc4,
+        "D8cpC4": cp(d8, cyc(4)),
+        "D8xC2": prod(d8, cyc(2)),
+        "Q8xC2": prod(q8, cyc(2)),
+        "D8xC4": prod(d8, cyc(4)),
+        "Q8xC4": prod(q8, cyc(4)),
+        "M16xC2": prod(m16, cyc(2)),
+        "C4sdC4xC2": prod(c4sdc4, cyc(2)),
+        "D8xC2xC2": prod(d8, cyc(2), cyc(2)),
+        "Q8xC2xC2": prod(q8, cyc(2), cyc(2)),
+        "D8cpD8": cp(d8, d8),
+        "D8cpQ8": cp(d8, q8),
+        "D8xC8": prod(d8, cyc(8)),
+        "M16xC4": prod(m16, cyc(4)),
+        "D8xQ8": prod(d8, q8),
+        "D8xD8": prod(d8, d8),
+        "Q8xQ8": prod(q8, q8),
+        "D8cpD8xC2": prod(cp(d8, d8), cyc(2)),
+        # class-2 odd-order groups
+        "Heis3": heis3,
+        "M27": m27,
+        "Heis3xC3": prod(heis3, cyc(3)),
+        "M27xC3": prod(m27, cyc(3)),
+        "C9sdC9": partial(_metacyclic_table, 9, 9, 4),
+        "Heis3cpC9": lambda: _central_product_table(heis3()[0], _cyclic_table(9)[0], 2, 3),
+        "Heis5": partial(_heisenberg_table, 5),
+        # higher-class and non-prime-power controls
+        "D16": partial(_dihedral_table, 8),
+        "SD16": partial(_metacyclic_table, 8, 2, 3),
+        "Q16": partial(_dicyclic_table, 4),
+        "D32": partial(_dihedral_table, 16),
+        "S3": partial(_dihedral_table, 3),
+        "C6": cyc(6),
+    }
 
-    return entries
+    def entry(name: str, make: Callable[[], Table]) -> Callable[[], Group]:
+        return lambda: from_cayley_table(*make(), name=name)
+
+    return {name: entry(name, make) for name, make in tables.items()}
 
 
 def catalog_group(name: str) -> Group:
@@ -292,10 +348,9 @@ def group_file_text(group: Group, name: str | None = None) -> str:
 def _int_rows(doc: dict, key: str) -> list[list[int]]:
     """Field ``key`` of a group document, which must be a list of lists of integers."""
     rows = doc[key]
+    # set(map(type, row)) tests a row's cells at C speed; type(True) is bool, not int
     if not isinstance(rows, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
-        for row in rows
+        isinstance(row, list) and set(map(type, row)) <= {int} for row in rows
     ):
         raise ParseError(f"field {key!r} must be a list of lists of integers")
     return rows
@@ -584,16 +639,23 @@ def _report_from_json_dict(doc: dict) -> GroupReport:
 
 
 def _cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
-    payload = json.dumps(
+    """sha256 of a JSON header (version, name, order, check set, budget) followed
+    by the table as little-endian uint16 bytes.  The header's ``n`` fixes the
+    table's length, and a scan keeps n within the element cap, so uint16
+    holds every entry and the bytes decode one way only."""
+    header = json.dumps(
         {
             "version": __version__,
-            "group": serialize_group(group),
+            "name": group.name,
+            "n": group.n,
             "checks": sorted(set(checks)),
             "budget": budget,
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(header.encode("utf-8"))
+    digest.update(group.mul.astype("<u2").tobytes())
+    return digest.hexdigest()
 
 
 def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:

@@ -37,6 +37,9 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 512
 
+# A raw multiplication table and its optional element labels, before validation.
+Table = tuple[np.ndarray, tuple[str, ...] | None]
+
 
 def _right_closure_generators(mul: np.ndarray, start: Iterable[int] = ()) -> list[int]:
     """Elements picked in index order, each whenever it falls outside the set
@@ -108,6 +111,20 @@ def _associativity_failure(mul: np.ndarray) -> tuple[int, int, int] | None:
             x, z = np.argwhere(left != right)[0]
             return int(x), int(s), int(z)
     return None
+
+
+def _coset_table(
+    mul: np.ndarray, members: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quotient of the group table ``mul`` by its normal subgroup ``members``,
+    on least-index coset representatives ranked in index order: the
+    representatives, the projection (element -> rank of its coset) and the
+    quotient's table.  Normality is the caller's to check."""
+    rep_of = mul[:, np.asarray(members, dtype=np.int64)].min(axis=1)
+    reps = np.unique(rep_of)
+    rank = np.full(len(mul), -1, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
+    return reps, rank[rep_of], rank[rep_of[mul[np.ix_(reps, reps)]]]
 
 
 class _Cached:
@@ -386,13 +403,7 @@ class Group(_Cached):
             raise NotNormal(
                 f"subgroup of {self.name} is not normal: conjugate of {m} by {g} falls outside"
             )
-        members = np.asarray(kernel.members, dtype=np.int64)
-        rep_of = self.mul[:, members].min(axis=1)
-        reps = np.unique(rep_of)
-        rank = np.full(self.n, -1, dtype=np.int64)
-        rank[reps] = np.arange(len(reps))
-        proj = tuple(int(i) for i in rank[rep_of])
-        table = rank[rep_of[self.mul[np.ix_(reps, reps)]]]
+        reps, proj, table = _coset_table(self.mul, kernel.members)
         labels = None
         if self.labels is not None:
             labels = tuple(f"{self.labels[int(r)]}·K" for r in reps)
@@ -668,11 +679,24 @@ def direct_product(
     max_order: int = DEFAULT_ELEMENT_CAP,
 ) -> Group:
     """Componentwise product; the pair (a, b) gets index ``a*|H| + b``."""
-    n = g.n * h.n
-    if n > max_order:
-        raise SizeLimitExceeded(f"product order {n} exceeds the element cap {max_order}")
-    table = (g.mul[:, None, :, None] * h.n + h.mul[None, :, None, :]).reshape(n, n)
-    labels = None
-    if g.labels is not None and h.labels is not None:
-        labels = tuple(f"({a},{b})" for a in g.labels for b in h.labels)
+    table, labels = _product_table([(g.mul, g.labels), (h.mul, h.labels)], max_order)
     return Group(table, labels=labels, name=name or f"{g.name}x{h.name}", max_order=max_order)
+
+
+def _product_table(factors: Sequence[Table], max_order: int = DEFAULT_ELEMENT_CAP) -> Table:
+    """The (table, labels) of the direct product of the factor tables, folded
+    left: the pair (a, b) of the product so far and the next factor H gets
+    index ``a*|H| + b`` and label ``(a,b)``; the labels are None once any
+    factor has none.  :class:`SizeLimitExceeded` as soon as a partial
+    product has more than ``max_order`` elements, before its table is made."""
+    table, labels = factors[0]
+    for mul, more in factors[1:]:
+        n, m = len(table), len(mul)
+        if n * m > max_order:
+            raise SizeLimitExceeded(f"product order {n * m} exceeds the element cap {max_order}")
+        table = (table[:, None, :, None] * m + mul[None, :, None, :]).reshape(n * m, n * m)
+        if labels is not None and more is not None:
+            labels = tuple(f"({a},{b})" for a in labels for b in more)
+        else:
+            labels = None
+    return table, labels

@@ -9,16 +9,32 @@ name as that search's reference, and shares with it only the derivation
 schedule (``_generator_chain``) and the budget error.  Likewise
 :func:`product_closure_generators` is the magma generator search the library
 used before its right-multiplication closure, kept as that search's reference.
+:func:`json_cache_key` is the scan's cache key before it hashed table bytes,
+kept so the digest of every catalog table it pins keeps its value.
 """
 
+import hashlib
+import json
 import math
 from itertools import permutations, product
 from typing import Sequence
 
 import numpy as np
 
+from centauts import __version__
 from centauts.automorphisms import _budget_exceeded, _generator_chain
 from centauts.groups import Group
+
+
+def json_cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
+    """sha256 of one JSON document: the version, the group file (name, format,
+    n and the table as nested lists), the sorted check set and the budget."""
+    doc = {"name": group.name, "format": "cayley", "n": group.n, "table": group.mul.tolist()}
+    payload = json.dumps(
+        {"version": __version__, "group": doc, "checks": sorted(set(checks)), "budget": budget},
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def identity_of(table):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from centauts import (
     scan_corpus,
     serialize_group,
 )
+import centauts.corpus as corpus
 from centauts.cli import main
 from centauts.corpus import (
     _cache_key,
     catalog,
     catalog_group,
+    central_product,
     cyclic_group,
     dicyclic_group,
     dihedral_group,
@@ -27,14 +30,21 @@ from centauts.corpus import (
     heisenberg_group,
     metacyclic_group,
 )
-from centauts.errors import ConfigError, NotAGroup, ParseError
-from oracles import scalar_table
+from centauts.errors import ConfigError, NotAGroup, NotNormal, ParseError
+from centauts.groups import DEFAULT_ELEMENT_CAP, Group
+from oracles import json_cache_key, scalar_table
 
-# sha256 of the concatenated cache keys of every catalog group under the
-# default checks and budget.  A cache key hashes the group's table and name,
-# so this pins every catalog table, its element order and its name; a catalog
-# change that moves it leaves every existing cache directory stale.
+# sha256 of the concatenated JSON cache keys (oracles.json_cache_key) of every
+# catalog group under the default checks and budget.  That key hashes the
+# group's table and name, so this pins every catalog table, its element order
+# and its name, independently of the scan's own key format.
 CATALOG_CACHE_DIGEST = "010591cdd59540da2eb853cedec4a07e4def4e3ca252e8bb924a8edb3d090e26"
+# The same over the scan's cache keys (_cache_key); a change that moves it
+# leaves every existing cache directory stale.
+CATALOG_TABLE_KEY_DIGEST = "74ea5a081359739619235d51f4e953c15e02c1c685b137374c4ed03cb8fc4313"
+# sha256 of the JSON object {entry name: element labels} over the catalog;
+# neither cache key reads labels, so they are pinned on their own.
+CATALOG_LABELS_DIGEST = "b8cedc79c466dbd35d636c994d5532176337be5a37edddd0056da844ef2b8301"
 
 
 def _scalar_builders():
@@ -104,10 +114,64 @@ class TestCatalog:
     def test_entries_carry_their_names(self, groups):
         assert all(g.name == name for name, g in groups.items())
 
-    def test_cache_keys_pin_the_catalog(self):
+    @staticmethod
+    def _catalog_key_digest(key) -> str:
         cfg = RunConfig()
-        keys = "".join(_cache_key(make(), cfg.checks, cfg.budget) for make in catalog().values())
-        assert hashlib.sha256(keys.encode()).hexdigest() == CATALOG_CACHE_DIGEST
+        keys = "".join(key(make(), cfg.checks, cfg.budget) for make in catalog().values())
+        return hashlib.sha256(keys.encode()).hexdigest()
+
+    def test_cache_keys_pin_the_catalog(self):
+        assert self._catalog_key_digest(json_cache_key) == CATALOG_CACHE_DIGEST
+
+    def test_table_byte_keys_pin_the_catalog(self):
+        assert self._catalog_key_digest(_cache_key) == CATALOG_TABLE_KEY_DIGEST
+
+    def test_labels_pin_the_catalog(self):
+        doc = json.dumps({name: make().labels for name, make in catalog().items()})
+        assert hashlib.sha256(doc.encode()).hexdigest() == CATALOG_LABELS_DIGEST
+
+    def test_cache_key_sensitivity(self, monkeypatch):
+        d8 = dihedral_group(4, "D8")
+        checks = ("theorem", "prop1", "lemma3")
+        base = _cache_key(d8, checks, 100)
+        # the key reads only name, n and mul, so one changed entry needs no group
+        mul = d8.mul.copy()
+        mul[3, 5] = (mul[3, 5] + 1) % 8
+        changed = {
+            "name": _cache_key(dihedral_group(4, "D8b"), checks, 100),
+            "table-entry": _cache_key(SimpleNamespace(name="D8", n=8, mul=mul), checks, 100),
+            "checks": _cache_key(d8, checks[:2], 100),
+            "budget": _cache_key(d8, checks, 101),
+        }
+        monkeypatch.setattr(corpus, "__version__", "0.0.0-other")
+        changed["version"] = _cache_key(d8, checks, 100)
+        monkeypatch.undo()
+        assert len({base, *changed.values()}) == 1 + len(changed), changed
+        assert _cache_key(Group(d8.mul.tolist(), name="D8"), checks, 100) == base
+        assert _cache_key(d8, [*reversed(checks), "theorem"], 100) == base
+
+    def test_catalog_validates_each_table_once(self, monkeypatch):
+        built = []
+        init = Group.__init__
+
+        def counting_init(self, table, labels=None, name=None, max_order=DEFAULT_ELEMENT_CAP):
+            built.append(name)
+            init(self, table, labels, name, max_order)
+
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        entries = catalog()
+        for make in entries.values():
+            make()
+        assert built == list(entries) and len(built) == 49
+
+    def test_central_product_needs_central_elements(self):
+        d8, c4 = dihedral_group(4), cyclic_group(4)
+        assert central_product(d8, c4, 2, 2, "D8cpC4").same_table(catalog_group("D8cpC4"))
+        assert central_product(d8, c4, 2, 2, "D8cpC4").n == 16
+        with pytest.raises(NotNormal, match="zg=1 is not central"):
+            central_product(d8, c4, 1, 2, "bad")
+        with pytest.raises(NotNormal, match="zh=1 is not central"):
+            central_product(c4, d8, 2, 1, "bad")
 
     def test_builders_match_scalar_reference(self):
         for group, elements, mul in _scalar_builders():
@@ -120,6 +184,23 @@ class TestCatalog:
 
 
 class TestGroupFiles:
+    @pytest.mark.parametrize(
+        "cell", ["true", "false", "1.0", '"1"', "[1]"],
+        ids=["bool-true", "bool-false", "float", "string", "nested-list"],
+    )
+    @pytest.mark.parametrize(
+        "field, doc",
+        [
+            ("table", '{{"format": "cayley", "table": [[0, 1], [1, {cell}]]}}'),
+            ("generators", '{{"format": "perm", "degree": 2, "generators": [[{cell}, 0]]}}'),
+        ],
+        ids=["table", "generators"],
+    )
+    def test_non_integer_cells_are_rejected(self, field, doc, cell):
+        message = f"^field '{field}' must be a list of lists of integers$"
+        with pytest.raises(ParseError, match=message):
+            parse_group_text(doc.format(cell=cell))
+
     def test_parse_cayley_c2(self):
         g = parse_group_text('{"name": "C2", "format": "cayley", "n": 2, "table": [[0,1],[1,0]]}')
         assert g.n == 2 and g.name == "C2"
