@@ -10,12 +10,17 @@ homomorphism (an automorphism, with the prune).
 Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.
 
-The central automorphisms are built from Hom(G/[G,G], Z(G)) alone (see
-:func:`autcent`); the full automorphism group, :func:`all_automorphisms`, is
-the independent oracle the tests compare them against.  A set of Homs into a
-central subgroup and an :class:`AutSet` are both ``k x n`` arrays of element
-indices, one value table per row, so Autcent and its filters are array
-operations.
+The central automorphisms come from Hom(G/[G,G], Z(G)) alone, searched once
+per central target at the abelianization's width.  The checks read a count,
+not a set: one chunked pass maps every row f to x -> x f(x), compares the
+inverse-image criterion with direct bijectivity on each row, and keeps only
+|Autcent(G)| (:func:`autcent_order`, a checked count), the accepted mask and
+the small set Aut^Z_Z(G) (:func:`center_fixing_autcent`).  :func:`autcent`
+still materializes the whole set, as the oracle of that count, and the full
+automorphism group, :func:`all_automorphisms`, is the independent oracle the
+tests compare both against.  A set of Homs into a central subgroup and an
+:class:`AutSet` are both ``k x n`` arrays of element indices, one value table
+per row, so Autcent and its filters are array operations.
 """
 
 from __future__ import annotations
@@ -454,7 +459,7 @@ def is_central_automorphism(group: Group, aut: Automorphism) -> bool:
 
 
 def autcent(group: Group, budget: int | None = None) -> AutSet:
-    """The central automorphisms, built from Hom(G/[G,G], Z(G)).
+    """The central automorphisms, built from Hom(G/[G,G], Z(G)) and materialized.
 
     A central automorphism is exactly a bijective map x -> x f(x) with f a
     homomorphism from G into Z(G) (Adney and Yen, Illinois J. Math. 9, 1965),
@@ -463,9 +468,10 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     :func:`alpha_from_f`, inverse-image criterion against bijectivity
     included, without enumerating the full automorphism group.  The kept
     rows are sorted into the :class:`AutSet` table array.  The budget bounds
-    that Hom search and applies on every call, cached or not.  The tests
-    compare the result with the centrality filter and the Inn-centralizer
-    test over :func:`all_automorphisms`.
+    that Hom search and applies on every call, cached or not.  The checks
+    read :func:`autcent_order` and :func:`center_fixing_autcent` instead;
+    this set is their oracle, and the tests compare it with the centrality
+    filter and the Inn-centralizer test over :func:`all_automorphisms`.
     """
     homs = homs_to_central_subgroup(group, group.center(), budget)
 
@@ -476,15 +482,86 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     return group._cached("autcent", compute)
 
 
-def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
-    """Aut^Z_Z(G): the rows of :func:`autcent` fixing Z(G) element-wise, cached.
+# Hom(G^ab, Z) rows mapped to alpha_f at a time: bounds the ``chunk x n``
+# temporaries of the central pass, whatever the size of Autcent.
+_ALPHA_CHUNK = 65_536
 
-    The budget applies on every call, as in :func:`autcent`.  For M <= Z(G),
-    Aut^M_Z(G) is this set filtered by :func:`aut_fixing_quotient`: an
-    automorphism trivial on G/M is trivial on G/Z(G), so it is central.
+
+@dataclass(frozen=True)
+class _CentralPass:
+    """What the checks read of Autcent(G), from one pass over Hom(G^ab, Z(G)).
+
+    ``order`` is |Autcent(G)|, ``accepted`` marks the rows of
+    :func:`_ab_homs` into Z(G) whose x -> x f(x) is bijective, and
+    ``center_fixing`` is Aut^Z_Z(G) as a canonical :class:`AutSet`.
     """
-    ac = autcent(group, budget)
-    return group._cached("center_fixing", lambda: aut_fixing_subgroup(group, group.center(), ac))
+
+    order: int
+    accepted: np.ndarray
+    center_fixing: AutSet
+
+
+def _central_pass(group: Group, budget: int | None) -> _CentralPass:
+    """Every row of Hom(G^ab, Z(G)), in chunks of :data:`_ALPHA_CHUNK`, pulled
+    back to G and mapped to alpha_f by :func:`_alpha_tables`, which compares
+    the inverse-image criterion with direct bijectivity on each row.  Only
+    the count, the accepted mask and the Z-fixing images are kept; the
+    result is cached, and the budget of the Hom search applies on every call.
+    """
+    center = group.center()
+    tables = _ab_homs(group, center, budget)
+
+    def compute():
+        zcols = np.asarray(center.members)
+        accepted = np.empty(len(tables), dtype=bool)
+        fixing = []
+        for start in range(0, len(tables), _ALPHA_CHUNK):
+            homs = _pull_back(group, center, tables[start : start + _ALPHA_CHUNK])
+            images, ok = _alpha_tables(group, homs)
+            accepted[start : start + len(homs)] = ok
+            fixing.append(images[ok & (homs[:, zcols] == group.identity).all(axis=1)])
+        return _CentralPass(
+            order=int(accepted.sum()),
+            accepted=_readonly(accepted),
+            center_fixing=AutSet._of(group, _canonical(np.concatenate(fixing))),
+        )
+
+    return group._cached("central_pass", compute)
+
+
+def autcent_order(group: Group, budget: int | None = None) -> int:
+    """|Autcent(G)|, counted without materializing the set.
+
+    A checked count: every row of Hom(G/[G,G], Z(G)) is mapped to x -> x f(x)
+    and the inverse-image criterion is compared with direct bijectivity, as
+    in :func:`autcent`, but only the accepted rows are counted.  The budget
+    applies on every call, cached or not.
+    """
+    return _central_pass(group, budget).order
+
+
+def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
+    """Aut^Z_Z(G): the central automorphisms fixing Z(G) element-wise, cached.
+
+    Read off the same pass as :func:`autcent_order` (the rows with f = 1 on
+    Z(G)), so Autcent itself is never materialized; the tests compare it
+    with the Z-fixing rows of :func:`autcent`.  The budget applies on every
+    call.  For M <= Z(G), Aut^M_Z(G) is this set filtered by
+    :func:`aut_fixing_quotient`: an automorphism trivial on G/M is trivial
+    on G/Z(G), so it is central.
+    """
+    return _central_pass(group, budget).center_fixing
+
+
+def _aut_quotient_count(group: Group, target: Subgroup, budget: int | None) -> int:
+    """|Aut^M(G)| for a central M: the accepted rows of Hom(G^ab, Z(G)) with
+    every value in M, counted from the mask of :func:`_central_pass`."""
+    center = group.center()
+    accepted = _central_pass(group, budget).accepted
+    tables = _ab_homs(group, center, budget)
+    in_target = np.zeros(len(center), dtype=bool)
+    in_target[np.searchsorted(center.members, target.members)] = True
+    return int(np.count_nonzero(accepted & in_target[tables].all(axis=1)))
 
 
 def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSet:
@@ -526,22 +603,19 @@ def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet
     return AutSet._of(group, _readonly(tables[keep]))
 
 
-def homs_to_central_subgroup(
-    group: Group, target: Subgroup, budget: int | None = None
-) -> np.ndarray:
-    """Value tables of every homomorphism from the group into a central subgroup.
+def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
+    """Hom(G/[G,G], M) for a central subgroup M, at the abelianization's width.
 
-    The result is one read-only ``k x n`` array in the dtype of
-    :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
-    rows sorted lexicographically.  The target must be a central subgroup of
-    the group (:class:`NotCentral` otherwise).  Because it is abelian these maps
-    coincide with homomorphisms from the abelianization, which is where the
-    enumeration runs; the search-verified tables are pulled back through the
-    quotient map as ``members[tables[:, projection]]`` and not checked again.
-    For a p-group their number is checked against the Hom order of the two
-    invariant types.  The budget bounds the enumeration; its attempt count
-    is cached with the result, so a later call with a smaller budget raises
-    exactly as a fresh search would.
+    The one search behind every Hom set into a central subgroup: a read-only
+    ``k x |G^ab|`` array whose row i is the value table of the i-th
+    homomorphism, as indices into ``target.members`` (the elements of
+    ``target.as_group()``), rows sorted lexicographically.  A homomorphism
+    into an abelian group factors through G^ab, so these are all of
+    Hom(G, M).  The target must be central (:class:`NotCentral`
+    otherwise).  For a p-group their number is checked against the Hom order
+    of the two invariant types.  The budget bounds the enumeration; its
+    attempt count is cached with the result, so a later call with a smaller
+    budget raises exactly as a fresh search would.
     """
     if not (group.same_table(target.parent) and target.is_central()):
         raise NotCentral(f"subgroup of {group.name} is not central")
@@ -549,42 +623,79 @@ def homs_to_central_subgroup(
     what = f"homomorphism search for {group.name}"
 
     def compute():
-        ab = group.abelianization()
+        ab = group.abelianization().target
         target_group = target.as_group()
-        tables, attempts, naive_space = _hom_search(ab.target, target_group, limit, what)
+        tables, attempts, naive_space = _hom_search(ab, target_group, limit, what)
         p = group.p_group_prime()
         if p is not None:
-            expected = hom_order(invariants(ab.target, p), invariants(target_group, p))
+            expected = hom_order(invariants(ab, p), invariants(target_group, p))
             if len(tables) != expected:
                 raise InternalDisagreement(
                     f"enumerated {len(tables)} homomorphisms from the abelianization "
                     f"of {group.name} into a central subgroup, Hom order is {expected}"
                 )
-        dtype = _index_dtype(group.n)
-        members = np.asarray(target.members, dtype=dtype)
-        homs = _canonical(members[tables[:, list(ab.projection)]])
-        return homs, attempts, naive_space
+        return tables, attempts, naive_space
 
-    return _cached_search(group, ("central_homs", target.members), limit, what, compute)
+    return _cached_search(group, ("ab_homs", target.members), limit, what, compute)
+
+
+def _projection(group: Group) -> np.ndarray:
+    """The projection G -> G/[G,G] as a read-only index array, cached."""
+    return group._cached(
+        "ab_projection", lambda: _readonly(np.asarray(group.abelianization().projection))
+    )
+
+
+def _pull_back(group: Group, target: Subgroup, tables: np.ndarray) -> np.ndarray:
+    """Rows of :func:`_ab_homs` as value tables on G, ``members[tables][:, projection]``.
+
+    The pull-back keeps the rows sorted and distinct: the projection ranks
+    cosets by least representative, so the first element of G on which two
+    pulled-back rows differ lies in the least coset on which the rows
+    differ, and ``target.members`` is ascending.
+    """
+    members = np.asarray(target.members, dtype=_index_dtype(group.n))
+    return members[tables][:, _projection(group)]
+
+
+def homs_to_central_subgroup(
+    group: Group, target: Subgroup, budget: int | None = None
+) -> np.ndarray:
+    """Value tables of every homomorphism from the group into a central subgroup.
+
+    The result is one read-only ``k x n`` array in the dtype of
+    :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
+    rows distinct and sorted lexicographically.  The target must be a
+    central subgroup of the group (:class:`NotCentral` otherwise).  The rows
+    are those of :func:`_ab_homs`, whose search runs on the abelianization,
+    pulled back through the quotient map on each call; the search-verified
+    tables are not checked again, and the pull-back keeps their order (see
+    :func:`_pull_back`).  The budget bounds the enumeration and applies on
+    every call, cached or not.
+    """
+    return _readonly(_pull_back(group, target, _ab_homs(group, target, budget)))
 
 
 def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Images of x -> x * f(x) for every row f of a ``k x n`` Hom array, and which are bijective.
 
-    Each row must be the value table of a homomorphism into a central
-    subgroup; it is not checked again.  Returns the ``k x n`` image array
-    ``mul[x, f(x)]`` and a length-k mask of the accepted rows.  A row is
-    accepted iff no non-trivial m in the image of f has f(m) = m^-1 (the
-    image is a subgroup, so this covers the whole target); the criterion is
-    compared with bijectivity of the image row, read off the sorted row, and
-    any disagreement raises :class:`InternalDisagreement`.
+    Each row must be the value table of a homomorphism into the center; it
+    is not checked again.  Returns the ``k x n`` image array ``mul[x, f(x)]``
+    and a length-k mask of the accepted rows.  A row is accepted iff no
+    non-trivial z in Z(G) has f(z) = z^-1, read on the center's columns
+    alone (were m = f(x) such an element, so is m; were z one, f(z) = z^-1
+    lies in the image).  The criterion is compared with bijectivity of the
+    image row, tested by marking each row's images and requiring every
+    element marked, and any disagreement raises :class:`InternalDisagreement`.
     """
     mul, inv = _index_tables(group)
     n = group.n
     images = mul[np.arange(n), homs]
-    bijective = (np.sort(images, axis=1) == np.arange(n)).all(axis=1)
-    inverted = (homs != group.identity) & (np.take_along_axis(homs, homs, axis=1) == inv[homs])
-    accepted = ~inverted.any(axis=1)
+    hit = np.zeros(homs.shape, dtype=bool)
+    hit[np.arange(len(homs))[:, None], images] = True
+    bijective = hit.all(axis=1)
+    zcols = np.array([z for z in group.center().members if z != group.identity], dtype=np.intp)
+    accepted = ~(homs[:, zcols] == inv[zcols]).any(axis=1)
     if not np.array_equal(accepted, bijective):
         raise InternalDisagreement(
             "the inverse-image criterion and direct bijectivity disagree "
@@ -633,21 +744,27 @@ def abelian_factor_split(
 
     An abelian direct factor is central, so G = H x A holds exactly when the
     projection onto A is an idempotent non-zero f in Hom(G, Z(G)) with
-    H = ker f and A = im f.  The splits are read off
-    :func:`homs_to_central_subgroup`, whose budget applies on every call, and
-    the one least by (|A|, A.members, H.members) is returned.  The tests
-    compare it with a walk over pairs of normal subgroups.
+    H = ker f and A = im f.  The splits are read off :func:`_ab_homs` at
+    G^ab width, whose budget applies on every call: with f = F o pi and
+    c = pi o iota the map of Z(G) into G^ab, f is idempotent iff
+    F(c(F(y))) = F(y) for every y in G^ab.  The one split least by
+    (|A|, A.members, H.members) is returned.  The tests compare it with the
+    same reading of the value tables on G and with a walk over pairs of
+    normal subgroups.
     """
-    homs = homs_to_central_subgroup(group, group.center(), budget)
+    center = group.center()
+    tables = _ab_homs(group, center, budget)
 
     def compute():
-        e = group.identity
-        idempotent = (np.take_along_axis(homs, homs, axis=1) == homs).all(axis=1)
-        nonzero = (homs != e).any(axis=1)
+        projection = _projection(group)
+        zero = center.members.index(group.identity)
+        through = tables[:, projection[list(center.members)]]  # F o c
+        idempotent = (np.take_along_axis(through, tables, axis=1) == tables).all(axis=1)
+        nonzero = (tables != zero).any(axis=1)
         splits = []
-        for f in homs[idempotent & nonzero].tolist():
-            image = tuple(sorted(set(f)))
-            kernel = tuple(x for x, y in enumerate(f) if y == e)
+        for row in tables[idempotent & nonzero].tolist():
+            image = tuple(center.members[v] for v in sorted(set(row)))
+            kernel = tuple(np.flatnonzero(np.asarray(row)[projection] == zero).tolist())
             splits.append((len(image), image, kernel))
         if not splits:
             return None
@@ -712,15 +829,17 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     """Check |Hom(G, M)| = |Aut^M(G)| and |Aut^M_Z(G)| = |Hom(G/Z, M)|.
 
     The first equality is only claimed when M lies in the kernel of every
-    homomorphism G -> M; that hypothesis is tested and reported rather than
-    assumed.
+    homomorphism G -> M; that hypothesis is tested, on the rows of
+    :func:`_ab_homs` at the columns pi(M), and reported rather than assumed.
+    |Aut^M(G)| is counted from the accepted mask of the pass behind
+    :func:`autcent_order`: an automorphism acting trivially on G/M, M
+    central, is central.
     """
-    homs = homs_to_central_subgroup(group, target, budget)
-    e = group.identity
-    hypothesis = bool((homs[:, list(target.members)] == e).all())
+    tables = _ab_homs(group, target, budget)
+    zero = target.members.index(group.identity)
+    hypothesis = bool((tables[:, _projection(group)[list(target.members)]] == zero).all())
 
-    # an automorphism acting trivially on G/M, M central, is central
-    aut_quotient = aut_fixing_quotient(group, target, autcent(group, budget))
+    aut_quotient_count = _aut_quotient_count(group, target, budget)
     center_fixing = aut_fixing_quotient(group, target, center_fixing_autcent(group, budget))
     center_homs = _independent_hom_count(
         group.center_quotient().target, target.as_group(), budget
@@ -730,9 +849,9 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
         group=group.name,
         target_members=target.members,
         hypothesis_holds=hypothesis,
-        hom_count=len(homs),
-        aut_quotient_count=len(aut_quotient),
-        counts_match=(len(homs) == len(aut_quotient)) if hypothesis else None,
+        hom_count=len(tables),
+        aut_quotient_count=aut_quotient_count,
+        counts_match=(len(tables) == aut_quotient_count) if hypothesis else None,
         center_fixing_count=len(center_fixing),
         center_hom_count=center_homs,
         natural_iso_matches=len(center_fixing) == center_homs,
@@ -757,11 +876,15 @@ class Lemma0aReport:
 
 
 def verify_lemma0a(group: Group, budget: int | None = None) -> Lemma0aReport:
-    """For purely non-abelian groups, |Autcent(G)| must equal |Hom(G/[G,G], Z(G))|."""
-    if not is_purely_nonabelian(group, budget):
+    """For purely non-abelian groups, |Autcent(G)| must equal |Hom(G/[G,G], Z(G))|.
+
+    A non-trivial abelian group is its own abelian direct factor, so it
+    raises :class:`NotPurelyNonabelian` before any search.
+    """
+    if group.n > 1 and group.is_abelian() or not is_purely_nonabelian(group, budget):
         raise NotPurelyNonabelian(f"{group.name} has a non-trivial abelian direct factor")
-    ac = autcent(group, budget)
+    order = autcent_order(group, budget)
     homs = _independent_hom_count(
         group.abelianization().target, group.center().as_group(), budget
     )
-    return Lemma0aReport(group=group.name, autcent_order=len(ac), hom_count=homs)
+    return Lemma0aReport(group=group.name, autcent_order=order, hom_count=homs)

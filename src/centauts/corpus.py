@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from .groups import (
     Group,
     Table,
     _coset_table,
+    _order_prime,
+    _permutation_table,
     _product_table,
-    direct_product,
     from_cayley_table,
-    from_permutation_generators,
 )
 from .theory import (
     ConditionSide,
@@ -234,14 +234,24 @@ def _cp(a: Table, b: Table) -> Table:
     return _central_product_table(a[0], b[0], _central_involution(a[0]), _central_involution(b[0]))
 
 
-def catalog() -> dict[str, Callable[[], Group]]:
-    """Named constructors for the built-in corpus, in deterministic order.
+class _CatalogEntry(NamedTuple):
+    """A catalog entry before it is built: its order, its prime (None unless
+    the order is a prime power) and the table step that builds it."""
+
+    order: int
+    prime: int | None
+    table: Callable[[], Table]
+
+
+def _catalog_entries() -> dict[str, _CatalogEntry]:
+    """The built-in corpus as unbuilt entries, in deterministic order.
 
     The corpus mixes the class-2 study subjects (dihedral/quaternion groups,
     modular and extraspecial-style groups, Heisenberg groups, products and
     central products) with abelian, higher-class, and non-prime-power
-    negative controls.  Each entry composes raw tables and runs the Group
-    constructor once, on its final table.
+    negative controls.  Each entry declares its order, so a scan filters on
+    order and prime before any table is made; the tests check every
+    declaration against the built group.
     """
 
     def cyc(k: int) -> Callable[[], Table]:
@@ -259,66 +269,76 @@ def catalog() -> dict[str, Callable[[], Group]]:
     d8, q8 = partial(_dihedral_table, 4), partial(_dicyclic_table, 2)
     m16, c4sdc4 = partial(_metacyclic_table, 8, 2, 5), partial(_metacyclic_table, 4, 4, 3)
     heis3, m27 = partial(_heisenberg_table, 3), partial(_metacyclic_table, 9, 3, 4)
-    tables: dict[str, Callable[[], Table]] = {
+    tables: dict[str, tuple[int, Callable[[], Table]]] = {
         # abelian p-groups (controls for the non-abelian criteria)
-        "C2": cyc(2),
-        "C4": cyc(4),
-        "C8": cyc(8),
-        "C16": cyc(16),
-        "C2xC2": ab(2, 2),
-        "C2xC4": ab(2, 4),
-        "C4xC4": ab(4, 4),
-        "C2xC2xC2": ab(2, 2, 2),
-        "C3": cyc(3),
-        "C9": cyc(9),
-        "C27": cyc(27),
-        "C3xC3": ab(3, 3),
-        "C3xC9": ab(3, 9),
-        "C5": cyc(5),
+        "C2": (2, cyc(2)),
+        "C4": (4, cyc(4)),
+        "C8": (8, cyc(8)),
+        "C16": (16, cyc(16)),
+        "C2xC2": (4, ab(2, 2)),
+        "C2xC4": (8, ab(2, 4)),
+        "C4xC4": (16, ab(4, 4)),
+        "C2xC2xC2": (8, ab(2, 2, 2)),
+        "C3": (3, cyc(3)),
+        "C9": (9, cyc(9)),
+        "C27": (27, cyc(27)),
+        "C3xC3": (9, ab(3, 3)),
+        "C3xC9": (27, ab(3, 9)),
+        "C5": (5, cyc(5)),
         # class-2 2-groups
-        "D8": d8,
-        "Q8": q8,
-        "M16": m16,
-        "M32": partial(_metacyclic_table, 16, 2, 9),
-        "C4sdC4": c4sdc4,
-        "D8cpC4": cp(d8, cyc(4)),
-        "D8xC2": prod(d8, cyc(2)),
-        "Q8xC2": prod(q8, cyc(2)),
-        "D8xC4": prod(d8, cyc(4)),
-        "Q8xC4": prod(q8, cyc(4)),
-        "M16xC2": prod(m16, cyc(2)),
-        "C4sdC4xC2": prod(c4sdc4, cyc(2)),
-        "D8xC2xC2": prod(d8, cyc(2), cyc(2)),
-        "Q8xC2xC2": prod(q8, cyc(2), cyc(2)),
-        "D8cpD8": cp(d8, d8),
-        "D8cpQ8": cp(d8, q8),
-        "D8xC8": prod(d8, cyc(8)),
-        "M16xC4": prod(m16, cyc(4)),
-        "D8xQ8": prod(d8, q8),
-        "D8xD8": prod(d8, d8),
-        "Q8xQ8": prod(q8, q8),
-        "D8cpD8xC2": prod(cp(d8, d8), cyc(2)),
+        "D8": (8, d8),
+        "Q8": (8, q8),
+        "M16": (16, m16),
+        "M32": (32, partial(_metacyclic_table, 16, 2, 9)),
+        "C4sdC4": (16, c4sdc4),
+        "D8cpC4": (16, cp(d8, cyc(4))),
+        "D8xC2": (16, prod(d8, cyc(2))),
+        "Q8xC2": (16, prod(q8, cyc(2))),
+        "D8xC4": (32, prod(d8, cyc(4))),
+        "Q8xC4": (32, prod(q8, cyc(4))),
+        "M16xC2": (32, prod(m16, cyc(2))),
+        "C4sdC4xC2": (32, prod(c4sdc4, cyc(2))),
+        "D8xC2xC2": (32, prod(d8, cyc(2), cyc(2))),
+        "Q8xC2xC2": (32, prod(q8, cyc(2), cyc(2))),
+        "D8cpD8": (32, cp(d8, d8)),
+        "D8cpQ8": (32, cp(d8, q8)),
+        "D8xC8": (64, prod(d8, cyc(8))),
+        "M16xC4": (64, prod(m16, cyc(4))),
+        "D8xQ8": (64, prod(d8, q8)),
+        "D8xD8": (64, prod(d8, d8)),
+        "Q8xQ8": (64, prod(q8, q8)),
+        "D8cpD8xC2": (64, prod(cp(d8, d8), cyc(2))),
         # class-2 odd-order groups
-        "Heis3": heis3,
-        "M27": m27,
-        "Heis3xC3": prod(heis3, cyc(3)),
-        "M27xC3": prod(m27, cyc(3)),
-        "C9sdC9": partial(_metacyclic_table, 9, 9, 4),
-        "Heis3cpC9": lambda: _central_product_table(heis3()[0], _cyclic_table(9)[0], 2, 3),
-        "Heis5": partial(_heisenberg_table, 5),
+        "Heis3": (27, heis3),
+        "M27": (27, m27),
+        "Heis3xC3": (81, prod(heis3, cyc(3))),
+        "M27xC3": (81, prod(m27, cyc(3))),
+        "C9sdC9": (81, partial(_metacyclic_table, 9, 9, 4)),
+        "Heis3cpC9": (81, lambda: _central_product_table(heis3()[0], _cyclic_table(9)[0], 2, 3)),
+        "Heis5": (125, partial(_heisenberg_table, 5)),
         # higher-class and non-prime-power controls
-        "D16": partial(_dihedral_table, 8),
-        "SD16": partial(_metacyclic_table, 8, 2, 3),
-        "Q16": partial(_dicyclic_table, 4),
-        "D32": partial(_dihedral_table, 16),
-        "S3": partial(_dihedral_table, 3),
-        "C6": cyc(6),
+        "D16": (16, partial(_dihedral_table, 8)),
+        "SD16": (16, partial(_metacyclic_table, 8, 2, 3)),
+        "Q16": (16, partial(_dicyclic_table, 4)),
+        "D32": (32, partial(_dihedral_table, 16)),
+        "S3": (6, partial(_dihedral_table, 3)),
+        "C6": (6, cyc(6)),
     }
+
+    return {name: _CatalogEntry(n, _order_prime(n), make) for name, (n, make) in tables.items()}
+
+
+def catalog() -> dict[str, Callable[[], Group]]:
+    """Named constructors for the built-in corpus, in deterministic order.
+
+    Each entry composes raw tables and runs the Group constructor once, on
+    its final table.
+    """
 
     def entry(name: str, make: Callable[[], Table]) -> Callable[[], Group]:
         return lambda: from_cayley_table(*make(), name=name)
 
-    return {name: entry(name, make) for name, make in tables.items()}
+    return {name: entry(name, e.table) for name, e in _catalog_entries().items()}
 
 
 def catalog_group(name: str) -> Group:
@@ -364,7 +384,18 @@ def _int_field(doc: dict, key: str) -> int:
         raise ParseError(str(exc)) from None
 
 
-def _parse_group_document(doc, max_order: int) -> Group:
+def _final_name(name: str | None, n: int, stem: str | None) -> str | None:
+    """``name``, or ``stem`` where the name is missing or the default ``G<n>``."""
+    if stem is not None and name in (None, f"G{n}"):
+        return stem
+    return name
+
+
+def _parse_group_document(doc, max_order: int, stem: str | None = None) -> Group:
+    """The group of a document; ``stem`` names it where the document leaves
+    it unnamed or at the default name ``G<n>``.  Each format builds its
+    whole table first and validates it once; a product validates its
+    factors and then their folded table."""
     if not isinstance(doc, dict):
         raise ParseError(f"group document must be an object, got {type(doc).__name__}")
     fmt = doc.get("format")
@@ -379,15 +410,13 @@ def _parse_group_document(doc, max_order: int) -> Group:
             raise ParseError("field 'table' must be square")
         if "n" in doc and _int_field(doc, "n") != len(table):
             raise ParseError(f"field 'n' ({doc['n']}) does not match the table size")
-        return from_cayley_table(table, name=name, max_order=max_order)
-    if fmt == "perm":
+    elif fmt == "perm":
         if "degree" not in doc or "generators" not in doc:
             raise ParseError("perm format requires fields 'degree' and 'generators'")
-        return from_permutation_generators(
-            _int_field(doc, "degree"), _int_rows(doc, "generators"), name=name,
-            max_order=max_order,
+        table = _permutation_table(
+            _int_field(doc, "degree"), _int_rows(doc, "generators"), max_order
         )
-    if fmt == "product":
+    elif fmt == "product":
         factors = doc.get("factors")
         if not isinstance(factors, list) or not factors:
             raise ParseError("product format requires a non-empty list field 'factors'")
@@ -399,36 +428,39 @@ def _parse_group_document(doc, max_order: int) -> Group:
                 parts.append(_parse_group_document(factor, max_order))
             else:
                 raise ParseError(f"factor {k} must be a catalog name or a nested document")
-        group = parts[0]
-        for part in parts[1:]:
-            group = direct_product(group, part, max_order=max_order)
-        if name is not None:
-            group = from_cayley_table(group.mul, labels=group.labels, name=name, max_order=max_order)
-        return group
-    raise ParseError(f"unknown group format {fmt!r} (expected cayley, perm, or product)")
+        if name is None:
+            name = "x".join(part.name for part in parts)
+        name = _final_name(name, math.prod(part.n for part in parts), stem)
+        if len(parts) == 1 and name == parts[0].name:
+            return parts[0]
+        table, labels = _product_table([(part.mul, part.labels) for part in parts], max_order)
+        return from_cayley_table(table, labels=labels, name=name, max_order=max_order)
+    else:
+        raise ParseError(f"unknown group format {fmt!r} (expected cayley, perm, or product)")
+    return from_cayley_table(table, name=_final_name(name, len(table), stem), max_order=max_order)
 
 
-def parse_group_text(text: str, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Parse a group-file document from a JSON string."""
+def _parse(text: str, max_order: int, stem: str | None = None) -> Group:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _parse_group_document(doc, max_order)
+    return _parse_group_document(doc, max_order, stem)
+
+
+def parse_group_text(text: str, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
+    """Parse a group-file document from a JSON string."""
+    return _parse(text, max_order)
 
 
 def parse_group_file(path: str | Path, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
-    """Parse a group-file document from disk."""
+    """Parse a group-file document from disk; a group the document leaves
+    unnamed, or named ``G<n>``, is named after the file stem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    group = parse_group_text(text, max_order)
-    if group.name == f"G{group.n}":
-        group = from_cayley_table(
-            group.mul, labels=group.labels, name=Path(path).stem, max_order=max_order
-        )
-    return group
+    return _parse(text, max_order, Path(path).stem)
 
 
 # -- check registry ---------------------------------------------------------
@@ -705,14 +737,12 @@ def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[Grou
             _cache_write(cache_dir, key, report)
         return report
 
-    for name, make in catalog().items():
-        group = make()
-        if group.n > cfg.max_order:
+    for name, entry in _catalog_entries().items():
+        if entry.order > cfg.max_order:
             continue
-        prime = group.p_group_prime()
-        if prime is not None and prime not in cfg.primes:
+        if entry.prime is not None and entry.prime not in cfg.primes:
             continue
-        reports.append(run_one(group))
+        reports.append(run_one(from_cayley_table(*entry.table(), name=name)))
 
     for group in extra_groups:
         if group.n > cfg.max_order:

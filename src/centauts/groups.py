@@ -127,6 +127,22 @@ def _coset_table(
     return reps, rank[rep_of], rank[rep_of[mul[np.ix_(reps, reps)]]]
 
 
+def _order_prime(n: int) -> int | None:
+    """The prime p with ``n = p**k``, k >= 1, or None."""
+    if n == 1:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            break
+        p += 1
+    else:
+        p = n
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
+
+
 class _Cached:
     """Per-instance memo of derived values; instances are immutable, so it never goes stale."""
 
@@ -264,22 +280,7 @@ class Group(_Cached):
     def p_group_prime(self) -> int | None:
         """The prime p with ``n = p**k``, or None (trivial group included)."""
 
-        def compute():
-            n = self.n
-            if n == 1:
-                return None
-            p = 2
-            while p * p <= n:
-                if n % p == 0:
-                    break
-                p += 1
-            else:
-                p = n
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-
-        return self._cached("p_prime", compute)
+        return self._cached("p_prime", lambda: _order_prime(self.n))
 
     def prime(self) -> int:
         """The prime p with ``n = p**k``; :class:`NotPGroup` for any other order, 1 included."""
@@ -640,6 +641,13 @@ def from_permutation_generators(
     generator-first and left-multiplier-second, which makes the element
     indexing deterministic.
     """
+    return Group(_permutation_table(degree, generators, max_order), name=name, max_order=max_order)
+
+
+def _permutation_table(
+    degree: int, generators: Sequence[Sequence[int]], max_order: int
+) -> list[list[int]]:
+    """The table of :func:`from_permutation_generators`, not yet validated."""
     if degree < 1:
         raise NotAGroup("degree must be positive")
     gens: list[tuple[int, ...]] = []
@@ -668,8 +676,7 @@ def from_permutation_generators(
                     nxt.append(t)
         frontier = nxt
 
-    table = [[index[_compose_perms(x, y)] for y in elems] for x in elems]
-    return Group(table, name=name, max_order=max_order)
+    return [[index[_compose_perms(x, y)] for y in elems] for x in elems]
 
 
 def direct_product(

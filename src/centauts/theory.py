@@ -20,12 +20,15 @@ from .abelian import (
     hom_exponents,
 )
 from .automorphisms import (
+    AutSet,
     abelian_factor_split,
     alpha_from_f,
     aut_fixing_quotient,
     autcent,
+    autcent_order,
     center_fixing_autcent,
     inner_automorphisms,
+    is_central_automorphism,
     is_purely_nonabelian,
     minimal_generating_set,
     _search_maps,
@@ -124,32 +127,48 @@ def theorem_condition(group: Group) -> ConditionSide:
     )
 
 
+def _all_central(group: Group, auts: AutSet) -> bool:
+    """True iff every automorphism in ``auts`` is central, tested on its own rows."""
+    return len(aut_fixing_quotient(group, group.center(), auts)) == len(auts)
+
+
+def _equals_autcent(group: Group, auts: AutSet, budget: int | None) -> bool:
+    """Set equality with Autcent(G) as a verified inclusion plus equal counts:
+    every row of ``auts`` is central, and there are |Autcent(G)| of them."""
+    return _all_central(group, auts) and len(auts) == autcent_order(group, budget)
+
+
 def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
     """Compare the structural criterion with exhaustive set equality.
 
-    The oracle builds every central automorphism from the Hom search and the
-    subset fixing the center pointwise, and tests equality as sets, never
-    just cardinality.
+    The oracle enumerates Hom(G/[G,G], Z(G)) and maps every row to its
+    central endomorphism: ``autcentOrder`` is the checked count of
+    :func:`autcent_order`, and Aut^Z_Z(G) is the set of
+    :func:`center_fixing_autcent`.  Set equality, never just cardinality,
+    is decided as a verified inclusion (every row of Aut^Z_Z(G), and of
+    Inn(G), tested central) plus equal counts, so Autcent(G) is not
+    materialized; a disagreement builds it with :func:`autcent` to name the
+    first automorphism in one set and not the other.
     """
     condition = theorem_condition(group)  # raises WrongClass / NotPGroup first
-    ac = autcent(group, budget)
+    order = autcent_order(group, budget)
     azz = center_fixing_autcent(group, budget)
     inner = inner_automorphisms(group)
-    if not azz.is_subset_of(ac):
+    if not _all_central(group, azz):
         raise InternalDisagreement(
             f"center-fixing central automorphisms escape Autcent on {group.name}"
         )
     oracle = OracleSide(
-        autcent_order=len(ac),
+        autcent_order=order,
         aut_zz_order=len(azz),
         inn_order=len(inner),
-        autcent_equals_aut_zz=ac == azz,
-        autcent_equals_inn=ac == inner,
+        autcent_equals_aut_zz=len(azz) == order,
+        autcent_equals_inn=_equals_autcent(group, inner, budget),
     )
     result = TheoremResult(condition, oracle)
     if result.agree:
         return result
-    moved = sorted(ac.images_set ^ azz.images_set)
+    moved = sorted(autcent(group, budget).images_set ^ azz.images_set)
     witness = {
         "conditionSide": condition.to_json(),
         "automorphism": list(moved[0]) if moved else None,
@@ -229,13 +248,12 @@ def verify_corollary1(group: Group, budget: int | None = None) -> InnerEqualityR
     group.prime()  # NotPGroup unless a p-group
     if group.is_abelian():
         raise WrongClass(f"{group.name} is abelian; the criterion needs a non-abelian group")
-    ac = autcent(group, budget)
     inner = inner_automorphisms(group)
     center = group.center()
     gamma2 = group.commutator_subgroup()
     return InnerEqualityReport(
         group=group.name,
-        autcent_equals_inn=ac == inner,
+        autcent_equals_inn=_equals_autcent(group, inner, budget),
         center_equals_commutator=center.members == gamma2.members,
         center_cyclic=center.is_cyclic(),
     )
@@ -349,9 +367,7 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
         raise WrongClass(
             f"{group.name} is abelian; the necessity statement concerns non-abelian groups"
         )
-    ac = autcent(group, budget)
-    azz = center_fixing_autcent(group, budget)
-    sets_equal = ac == azz
+    sets_equal = _equals_autcent(group, center_fixing_autcent(group, budget), budget)
     purely = is_purely_nonabelian(group, budget)
     if purely:
         return PurelyNonabelianReport(
@@ -361,7 +377,7 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     z, f = build_factor_witness(group, budget)
     aut = alpha_from_f(group, f)
     witness_images = aut.images if aut is not None else None
-    is_central = aut is not None and aut in ac
+    is_central = aut is not None and is_central_automorphism(group, aut)
     center = group.center().members
     moved = next((u for u in center if aut.images[u] != u), None) if aut is not None else None
     return PurelyNonabelianReport(

@@ -11,6 +11,11 @@ schedule (``_generator_chain``) and the budget error.  Likewise
 used before its right-multiplication closure, kept as that search's reference.
 :func:`json_cache_key` is the scan's cache key before it hashed table bytes,
 kept so the digest of every catalog table it pins keeps its value.
+:func:`g_row_abelian_factor_split` is the abelian-factor split the library
+read off value tables on G before it read them at the abelianization's
+width, and :func:`pairwise_product` and :func:`stem_named` are the group-file
+parser's product fold and file naming before each built its table once; all
+three are kept as references of the code that replaced them.
 """
 
 import hashlib
@@ -23,7 +28,7 @@ import numpy as np
 
 from centauts import __version__
 from centauts.automorphisms import _budget_exceeded, _generator_chain
-from centauts.groups import Group
+from centauts.groups import DEFAULT_ELEMENT_CAP, Group, Subgroup, direct_product
 
 
 def json_cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
@@ -35,6 +40,44 @@ def json_cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def g_row_abelian_factor_split(group: Group, homs: np.ndarray) -> tuple[Subgroup, Subgroup] | None:
+    """The split G = H x A least by (|A|, A, H), read off the value tables on G
+    of Hom(G, Z(G)): the non-zero idempotent rows f, with A = im f, H = ker f."""
+    e = group.identity
+    idempotent = (np.take_along_axis(homs, homs, axis=1) == homs).all(axis=1)
+    nonzero = (homs != e).any(axis=1)
+    splits = []
+    for f in homs[idempotent & nonzero].tolist():
+        image = tuple(sorted(set(f)))
+        kernel = tuple(x for x, y in enumerate(f) if y == e)
+        splits.append((len(image), image, kernel))
+    if not splits:
+        return None
+    _, image, kernel = min(splits)
+    return group.subgroup(kernel), group.subgroup(image)
+
+
+def pairwise_product(
+    parts: Sequence[Group], name: str | None, max_order: int = DEFAULT_ELEMENT_CAP
+) -> Group:
+    """The ``product`` group-file format by pairwise direct products, left to
+    right, a named result wrapped once more under its name."""
+    group = parts[0]
+    for part in parts[1:]:
+        group = direct_product(group, part, max_order=max_order)
+    if name is not None:
+        group = Group(group.mul, labels=group.labels, name=name, max_order=max_order)
+    return group
+
+
+def stem_named(group: Group, stem: str) -> Group:
+    """A parsed group file's group, wrapped again under the file stem when it
+    carries the default name ``G<n>``."""
+    if group.name == f"G{group.n}":
+        return Group(group.mul, labels=group.labels, name=stem)
+    return group
 
 
 def identity_of(table):

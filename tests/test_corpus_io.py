@@ -20,6 +20,7 @@ import centauts.corpus as corpus
 from centauts.cli import main
 from centauts.corpus import (
     _cache_key,
+    _catalog_entries,
     catalog,
     catalog_group,
     central_product,
@@ -32,7 +33,7 @@ from centauts.corpus import (
 )
 from centauts.errors import ConfigError, NotAGroup, NotNormal, ParseError
 from centauts.groups import DEFAULT_ELEMENT_CAP, Group
-from oracles import json_cache_key, scalar_table
+from oracles import json_cache_key, pairwise_product, scalar_table, stem_named
 
 # sha256 of the concatenated JSON cache keys (oracles.json_cache_key) of every
 # catalog group under the default checks and budget.  That key hashes the
@@ -45,6 +46,19 @@ CATALOG_TABLE_KEY_DIGEST = "74ea5a081359739619235d51f4e953c15e02c1c685b137374c4e
 # sha256 of the JSON object {entry name: element labels} over the catalog;
 # neither cache key reads labels, so they are pinned on their own.
 CATALOG_LABELS_DIGEST = "b8cedc79c466dbd35d636c994d5532176337be5a37edddd0056da844ef2b8301"
+
+
+def _counting_constructor(monkeypatch) -> list:
+    """The names passed to every ``Group.__init__`` from now on, in call order."""
+    built = []
+    init = Group.__init__
+
+    def counting_init(self, table, labels=None, name=None, max_order=DEFAULT_ELEMENT_CAP):
+        built.append(name)
+        init(self, table, labels, name, max_order)
+
+    monkeypatch.setattr(Group, "__init__", counting_init)
+    return built
 
 
 def _scalar_builders():
@@ -151,18 +165,25 @@ class TestCatalog:
         assert _cache_key(d8, [*reversed(checks), "theorem"], 100) == base
 
     def test_catalog_validates_each_table_once(self, monkeypatch):
-        built = []
-        init = Group.__init__
-
-        def counting_init(self, table, labels=None, name=None, max_order=DEFAULT_ELEMENT_CAP):
-            built.append(name)
-            init(self, table, labels, name, max_order)
-
-        monkeypatch.setattr(Group, "__init__", counting_init)
+        built = _counting_constructor(monkeypatch)
         entries = catalog()
         for make in entries.values():
             make()
         assert built == list(entries) and len(built) == 49
+
+    def test_entries_declare_order_and_prime(self, groups):
+        entries = _catalog_entries()
+        assert list(entries) == list(groups)
+        for name, entry in entries.items():
+            group = groups[name]
+            assert (entry.order, entry.prime) == (group.n, group.p_group_prime()), name
+
+    def test_scan_builds_only_entries_inside_its_filters(self, monkeypatch):
+        built = _counting_constructor(monkeypatch)
+        reports = scan_corpus(RunConfig(max_order=81, primes=(2, 3), checks=("cor1",)))
+        names = [r.group_id for r in reports]
+        assert [b for b in built if b in catalog()] == names
+        assert "Heis5" not in names and "C5" not in names and "S3" in names
 
     def test_central_product_needs_central_elements(self):
         d8, c4 = dihedral_group(4), cyclic_group(4)
@@ -262,6 +283,61 @@ class TestGroupFiles:
         path = tmp_path / "mystery.json"
         path.write_text('{"format": "cayley", "table": [[0,1],[1,0]]}')
         assert parse_group_file(path).name == "mystery"
+
+    PRODUCTS = [
+        ["D8", "C2", "C2"],
+        ["Q8"],
+        ["Heis3", "C3"],
+        [{"format": "cayley", "table": [[0, 1], [1, 0]]}, "C2"],
+        [{"format": "cayley", "table": [[0, 1], [1, 0]]}],
+        ["C2", {"format": "product", "factors": ["C2", "C4"]}],
+        [{"format": "perm", "degree": 4, "generators": [[1, 2, 3, 0], [2, 1, 0, 3]]}, "C2"],
+    ]
+
+    @pytest.mark.parametrize("factors", PRODUCTS)
+    @pytest.mark.parametrize("name", [None, "both", "G16", ""])
+    def test_product_matches_pairwise_products(self, factors, name):
+        doc = {"format": "product", "factors": factors}
+        if name is not None:
+            doc["name"] = name
+        parts = [
+            catalog_group(f) if isinstance(f, str) else parse_group_text(json.dumps(f))
+            for f in factors
+        ]
+        expected = pairwise_product(parts, name)
+        g = parse_group_text(json.dumps(doc))
+        assert np.array_equal(g.mul, expected.mul)
+        assert (g.labels, g.name) == (expected.labels, expected.name)
+
+    def test_product_validates_each_factor_and_the_result_once(self, monkeypatch):
+        built = _counting_constructor(monkeypatch)
+        doc = {"name": "both", "format": "product", "factors": ["D8", "C2", "C2"]}
+        assert parse_group_text(json.dumps(doc)).n == 32
+        assert built == ["D8", "C2", "C2", "both"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"format": "cayley", "table": [[0, 1], [1, 0]]},
+            {"name": "G2", "format": "cayley", "table": [[0, 1], [1, 0]]},
+            {"name": "named", "format": "cayley", "table": [[0, 1], [1, 0]]},
+            {"format": "perm", "degree": 3, "generators": [[1, 2, 0]]},
+            {"name": "G4", "format": "perm", "degree": 3, "generators": [[1, 2, 0]]},
+            {"format": "product", "factors": ["D8", "C2"]},
+            {"name": "G16", "format": "product", "factors": ["D8", "C2"]},
+            {"format": "product", "factors": [{"format": "cayley", "table": [[0]]}]},
+            {"format": "product", "factors": ["C2"]},
+        ],
+    )
+    def test_file_stem_names_the_default_name(self, tmp_path, monkeypatch, doc):
+        path = tmp_path / "mystery.json"
+        path.write_text(json.dumps(doc))
+        expected = stem_named(parse_group_text(json.dumps(doc)), "mystery")
+        built = _counting_constructor(monkeypatch)
+        g = parse_group_file(path)
+        assert np.array_equal(g.mul, expected.mul)
+        assert (g.labels, g.name) == (expected.labels, expected.name)
+        assert built[-1] == g.name  # named as it is built, not wrapped again
 
 
 class TestRunConfig:

@@ -12,8 +12,10 @@ from centauts import (
     emit_report,
     from_cayley_table,
     homs_to_central_subgroup,
+    parse_group_text,
     scan_corpus,
 )
+import centauts.automorphisms as automorphisms
 from centauts.cli import main
 from centauts.corpus import _cache_read, analyze_group, catalog_group
 from centauts.errors import BudgetExceeded, ConfigError
@@ -137,6 +139,24 @@ class TestBudgetOnCachedSearch:
         g = catalog_group("D8xC2")
         assert analyze_group(g, ("lemma0a",), 0).lemma_checks == {"lemma0a": "error"}
         assert analyze_group(g, ("lemma0a",)).lemma_checks == {"lemma0a": "not-applicable"}
+
+    def test_abelian_groups_are_not_applicable_before_any_search(self, monkeypatch):
+        # a non-trivial abelian group is its own abelian direct factor, so
+        # lemma0a reads not-applicable at any budget without searching, even
+        # where Hom(G, Z) = Hom(C2^5, C2^5) has 2^25 rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma0a searched an abelian group")
+
+        monkeypatch.setattr(automorphisms, "_search_maps", refuse)
+        doc = {"name": "C2^5", "format": "product", "factors": ["C2"] * 5}
+        g = parse_group_text(json.dumps(doc))
+        for budget in (0, None):
+            assert analyze_group(g, ("lemma0a",), budget).lemma_checks == {
+                "lemma0a": "not-applicable"
+            }
+        monkeypatch.undo()
+        trivial = from_cayley_table([[0]])
+        assert analyze_group(trivial, ("lemma0a",), 0).lemma_checks == {"lemma0a": "pass"}
 
 
 class TestBounds:
