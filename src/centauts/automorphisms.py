@@ -575,7 +575,7 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
     """
     if kernel.parent is not group:
         raise NotNormal("subgroup belongs to a different group")
-    if not group.same_table(within.group):
+    if within.group is not group:
         raise HypothesisViolated("automorphism set belongs to a different group")
     witness = kernel.normality_witness()
     if witness is not None:
@@ -595,7 +595,7 @@ def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet
     row of ``within.tables`` is kept iff it is the identity on ``fixed``; the
     kept rows of the canonical array are the result's array, in order.
     """
-    if not (group.same_table(fixed.parent) and group.same_table(within.group)):
+    if fixed.parent is not group or within.group is not group:
         raise HypothesisViolated("subgroup or automorphism set belongs to a different group")
     members = np.asarray(fixed.members)
     tables = within.tables
@@ -617,7 +617,7 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     attempt count is cached with the result, so a later call with a smaller
     budget raises exactly as a fresh search would.
     """
-    if not (group.same_table(target.parent) and target.is_central()):
+    if target.parent is not group or not target.is_central():
         raise NotCentral(f"subgroup of {group.name} is not central")
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
     what = f"homomorphism search for {group.name}"
@@ -724,7 +724,7 @@ def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> 
 
     With ``target`` central, f is a homomorphism into it; it is not checked again.
     """
-    if not (group.same_table(target.parent) and target.is_central()):
+    if target.parent is not group or not target.is_central():
         raise NotCentral(f"target subgroup of {group.name} is not central")
     rows = group.mul_rows()
     inv = group.inv

@@ -671,35 +671,44 @@ def _report_from_json_dict(doc: dict) -> GroupReport:
 
 
 def _cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
+    """The cache key of a group: :func:`_table_cache_key` of its name and table."""
+    return _table_cache_key(group.name, group.mul, checks, budget)
+
+
+def _table_cache_key(name: str, table: np.ndarray, checks: Sequence[str], budget: int) -> str:
     """sha256 of a JSON header (version, name, order, check set, budget) followed
     by the table as little-endian uint16 bytes.  The header's ``n`` fixes the
     table's length, and a scan keeps n within the element cap, so uint16
-    holds every entry and the bytes decode one way only."""
+    holds every entry of a valid table and the bytes decode one way only.
+
+    The table need not be validated: a report is cached only under the key
+    of a table that passed validation, and the key covers every table byte,
+    so an unvalidated table that hits the cache is byte for byte one that
+    was validated.
+    """
     header = json.dumps(
         {
             "version": __version__,
-            "name": group.name,
-            "n": group.n,
+            "name": name,
+            "n": len(table),
             "checks": sorted(set(checks)),
             "budget": budget,
         },
         sort_keys=True,
     )
     digest = hashlib.sha256(header.encode("utf-8"))
-    digest.update(group.mul.astype("<u2").tobytes())
+    digest.update(table.astype("<u2").tobytes())
     return digest.hexdigest()
 
 
 def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
     """The cached report under ``key``; None on a miss or an unreadable entry."""
-    path = cache_dir / f"{key}.json"
-    if not path.exists():
-        return None
     try:
-        return _report_from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+        text = (cache_dir / f"{key}.json").read_text(encoding="utf-8")
+        return _report_from_json_dict(json.loads(text))
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
-        # ValueError covers invalid JSON and non-UTF-8 bytes; the rest, a
-        # document of the wrong shape.
+        # OSError covers a missing entry; ValueError, invalid JSON and
+        # non-UTF-8 bytes; the rest, a document of the wrong shape.
         return None
 
 
@@ -726,14 +735,14 @@ def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[Grou
     cache_dir = cfg.resolved_cache_dir()
     reports: list[GroupReport] = []
 
-    def run_one(group: Group) -> GroupReport:
-        if cache_dir is not None:
-            key = _cache_key(group, cfg.checks, cfg.budget)
+    def run_one(key: str | None, build: Callable[[], Group]) -> GroupReport:
+        """The report cached under ``key``, else that of ``build()``, cached."""
+        if key is not None:
             cached = _cache_read(cache_dir, key)
             if cached is not None:
                 return cached
-        report = analyze_group(group, cfg.checks, cfg.budget)
-        if cache_dir is not None:
+        report = analyze_group(build(), cfg.checks, cfg.budget)
+        if key is not None:
             _cache_write(cache_dir, key, report)
         return report
 
@@ -742,12 +751,16 @@ def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[Grou
             continue
         if entry.prime is not None and entry.prime not in cfg.primes:
             continue
-        reports.append(run_one(from_cayley_table(*entry.table(), name=name)))
+        # a cache hit reads the report without building (and validating) the group
+        table, labels = entry.table()
+        key = None if cache_dir is None else _table_cache_key(name, table, cfg.checks, cfg.budget)
+        reports.append(run_one(key, partial(from_cayley_table, table, labels, name=name)))
 
     for group in extra_groups:
         if group.n > cfg.max_order:
             continue
-        reports.append(run_one(group))
+        key = None if cache_dir is None else _cache_key(group, cfg.checks, cfg.budget)
+        reports.append(run_one(key, lambda group=group: group))
 
     if "lemma4" in cfg.checks:
         for prime in cfg.primes:

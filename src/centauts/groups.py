@@ -5,6 +5,11 @@ is validated at construction (associativity on all triples, identity, inverses).
 All objects are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
 
+A subgroup, quotient map or automorphism set belongs to the Group object it
+was made from.  Every function taking a group together with such an object
+requires that very group, by identity; a copy on the same table is another
+group, and :meth:`Group.same_table` is the table comparison.
+
 Associativity is checked by Light's test: if ``(x*s)*z == x*(s*z)`` for every
 x, z and every s in a set S that generates the table as a magma, the table is
 associative.  S is found by closing it under right multiplication only,
@@ -240,7 +245,8 @@ class Group(_Cached):
         return self.n
 
     def same_table(self, other: "Group") -> bool:
-        """True iff ``other`` is this group or has the same table (indices mean the same)."""
+        """True iff ``other`` is this group or has the same table (indices mean the
+        same); a subgroup of a same-table copy still belongs to the copy."""
         return other is self or np.array_equal(other.mul, self.mul)
 
     def op(self, x: int, y: int) -> int:
@@ -540,6 +546,9 @@ class Subgroup(_Cached):
         Breadth-first walk from the trivial subgroup, closing each found
         subgroup H together with one more member g of this one.  <H, g> grows
         from H's members, which are closed under H's generators already.
+        Once <H, g> is closed, every ``g^k h`` and ``h g^k`` with h in H and
+        k prime to the order of g is skipped for this H: <H, y> for such a y
+        contains g^k and so g, and thus equals <H, g>.
         Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
         subgroups are found; a cached walk raises the same for a smaller cap.
         """
@@ -550,6 +559,7 @@ class Subgroup(_Cached):
 
         def compute():
             rows = parent.mul_rows()
+            orders = parent.element_orders()
             trivial = frozenset({parent.identity})
             found: dict[frozenset[int], list[int]] = {trivial: []}
             queue = [trivial]
@@ -558,8 +568,9 @@ class Subgroup(_Cached):
                 base_seen = bytearray(parent.n)
                 for x in base:
                     base_seen[x] = True
+                skip = bytearray(base_seen)
                 for g in self.members:
-                    if g in base:
+                    if skip[g]:
                         continue
                     gens = base_gens + [g]
                     reached = list(base)
@@ -570,6 +581,13 @@ class Subgroup(_Cached):
                             raise too_many()
                         found[closed] = gens
                         queue.append(closed)
+                    order, power = orders[g], g
+                    for k in range(1, order):
+                        if math.gcd(k, order) == 1:
+                            row = rows[power]
+                            for h in base:
+                                skip[row[h]] = skip[rows[h][power]] = True
+                        power = rows[power][g]
             subs = [parent.subgroup(sorted(fs)) for fs in found]
             subs.sort(key=lambda s: (len(s), s.members))
             return tuple(subs)

@@ -295,7 +295,8 @@ class TestCentralHoms:
         )
 
     def test_q8_center_has_four(self):
-        assert len(homs_to_central_subgroup(dicyclic_group(2), dicyclic_group(2).center())) == 4
+        q8 = dicyclic_group(2)
+        assert len(homs_to_central_subgroup(q8, q8.center())) == 4
 
     def test_rejects_non_central_target(self):
         g = dihedral_group(4)
@@ -413,11 +414,26 @@ class TestForeignObjects:
         assert not autcent(d8).is_subset_of(autcent(q8))
         assert autcent(d8).is_subset_of(autcent(d8))
 
-    def test_a_copy_on_the_same_table_is_accepted(self, d8_q8):
+    def test_a_copy_on_the_same_table_is_rejected(self, d8_q8):
+        # a subgroup or set belongs to the Group object it was made from
         d8, _ = d8_q8
         copy = catalog_group("D8")
-        assert len(homs_to_central_subgroup(d8, copy.center())) == 4
-        assert aut_fixing_subgroup(d8, copy.center(), autcent(d8)) == autcent(d8)
+        assert copy.same_table(d8)
+        with pytest.raises(NotCentral):
+            homs_to_central_subgroup(d8, copy.center())
+        with pytest.raises(NotCentral):
+            hom_from_automorphism(d8, next(iter(autcent(d8))), copy.center())
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_subgroup(d8, copy.center(), autcent(d8))
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_subgroup(d8, d8.center(), autcent(copy))
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            aut_fixing_quotient(d8, d8.center(), autcent(copy))
+        with pytest.raises(NotNormal, match="belongs to a different group"):
+            aut_fixing_quotient(d8, copy.center(), autcent(d8))
+        with pytest.raises(NotNormal, match="belongs to a different group"):
+            d8.quotient(copy.center())
+        assert d8.center() != copy.center() and autcent(d8) != autcent(copy)
 
 
 class TestAlphaFromF:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,9 @@ import centauts.corpus as corpus
 from centauts.cli import main
 from centauts.corpus import (
     _cache_key,
+    _cache_read,
     _catalog_entries,
+    _table_cache_key,
     catalog,
     catalog_group,
     central_product,
@@ -413,6 +416,62 @@ class TestScan:
         cfg2 = RunConfig(max_order=16, primes=(2,), checks=("theorem",))
         reports2 = scan_corpus(cfg2, extra_groups=[groups["M16"]])
         assert reports2[-1].group_id == "M16"
+
+
+# The benchmark's reference: the scan of every check at max_order 81, primes 2 and 3.
+REFERENCE_SCAN = Path(__file__).resolve().parents[1] / "benchmarks/reference/catalog_scan.json"
+REFERENCE_CFG = dict(max_order=81, primes=(2, 3))
+
+
+class TestCacheHits:
+    """A cache hit reads its report without building a Group; a miss builds
+    and validates the group, then writes its report."""
+
+    @staticmethod
+    def _scan(cache_dir: Path) -> str:
+        return emit_report(scan_corpus(RunConfig(cache_dir=str(cache_dir), **REFERENCE_CFG)))
+
+    @staticmethod
+    def _catalog_builds(names) -> list:
+        entries = _catalog_entries()
+        return [n for n in names if n in entries]
+
+    def test_warm_scan_builds_no_group(self, tmp_path, monkeypatch):
+        reference = REFERENCE_SCAN.read_text(encoding="utf-8")
+        built = _counting_constructor(monkeypatch)
+        assert self._scan(tmp_path) == reference
+        names = self._catalog_builds(r["groupId"] for r in json.loads(reference)["reports"])
+        assert len(names) == 47
+        # the fill validates each in-filter entry once, in catalog order
+        assert self._catalog_builds(built) == names
+        built.clear()
+        assert self._scan(tmp_path) == reference
+        assert built == []
+
+    def test_raw_table_key_is_the_group_key(self):
+        cfg = RunConfig()
+        for checks in (cfg.checks, ("theorem", "lemma3")):
+            for name, entry in _catalog_entries().items():
+                table, labels = entry.table()
+                group = Group(table, labels, name)
+                assert _table_cache_key(name, table, checks, cfg.budget) == _cache_key(
+                    group, checks, cfg.budget
+                ), name
+
+    def test_truncated_entry_is_a_miss_that_validates_and_rewrites(self, tmp_path, monkeypatch):
+        reference = REFERENCE_SCAN.read_text(encoding="utf-8")
+        assert self._scan(tmp_path) == reference
+        cfg = RunConfig()
+        table, _ = _catalog_entries()["D8cpD8"].table()
+        path = tmp_path / f"{_table_cache_key('D8cpD8', table, cfg.checks, cfg.budget)}.json"
+        written = path.read_bytes()
+        path.write_bytes(written[: len(written) // 2])
+        assert _cache_read(tmp_path, path.stem) is None
+        built = _counting_constructor(monkeypatch)
+        assert self._scan(tmp_path) == reference
+        assert self._catalog_builds(built) == ["D8cpD8"]
+        assert path.read_bytes() == written
+        assert json.loads(written)["groupId"] == "D8cpD8"
 
 
 class TestEmission:
