@@ -139,7 +139,9 @@ class AutSet:
     distinct and sorted lexicographically.  Equal sets of one group therefore
     have equal arrays, which ``==`` compares.  ``elements`` and ``images_set``
     are built from the array on first use; their image tables are tuples of
-    Python ints.
+    Python ints.  The sets a group derives are views like
+    :class:`~centauts.groups.Subgroup`: the group caches only the array, and
+    each call wraps it in a new set.
     """
 
     __slots__ = ("group", "tables", "_elements")
@@ -266,8 +268,9 @@ def _budget_exceeded(what: str, limit: int, naive_space: int) -> BudgetExceeded:
 def _cached_search(owner, key, limit: int, what: str, search):
     """Run ``search() -> (result, attempts, naive_space)`` once per ``owner`` and ``key``.
 
-    The attempt count is cached with the result, so a later call with a
-    smaller budget raises exactly as a fresh search would.
+    The attempt count is cached with the result, which must be plain data
+    (an array or a count), so a later call with a smaller budget raises
+    exactly as a fresh search would.
     """
     result, attempts, naive_space = owner._cached(key, search)
     if attempts > max(limit, 0):  # a search that made no attempts never raises
@@ -394,9 +397,9 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
         tables, attempts = _search_maps(
             group, group, gens, cands, injective=True, limit=limit, what=what
         )
-        return AutSet._of(group, tables), attempts, math.prod(map(len, cands))
+        return tables, attempts, math.prod(map(len, cands))
 
-    return _cached_search(group, "all_automorphisms", limit, what, compute)
+    return AutSet._of(group, _cached_search(group, "all_automorphisms", limit, what, compute))
 
 
 def _hom_search(source: Group, target: Group, limit: int, what: str):
@@ -437,16 +440,15 @@ def inner_automorphisms(group: Group) -> AutSet:
 
     def compute():
         mul, inv = _index_tables(group)
-        conj = mul[mul[inv], np.arange(group.n)[:, None]]
-        result = AutSet._of(group, _canonical(conj))
+        conj = _canonical(mul[mul[inv], np.arange(group.n)[:, None]])
         expected = group.n // len(group.center())
-        if len(result) != expected:
+        if len(conj) != expected:
             raise InternalDisagreement(
-                f"|Inn({group.name})| = {len(result)}, expected {expected}"
+                f"|Inn({group.name})| = {len(conj)}, expected {expected}"
             )
-        return result
+        return conj
 
-    return group._cached("inner_automorphisms", compute)
+    return AutSet._of(group, group._cached("inner_automorphisms", compute))
 
 
 def is_central_automorphism(group: Group, aut: Automorphism) -> bool:
@@ -477,9 +479,9 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
 
     def compute():
         images, accepted = _alpha_tables(group, homs)
-        return AutSet._of(group, _canonical(images[accepted]))
+        return _canonical(images[accepted])
 
-    return group._cached("autcent", compute)
+    return AutSet._of(group, group._cached("autcent", compute))
 
 
 # Hom(G^ab, Z) rows mapped to alpha_f at a time: bounds the ``chunk x n``
@@ -493,12 +495,12 @@ class _CentralPass:
 
     ``order`` is |Autcent(G)|, ``accepted`` marks the rows of
     :func:`_ab_homs` into Z(G) whose x -> x f(x) is bijective, and
-    ``center_fixing`` is Aut^Z_Z(G) as a canonical :class:`AutSet`.
+    ``center_fixing`` is the canonical table array of Aut^Z_Z(G).
     """
 
     order: int
     accepted: np.ndarray
-    center_fixing: AutSet
+    center_fixing: np.ndarray
 
 
 def _central_pass(group: Group, budget: int | None) -> _CentralPass:
@@ -523,7 +525,7 @@ def _central_pass(group: Group, budget: int | None) -> _CentralPass:
         return _CentralPass(
             order=int(accepted.sum()),
             accepted=_readonly(accepted),
-            center_fixing=AutSet._of(group, _canonical(np.concatenate(fixing))),
+            center_fixing=_canonical(np.concatenate(fixing)),
         )
 
     return group._cached("central_pass", compute)
@@ -550,7 +552,7 @@ def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
     :func:`aut_fixing_quotient`: an automorphism trivial on G/M is trivial
     on G/Z(G), so it is central.
     """
-    return _central_pass(group, budget).center_fixing
+    return AutSet._of(group, _central_pass(group, budget).center_fixing)
 
 
 def _aut_quotient_count(group: Group, target: Subgroup, budget: int | None) -> int:
@@ -569,15 +571,17 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
 
     The kernel must be a normal subgroup of the group (:class:`NotNormal`
     otherwise), ``within`` a set of its automorphisms (else
-    :class:`HypothesisViolated`).  A row a of ``within.tables`` is kept iff
-    every x^-1 a(x), gathered as ``mul[inv, a]``, lies in the kernel; the
-    kept rows of the canonical array are the result's array, in order.
+    :class:`HypothesisViolated`).  A central kernel is normal, so only a
+    kernel outside the center is walked for a normality witness.  A row a
+    of ``within.tables`` is kept iff every x^-1 a(x), gathered as
+    ``mul[inv, a]``, lies in the kernel; the kept rows of the canonical
+    array are the result's array, in order.
     """
     if kernel.parent is not group:
         raise NotNormal("subgroup belongs to a different group")
     if within.group is not group:
         raise HypothesisViolated("automorphism set belongs to a different group")
-    witness = kernel.normality_witness()
+    witness = None if kernel.is_central() else kernel.normality_witness()
     if witness is not None:
         raise NotNormal(f"subgroup is not normal (witness {witness})")
     mul, inv = _index_tables(group)
@@ -748,9 +752,10 @@ def abelian_factor_split(
     G^ab width, whose budget applies on every call: with f = F o pi and
     c = pi o iota the map of Z(G) into G^ab, f is idempotent iff
     F(c(F(y))) = F(y) for every y in G^ab.  The one split least by
-    (|A|, A.members, H.members) is returned.  The tests compare it with the
-    same reading of the value tables on G and with a walk over pairs of
-    normal subgroups.
+    (|A|, A.members, H.members) is returned; the group caches its member
+    tuples, and each call builds the two subgroups from them.  The tests
+    compare it with the same reading of the value tables on G and with a
+    walk over pairs of normal subgroups.
     """
     center = group.center()
     tables = _ab_homs(group, center, budget)
@@ -769,9 +774,10 @@ def abelian_factor_split(
         if not splits:
             return None
         _, image, kernel = min(splits)
-        return group.subgroup(kernel), group.subgroup(image)
+        return group.subgroup(kernel)._data(), group.subgroup(image)._data()
 
-    return group._cached("abelian_factor_split", compute)
+    split = group._cached("abelian_factor_split", compute)
+    return None if split is None else tuple(Subgroup._of(group, *data) for data in split)
 
 
 def is_purely_nonabelian(group: Group, budget: int | None = None) -> bool:

@@ -10,6 +10,14 @@ was made from.  Every function taking a group together with such an object
 requires that very group, by identity; a copy on the same table is another
 group, and :meth:`Group.same_table` is the table comparison.
 
+Such objects are views: each holds its group, and each call that returns one
+builds it afresh from the group's caches.  Those caches hold plain data only
+(member tuples and sets, arrays, counts, and derived groups such as quotient
+targets and :meth:`Subgroup.as_group` results, which hold nothing of the group
+they came from), so nothing refers back to a group from inside it.  Dropping
+the last reference to a group frees it and everything derived from it at
+once, by reference counting, without waiting for the cycle collector.
+
 Associativity is checked by Light's test: if ``(x*s)*z == x*(s*z)`` for every
 x, z and every s in a set S that generates the table as a magma, the table is
 associative.  S is found by closing it under right multiplication only,
@@ -148,21 +156,7 @@ def _order_prime(n: int) -> int | None:
     return p if n == 1 else None
 
 
-class _Cached:
-    """Per-instance memo of derived values; instances are immutable, so it never goes stale."""
-
-    __slots__ = ()
-
-    def _cached(self, key, compute: Callable):
-        try:
-            return self._cache[key]
-        except KeyError:
-            value = compute()
-            self._cache[key] = value
-            return value
-
-
-class Group(_Cached):
+class Group:
     """A finite group on ``0..n-1`` given by its full multiplication table.
 
     Attributes:
@@ -243,6 +237,21 @@ class Group(_Cached):
 
     def __len__(self) -> int:
         return self.n
+
+    def _cached(self, key, compute: Callable):
+        """Per-instance memo of derived values; the group is immutable, so it
+        never goes stale.  It holds plain data only (see the module docstring)."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = compute()
+            self._cache[key] = value
+            return value
+
+    def _cached_subgroup(self, key, compute: Callable[[], "Subgroup"]) -> "Subgroup":
+        """A view of the subgroup ``compute()`` returns the first time; the
+        cache keeps its members only."""
+        return Subgroup._of(self, *self._cached(key, lambda: compute()._data()))
 
     def same_table(self, other: "Group") -> bool:
         """True iff ``other`` is this group or has the same table (indices mean the
@@ -342,7 +351,7 @@ class Group(_Cached):
             commutes = self.mul == self.mul.T
             return self.subgroup(int(z) for z in np.flatnonzero(commutes.all(axis=1)))
 
-        return self._cached("center", compute)
+        return self._cached_subgroup("center", compute)
 
     def _commutators_with(self, subset: Sequence[int]) -> np.ndarray:
         """Unique values of [g, h] = g^-1 h^-1 g h over g in G, h in subset."""
@@ -373,7 +382,7 @@ class Group(_Cached):
             terms = self._lower_central_series()
             return self.subgroup(terms[1] if len(terms) > 1 else terms[0])
 
-        return self._cached("commutator_subgroup", compute)
+        return self._cached_subgroup("commutator_subgroup", compute)
 
     def nilpotency_class(self) -> int:
         """Length of the lower central series down to the trivial subgroup."""
@@ -396,7 +405,7 @@ class Group(_Cached):
                 cur = self.mul[cur, np.arange(self.n)]
             return self.subgroup_generated([*cur.tolist(), *self.commutator_subgroup().members])
 
-        return self._cached("frattini", compute)
+        return self._cached_subgroup("frattini", compute)
 
     # -- quotients -------------------------------------------------------
 
@@ -417,16 +426,27 @@ class Group(_Cached):
         target = Group(table, labels=labels, name=f"{self.name}/{len(kernel)}")
         return QuotientMap(self, target, proj)
 
+    def _cached_quotient(self, key, kernel: Callable[[], "Subgroup"]) -> "QuotientMap":
+        """A view of the quotient by ``kernel()``, made once; the cache keeps
+        its target and projection, neither of which refers back to this group."""
+
+        def compute():
+            q = self.quotient(kernel())
+            return q.target, q.projection
+
+        return QuotientMap._of(self, *self._cached(key, compute))
+
     def abelianization(self) -> "QuotientMap":
-        return self._cached("abelianization", lambda: self.quotient(self.commutator_subgroup()))
+        return self._cached_quotient("abelianization", self.commutator_subgroup)
 
     def center_quotient(self) -> "QuotientMap":
-        return self._cached("center_quotient", lambda: self.quotient(self.center()))
+        return self._cached_quotient("center_quotient", self.center)
 
     # -- subgroup enumeration ---------------------------------------------
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
-        return self._cached("all_subgroups", lambda: self.full_subgroup().all_subgroups())
+        everything = tuple(range(self.n))
+        return Subgroup._of(self, everything, frozenset(everything)).all_subgroups()
 
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
         """Every normal subgroup, sorted by (size, members).
@@ -434,15 +454,21 @@ class Group(_Cached):
         A filter of :meth:`all_subgroups`, so it shares that walk's cap:
         :class:`SizeLimitExceeded` once more than 50 000 subgroups are found.
         """
-        return self._cached(
-            "normal_subgroups", lambda: tuple(s for s in self.all_subgroups() if s.is_normal())
+        normal = self._cached(
+            "normal_subgroups",
+            lambda: tuple(s._data() for s in self.all_subgroups() if s.is_normal()),
         )
+        return tuple(Subgroup._of(self, *data) for data in normal)
 
 
-class Subgroup(_Cached):
-    """A subgroup of a parent :class:`Group`, stored as sorted element indices."""
+class Subgroup:
+    """A subgroup of a parent :class:`Group`, stored as sorted element indices.
 
-    __slots__ = ("parent", "members", "_member_set", "_cache")
+    A view: it holds its parent, while the parent's caches hold only the
+    members, so the subgroups a group derives are made afresh on each call.
+    """
+
+    __slots__ = ("parent", "members", "_member_set")
 
     def __init__(self, parent: Group, members: Iterable[int]) -> None:
         uniq = sorted({int(m) for m in members})
@@ -470,7 +496,19 @@ class Subgroup(_Cached):
         self.parent = parent
         self.members = tuple(uniq)
         self._member_set = member_set
-        self._cache: dict = {}
+
+    @classmethod
+    def _of(cls, parent: Group, members: tuple[int, ...], member_set: frozenset[int]) -> "Subgroup":
+        """The view over members validated when they were first computed."""
+        self = cls.__new__(cls)
+        self.parent = parent
+        self.members = members
+        self._member_set = member_set
+        return self
+
+    def _data(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The plain form its group's caches hold: members and their set."""
+        return self.members, self._member_set
 
     def __len__(self) -> int:
         return len(self.members)
@@ -528,7 +566,11 @@ class Subgroup(_Cached):
         return self.normality_witness() is None
 
     def as_group(self) -> Group:
-        """This subgroup as a standalone group; element i is ``members[i]``."""
+        """This subgroup as a standalone group; element i is ``members[i]``.
+
+        Cached on the parent by members, so every view of one subgroup
+        returns the same group, which does not refer back to the parent.
+        """
 
         def compute():
             members = np.array(self.members)
@@ -538,7 +580,7 @@ class Subgroup(_Cached):
                 labels = tuple(self.parent.labels[m] for m in self.members)
             return Group(table, labels=labels, name=f"{self.parent.name}[{len(self.members)}]")
 
-        return self._cached("as_group", compute)
+        return self.parent._cached(("as_group", self.members), compute)
 
     def all_subgroups(self, subgroup_cap: int = 50_000) -> tuple["Subgroup", ...]:
         """Every subgroup contained in this one, sorted by (size, members).
@@ -551,6 +593,7 @@ class Subgroup(_Cached):
         contains g^k and so g, and thus equals <H, g>.
         Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
         subgroups are found; a cached walk raises the same for a smaller cap.
+        The walk is cached on the parent by this subgroup's members.
         """
         parent = self.parent
 
@@ -588,18 +631,22 @@ class Subgroup(_Cached):
                             for h in base:
                                 skip[row[h]] = skip[rows[h][power]] = True
                         power = rows[power][g]
-            subs = [parent.subgroup(sorted(fs)) for fs in found]
-            subs.sort(key=lambda s: (len(s), s.members))
+            subs = [parent.subgroup(sorted(fs))._data() for fs in found]
+            subs.sort(key=lambda data: (len(data[0]), data[0]))
             return tuple(subs)
 
-        subs = self._cached("all_subgroups", compute)
+        subs = parent._cached(("all_subgroups", self.members), compute)
         if len(subs) > max(subgroup_cap, 1):  # the trivial subgroup alone never raises
             raise too_many()
-        return subs
+        return tuple(Subgroup._of(parent, *data) for data in subs)
 
 
 class QuotientMap:
-    """A surjective homomorphism from ``source`` onto a quotient group ``target``."""
+    """A surjective homomorphism from ``source`` onto a quotient group ``target``.
+
+    A view like :class:`Subgroup`: it holds its source, whose caches hold
+    only the target and the projection.
+    """
 
     __slots__ = ("source", "target", "projection")
 
@@ -618,6 +665,15 @@ class QuotientMap:
         self.source = source
         self.target = target
         self.projection = proj
+
+    @classmethod
+    def _of(cls, source: Group, target: Group, projection: tuple[int, ...]) -> "QuotientMap":
+        """The view over a target and projection validated when first computed."""
+        self = cls.__new__(cls)
+        self.source = source
+        self.target = target
+        self.projection = projection
+        return self
 
     def __repr__(self) -> str:
         return f"<QuotientMap {self.source.name} -> {self.target.name}>"

@@ -264,6 +264,21 @@ class TestFixingFilters:
         with pytest.raises(NotNormal):
             aut_fixing_quotient(g, g.subgroup_generated([refl]), all_automorphisms(g))
 
+    def test_only_a_non_central_kernel_is_walked(self, monkeypatch):
+        # a central kernel is normal, so only the others need a normality witness
+        g = dihedral_group(4)
+        auts = all_automorphisms(g)
+        walked = []
+        monkeypatch.setattr(
+            "centauts.groups.Subgroup.normality_witness", lambda sub: walked.append(sub)
+        )
+        for kernel in g.center().all_subgroups():
+            aut_fixing_quotient(g, kernel, auts)
+        assert walked == []
+        rotations = g.subgroup_generated([x for x in range(8) if g.element_order(x) == 4])
+        aut_fixing_quotient(g, rotations, auts)
+        assert walked == [rotations]
+
     def test_fixing_trivial_subgroup_keeps_all(self):
         g = dihedral_group(4)
         auts = all_automorphisms(g)

@@ -562,9 +562,17 @@ class TestSubgroupEnumeration:
         z.all_subgroups()
         assert walk(z) == fresh == expected
 
-    def test_group_walk_is_cached(self):
+    def test_group_walk_is_cached(self, monkeypatch):
+        # the walk runs once; a later call builds new views over its members
         g = d8()
-        assert g.all_subgroups() is g.all_subgroups()
+        first = g.all_subgroups()
+        closures = []
+        monkeypatch.setattr(
+            "centauts.groups._extend_right_closure", lambda *args: closures.append(args)
+        )
+        again = g.all_subgroups()
+        assert again == first
+        assert closures == []
 
 
 @settings(max_examples=25, deadline=None)
