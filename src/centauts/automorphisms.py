@@ -10,17 +10,20 @@ homomorphism (an automorphism, with the prune).
 Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.
 
-The central automorphisms come from Hom(G/[G,G], Z(G)) alone, searched once
-per central target at the abelianization's width.  The checks read a count,
-not a set: one chunked pass maps every row f to x -> x f(x), compares the
-inverse-image criterion with direct bijectivity on each row, and keeps only
-|Autcent(G)| (:func:`autcent_order`, a checked count), the accepted mask and
-the small set Aut^Z_Z(G) (:func:`center_fixing_autcent`).  :func:`autcent`
-still materializes the whole set, as the oracle of that count, and the full
-automorphism group, :func:`all_automorphisms`, is the independent oracle the
-tests compare both against.  A set of Homs into a central subgroup and an
-:class:`AutSet` are both ``k x n`` arrays of element indices, one value table
-per row, so Autcent and its filters are array operations.
+The central automorphisms come from Hom(G/[G,G], Z(G)) alone, made once per
+central target at the abelianization's width: for a p-group as a product
+over a verified basis of G/[G,G] (:func:`_basis_homs`), for any other group
+by the search (on p-groups the tests compare the two).  The checks read a
+count, not a set: one chunked pass maps every row f to x -> x f(x),
+compares the inverse-image criterion with direct bijectivity on each row,
+and keeps only |Autcent(G)| (:func:`autcent_order`, a checked count), the
+accepted mask and the small set Aut^Z_Z(G) (:func:`center_fixing_autcent`).
+:func:`autcent` still materializes the whole set, as the oracle of that
+count, and the full automorphism group, :func:`all_automorphisms`, is the
+independent oracle the tests compare both against.  A set of Homs into a
+central subgroup and an :class:`AutSet` are both ``k x n`` arrays of element
+indices, one value table per row, so Autcent and its filters are array
+operations.
 """
 
 from __future__ import annotations
@@ -109,13 +112,19 @@ def _canonical(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a ``k x n`` table array, sorted lexicographically, read-only.
 
     A row's big-endian bytes compare as the row does lexicographically, so
-    one unique over the rows as opaque byte strings sorts and deduplicates
-    them (several times faster than ``np.unique(tables, axis=0)``).
+    one stable argsort of the rows as opaque byte strings sorts them (several
+    times faster than ``np.unique(tables, axis=0)``); the rows are gathered
+    once in that order, and an adjacent compare drops repeats.
     """
     big = np.ascontiguousarray(tables, dtype=tables.dtype.newbyteorder(">"))
-    rows = big.view(np.dtype((np.void, big.itemsize * tables.shape[1])))
-    _, first = np.unique(rows.ravel(), return_index=True)
-    return _readonly(tables[first])
+    row = np.dtype((np.void, big.itemsize * tables.shape[1]))
+    order = np.argsort(big.view(row).ravel(), kind="stable")
+    del big
+    ordered = tables[order]
+    keys = ordered.view(row).ravel()  # equal rows have equal bytes in any byte order
+    keep = np.ones(len(ordered), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return _readonly(ordered if keep.all() else ordered[keep])
 
 
 def _index_tables(group: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -549,8 +558,8 @@ def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
     Z(G)), so Autcent itself is never materialized; the tests compare it
     with the Z-fixing rows of :func:`autcent`.  The budget applies on every
     call.  For M <= Z(G), Aut^M_Z(G) is this set filtered by
-    :func:`aut_fixing_quotient`: an automorphism trivial on G/M is trivial
-    on G/Z(G), so it is central.
+    :func:`aut_fixing_quotient`, read at a generating set: an automorphism
+    trivial on G/M is trivial on G/Z(G), so it is central.
     """
     return AutSet._of(group, _central_pass(group, budget).center_fixing)
 
@@ -573,8 +582,12 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
     otherwise), ``within`` a set of its automorphisms (else
     :class:`HypothesisViolated`).  A central kernel is normal, so only a
     kernel outside the center is walked for a normality witness.  A row a
-    of ``within.tables`` is kept iff every x^-1 a(x), gathered as
-    ``mul[inv, a]``, lies in the kernel; the kept rows of the canonical
+    of ``within.tables`` is kept iff x^-1 a(x), gathered as
+    ``mul[inv[gens], a[gens]]``, lies in the kernel at every x of
+    ``group.generating_set()``: with a a homomorphism and the kernel N
+    normal, {x : x^-1 a(x) in N} is a subgroup, as
+    (xy)^-1 a(xy) = (y^-1 n y)(y^-1 a(y)) with n = x^-1 a(x), so it is all
+    of G once it holds every generator.  The kept rows of the canonical
     array are the result's array, in order.
     """
     if kernel.parent is not group:
@@ -585,10 +598,11 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
     if witness is not None:
         raise NotNormal(f"subgroup is not normal (witness {witness})")
     mul, inv = _index_tables(group)
+    gens = np.asarray(group.generating_set(), dtype=np.intp)
     in_kernel = np.zeros(group.n, dtype=bool)
     in_kernel[list(kernel.members)] = True
     tables = within.tables
-    keep = in_kernel[mul[inv, tables]].all(axis=1)
+    keep = in_kernel[mul[inv[gens], tables[:, gens]]].all(axis=1)
     return AutSet._of(group, _readonly(tables[keep]))
 
 
@@ -607,19 +621,139 @@ def aut_fixing_subgroup(group: Group, fixed: Subgroup, within: AutSet) -> AutSet
     return AutSet._of(group, _readonly(tables[keep]))
 
 
+def _orders_modulo(powers: np.ndarray, in_span: np.ndarray) -> np.ndarray:
+    """The order of every element modulo a subgroup, given as a mask: the
+    least k >= 1 with x^k in it, read off ``powers[k - 1, x] = x^k`` for k up
+    to the exponent."""
+    return np.argmax(in_span[powers], axis=0) + 1
+
+
+def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
+    """A basis b_1..b_r of an abelian p-group and every element's coordinates.
+
+    Greedy: with S the span of the basis so far, pick the least element x of
+    largest order p^k modulo S, and lift it to the least element of xS of
+    order p^k, whose cyclic group then meets S trivially (one exists, as S
+    is a direct summand spanned by elements of order at least p^k).  Each
+    step is checked, |<S, b>| = |S| ord(b), and so is the end: the products
+    b_1^c_1 ... b_r^c_r, 0 <= c_i < ord(b_i), are every element once.  A
+    failed check raises :class:`InternalDisagreement`.  Returns the basis,
+    in order of non-increasing order, and the read-only ``n x r`` array
+    whose row g holds the exponents c_i of g; both are cached on the group.
+    """
+
+    def fail(step: str) -> InternalDisagreement:
+        return InternalDisagreement(f"basis construction for {ab.name} fails at {step}")
+
+    def compute():
+        mul = ab.mul
+        orders = np.asarray(ab.element_orders())
+        powers = [np.arange(ab.n)]
+        for _ in range(ab.exponent() - 1):
+            powers.append(mul[powers[-1], powers[0]])
+        powers = np.stack(powers)
+        span = np.array([ab.identity])  # elements in coordinate order
+        coords = np.zeros((1, 0), dtype=np.int64)
+        basis: list[int] = []
+        while len(span) < ab.n:
+            in_span = np.zeros(ab.n, dtype=bool)
+            in_span[span] = True
+            relative = _orders_modulo(powers, in_span)
+            top = relative.max()
+            coset = mul[int(np.argmax(relative)), span]
+            lifts = coset[orders[coset] == top]
+            if not len(lifts):
+                raise fail(f"the lift of an element of order {top} modulo the span")
+            b = int(lifts.min())
+            cyclic = np.concatenate(([ab.identity], powers[: orders[b] - 1, b]))
+            grown = mul[span[:, None], cyclic[None, :]].ravel()
+            if len(np.unique(grown)) != len(span) * orders[b]:
+                raise fail(f"basis element {b}, whose cyclic group meets the span")
+            exponent = np.tile(np.arange(len(cyclic)), len(span))[:, None]
+            coords = np.concatenate((np.repeat(coords, len(cyclic), axis=0), exponent), axis=1)
+            span = grown
+            basis.append(b)
+        if not np.array_equal(np.sort(span), np.arange(ab.n)):
+            raise fail("the end: the coordinates do not cover the group once")
+        by_element = np.empty_like(coords)
+        by_element[span] = coords
+        return tuple(basis), _readonly(by_element)
+
+    return ab._cached("abelian_basis", compute)
+
+
+# Cells of Hom rows built per chunk by _basis_homs: bounds its temporaries.
+_BUILD_CELLS = 1 << 22
+
+
+def _pointwise_products(target: Group, values: list[np.ndarray], n: int) -> np.ndarray:
+    """Every pointwise product v_1[j_1] ... v_s[j_s] in the target of one row
+    from each ``k_i x n`` array, one row per choice (j_1, ..., j_s), the last
+    index fastest; the identity row when there is no array."""
+    tmul, _ = _index_tables(target)
+    rows = np.full((1, n), target.identity, dtype=tmul.dtype)
+    for v in values:
+        rows = tmul[rows[:, None, :], v[None, :, :]].reshape(-1, n)
+    return rows
+
+
+def _basis_homs(ab: Group, target: Group, limit: int, what: str):
+    """(``k x ab.n`` array of every homomorphism's value table, rows, rows) for
+    an abelian p-group ``ab``: Hom(ab, target) as a product over a basis.
+
+    A homomorphism is free on the basis b_i of :func:`_abelian_basis`, with
+    f(b_i) any element of the target whose order divides ord(b_i), and
+    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  The row count, one
+    attempt per row, is known first, so a count past ``limit`` raises
+    :func:`_budget_exceeded` before any row is allocated.  The basis is
+    split in two halves of about equal row counts; each row is the pointwise
+    product of a row of each half's products, one gather, in chunks of about
+    :data:`_BUILD_CELLS` cells into one array that is then canonicalized.  So
+    the result is the array :func:`_hom_search` returns: read-only, sorted,
+    in the target's index dtype.
+    """
+    basis, coords = _abelian_basis(ab)
+    tmul, _ = _index_tables(target)
+    aorders, torders = ab.element_orders(), np.asarray(target.element_orders())
+    values = []  # values[i][j, g] = (j-th candidate image of b_i) ** coords[g, i]
+    for i, b in enumerate(basis):
+        cand = np.flatnonzero(aorders[b] % torders == 0).astype(tmul.dtype)
+        powers = [np.full(len(cand), target.identity, dtype=tmul.dtype)]
+        for _ in range(aorders[b] - 1):
+            powers.append(tmul[powers[-1], cand])
+        values.append(np.stack(powers, axis=1)[:, coords[:, i]])
+    sizes = [len(v) for v in values]
+    rows = math.prod(sizes)
+    if rows > max(limit, 0):
+        raise _budget_exceeded(what, limit, rows)
+    split = min(
+        range(len(sizes) + 1), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:]))
+    )
+    head = _pointwise_products(target, values[:split], ab.n)
+    tail = _pointwise_products(target, values[split:], ab.n)
+    tables = np.empty((rows, ab.n), dtype=tmul.dtype)
+    step = max(1, _BUILD_CELLS // (len(tail) * ab.n))  # head rows per chunk
+    for start in range(0, len(head), step):
+        block = tmul[head[start : start + step, None, :], tail[None, :, :]]
+        tables[start * len(tail) : (start + len(block)) * len(tail)] = block.reshape(-1, ab.n)
+    return _canonical(tables), rows, rows
+
+
 def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     """Hom(G/[G,G], M) for a central subgroup M, at the abelianization's width.
 
-    The one search behind every Hom set into a central subgroup: a read-only
-    ``k x |G^ab|`` array whose row i is the value table of the i-th
-    homomorphism, as indices into ``target.members`` (the elements of
-    ``target.as_group()``), rows sorted lexicographically.  A homomorphism
-    into an abelian group factors through G^ab, so these are all of
-    Hom(G, M).  The target must be central (:class:`NotCentral`
-    otherwise).  For a p-group their number is checked against the Hom order
-    of the two invariant types.  The budget bounds the enumeration; its
-    attempt count is cached with the result, so a later call with a smaller
-    budget raises exactly as a fresh search would.
+    The one Hom set into a central subgroup: a read-only ``k x |G^ab|``
+    array whose row i is the value table of the i-th homomorphism, as
+    indices into ``target.members`` (the elements of ``target.as_group()``),
+    rows sorted lexicographically.  A homomorphism into an abelian group
+    factors through G^ab, so these are all of Hom(G, M).  The target must be
+    central (:class:`NotCentral` otherwise).  For a p-group the rows are
+    built from a basis of G^ab (:func:`_basis_homs`, one attempt per row)
+    and their number is checked against the Hom order of the two invariant
+    types; any other group is searched (:func:`_hom_search`), and the tests
+    compare the two on p-groups.  The budget bounds the attempts; their
+    count is cached with the result, so a later call with a smaller budget
+    raises exactly as a fresh build would.
     """
     if target.parent is not group or not target.is_central():
         raise NotCentral(f"subgroup of {group.name} is not central")
@@ -629,8 +763,9 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     def compute():
         ab = group.abelianization().target
         target_group = target.as_group()
-        tables, attempts, naive_space = _hom_search(ab, target_group, limit, what)
         p = group.p_group_prime()
+        build = _hom_search if p is None else _basis_homs
+        tables, attempts, naive_space = build(ab, target_group, limit, what)
         if p is not None:
             expected = hom_order(invariants(ab, p), invariants(target_group, p))
             if len(tables) != expected:
@@ -671,9 +806,11 @@ def homs_to_central_subgroup(
     :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
     rows distinct and sorted lexicographically.  The target must be a
     central subgroup of the group (:class:`NotCentral` otherwise).  The rows
-    are those of :func:`_ab_homs`, whose search runs on the abelianization,
-    pulled back through the quotient map on each call; the search-verified
-    tables are not checked again, and the pull-back keeps their order (see
+    are those of :func:`_ab_homs` on the abelianization, pulled back through
+    the quotient map on each call: for a p-group built from its checked
+    basis (:func:`_basis_homs`), otherwise found by the verified search;
+    either way their count is checked against :func:`hom_order`.  The rows
+    are not checked again, and the pull-back keeps their order (see
     :func:`_pull_back`).  The budget bounds the enumeration and applies on
     every call, cached or not.
     """
@@ -689,15 +826,14 @@ def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     non-trivial z in Z(G) has f(z) = z^-1, read on the center's columns
     alone (were m = f(x) such an element, so is m; were z one, f(z) = z^-1
     lies in the image).  The criterion is compared with bijectivity of the
-    image row, tested by marking each row's images and requiring every
-    element marked, and any disagreement raises :class:`InternalDisagreement`.
+    image row, and any disagreement raises :class:`InternalDisagreement`.
+    With f a homomorphism into the center, x -> x f(x) is an endomorphism,
+    so it is bijective iff its kernel is trivial: iff the identity occurs
+    once in the row, at x = 1.
     """
     mul, inv = _index_tables(group)
-    n = group.n
-    images = mul[np.arange(n), homs]
-    hit = np.zeros(homs.shape, dtype=bool)
-    hit[np.arange(len(homs))[:, None], images] = True
-    bijective = hit.all(axis=1)
+    images = mul[np.arange(group.n), homs]
+    bijective = np.count_nonzero(images == group.identity, axis=1) == 1
     zcols = np.array([z for z in group.center().members if z != group.identity], dtype=np.intp)
     accepted = ~(homs[:, zcols] == inv[zcols]).any(axis=1)
     if not np.array_equal(accepted, bijective):
@@ -839,7 +975,9 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     :func:`_ab_homs` at the columns pi(M), and reported rather than assumed.
     |Aut^M(G)| is counted from the accepted mask of the pass behind
     :func:`autcent_order`: an automorphism acting trivially on G/M, M
-    central, is central.
+    central, is central.  |Aut^M_Z(G)| counts the rows of
+    :func:`center_fixing_autcent` that act trivially on G/M, read at a
+    generating set by :func:`aut_fixing_quotient`.
     """
     tables = _ab_homs(group, target, budget)
     zero = target.members.index(group.identity)

@@ -2,6 +2,9 @@
 
 Every group lives on elements ``0..n-1`` with a full multiplication table that
 is validated at construction (associativity on all triples, identity, inverses).
+A quotient or :meth:`Subgroup.as_group` table, derived from a validated group,
+is instead proved a group once by the map that defines it (see
+:meth:`Group._derived`).
 All objects are immutable after construction and all operations are pure, so
 instances may be shared freely across threads.
 
@@ -220,15 +223,43 @@ class Group:
             if len(labels) != n:
                 raise NotAGroup(f"got {len(labels)} labels for {n} elements")
 
+        self._init(mul, identity, inv, labels, name if name is not None else f"G{n}")
+
+    def _init(
+        self,
+        mul: np.ndarray,
+        identity: int,
+        inv: np.ndarray,
+        labels: tuple[str, ...] | None,
+        name: str,
+    ) -> None:
         mul.setflags(write=False)
         inv.setflags(write=False)
-        self.n = n
+        self.n = int(mul.shape[0])
         self.mul = mul
         self.identity = identity
         self.inv = inv
         self.labels = labels
-        self.name = name if name is not None else f"G{n}"
+        self.name = name
         self._cache: dict = {}
+
+    @classmethod
+    def _derived(
+        cls,
+        mul: np.ndarray,
+        identity: int,
+        inv: np.ndarray,
+        labels: tuple[str, ...] | None,
+        name: str,
+    ) -> "Group":
+        """A group on an int64 table derived from a validated group, without the
+        checks of ``__init__``: the caller proves the group axioms through the
+        map that defines the table (a quotient's projection is a surjective
+        homomorphism, a subgroup's embedding an injective one), and that map
+        gives the identity and the inverses."""
+        self = cls.__new__(cls)
+        self._init(mul, identity, inv, labels, name)
+        return self
 
     # -- basics ---------------------------------------------------------
 
@@ -413,7 +444,8 @@ class Group:
         """Quotient by a normal subgroup, on least-index coset representatives."""
         if kernel.parent is not self:
             raise NotNormal("kernel belongs to a different group")
-        witness = kernel.normality_witness()
+        # a central kernel is normal, so only a kernel outside the center is walked
+        witness = None if kernel.is_central() else kernel.normality_witness()
         if witness is not None:
             g, m = witness
             raise NotNormal(
@@ -423,7 +455,11 @@ class Group:
         labels = None
         if self.labels is not None:
             labels = tuple(f"{self.labels[int(r)]}·K" for r in reps)
-        target = Group(table, labels=labels, name=f"{self.name}/{len(kernel)}")
+        # the QuotientMap check proves the table a group: the image of a group
+        # under a surjective homomorphism is one, with identity proj(e) and
+        # inverses proj(x^-1)
+        name = f"{self.name}/{len(kernel)}"
+        target = Group._derived(table, int(proj[self.identity]), proj[self.inv[reps]], labels, name)
         return QuotientMap(self, target, proj)
 
     def _cached_quotient(self, key, kernel: Callable[[], "Subgroup"]) -> "QuotientMap":
@@ -570,15 +606,29 @@ class Subgroup:
 
         Cached on the parent by members, so every view of one subgroup
         returns the same group, which does not refer back to the parent.
+        Its table is checked once, by ``members[table]`` equal to the
+        parent's products of members: then i -> members[i] is an injective
+        homomorphism into a validated group, so the table is a group.
         """
 
         def compute():
+            parent = self.parent
             members = np.array(self.members)
-            table = np.searchsorted(members, self.parent.mul[np.ix_(members, members)])
+            products = parent.mul[np.ix_(members, members)]
+            # a product past the last member clips to it, and then differs from it
+            table = np.searchsorted(members, products).clip(max=len(members) - 1)
+            if not np.array_equal(members[table], products):
+                raise NotAGroup(f"subset of {parent.name} is not closed under multiplication")
             labels = None
-            if self.parent.labels is not None:
-                labels = tuple(self.parent.labels[m] for m in self.members)
-            return Group(table, labels=labels, name=f"{self.parent.name}[{len(self.members)}]")
+            if parent.labels is not None:
+                labels = tuple(parent.labels[m] for m in self.members)
+            return Group._derived(
+                table,
+                self.members.index(parent.identity),
+                np.searchsorted(members, parent.inv[members]),
+                labels,
+                f"{parent.name}[{len(self.members)}]",
+            )
 
         return self.parent._cached(("as_group", self.members), compute)
 

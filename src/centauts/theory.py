@@ -31,7 +31,9 @@ from .automorphisms import (
     is_central_automorphism,
     is_purely_nonabelian,
     minimal_generating_set,
-    _search_maps,
+    _ab_homs,
+    _projection,
+    _pull_back,
 )
 from .errors import InternalDisagreement, WrongClass
 from .groups import Group
@@ -298,16 +300,12 @@ class PurelyNonabelianReport:
         return ok
 
 
-def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """The witness data for a group with an abelian direct factor.
+def _witness_generators(group: Group, budget: int | None) -> tuple[int, list[int]]:
+    """The order-p element z of the lemma 3 witness and the generators it is
+    assigned to, for a group with an abelian direct factor G = H x A.
 
-    Splits G = H x A, picks an order-p element z of Z(H) inside the Frattini
-    subgroup, and returns z together with the value table of the homomorphism
-    f sending every member of a minimal generating set (generators of H
-    followed by those of A) to z; the table comes from the verified generator
-    extension and is not checked again.  The induced map x -> x*f(x) is then
-    a central automorphism moving the central generators of A.  The budget
-    bounds the Hom search behind :func:`abelian_factor_split`.
+    z is the least order-p element of Z(H) inside the Frattini subgroup; the
+    generators are a minimal generating set of H followed by one of A.
     """
     split = abelian_factor_split(group, budget)
     if split is None:
@@ -325,33 +323,38 @@ def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, 
         raise InternalDisagreement(
             f"no order-{p} element of Z(H) lies in the Frattini subgroup of {group.name}"
         )
-    z = candidates[0]
 
     gens_h = [h_sub.members[i] for i in minimal_generating_set(h_group)]
     a_group = a_sub.as_group()
     gens_a = [a_sub.members[i] for i in minimal_generating_set(a_group)]
-    gens = gens_h + gens_a
-
-    return z, _extend_generator_map(group, gens, [z] * len(gens))
+    return candidates[0], gens_h + gens_a
 
 
-def _extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tuple[int, ...]:
-    """Extend a generator assignment multiplicatively; the result must be total.
+def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """The witness data for a group with an abelian direct factor.
 
-    Returns the value table as a tuple of Python ints.
+    Splits G = H x A, picks an order-p element z of Z(H) inside the Frattini
+    subgroup, and returns z together with the value table of the homomorphism
+    f sending every member of a minimal generating set (generators of H
+    followed by those of A) to z.  Such an f maps into the central <z>, so
+    it is the row F of Hom(G/[G,G], Z(G)) (:func:`_ab_homs`, already made for
+    the split) with F(pi(g)) = z at every generator g, pulled back to G; the
+    row is looked up, not checked again.  The induced map x -> x*f(x) is
+    then a central automorphism moving the central generators of A.  The
+    budget bounds the Hom set behind :func:`abelian_factor_split`.
     """
-    # one candidate per generator: at most one extension attempt per level
-    tables, _ = _search_maps(
-        group, group, gens, [[y] for y in images], injective=False,
-        limit=len(images), what=f"generator extension for {group.name}",
-    )
-    if not len(tables):
+    z, gens = _witness_generators(group, budget)
+    center = group.center()
+    tables = _ab_homs(group, center, budget)
+    at_gens = tables[:, _projection(group)[gens]]
+    rows = np.flatnonzero((at_gens == center.members.index(z)).all(axis=1))
+    if not len(rows):
         raise InternalDisagreement(
             f"generator assignment on {group.name} does not extend to a homomorphism"
         )
     if len(group.closure(gens)) != group.n:
         raise InternalDisagreement(f"generators do not generate {group.name}")
-    return tuple(tables[0].tolist())
+    return z, tuple(_pull_back(group, center, tables[rows[:1]])[0].tolist())
 
 
 def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianReport:

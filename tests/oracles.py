@@ -16,6 +16,9 @@ read off value tables on G before it read them at the abelianization's
 width, and :func:`pairwise_product` and :func:`stem_named` are the group-file
 parser's product fold and file naming before each built its table once; all
 three are kept as references of the code that replaced them.
+:func:`extend_generator_map` is the generator-image extension the lemma 3
+witness used before it looked its table up among the central Homs, kept as
+the reference of that lookup; it runs the library's array search.
 """
 
 import hashlib
@@ -26,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from centauts import __version__
+from centauts import __version__, automorphisms
 from centauts.automorphisms import _budget_exceeded, _generator_chain
+from centauts.errors import InternalDisagreement
 from centauts.groups import DEFAULT_ELEMENT_CAP, Group, Subgroup, direct_product
 
 
@@ -315,6 +319,12 @@ def relabel(table, perm):
     return [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
 
 
+def relabelled_group(group: Group, seed: int) -> Group:
+    """A copy of the group on element indices shuffled by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(group.n).tolist()
+    return Group(relabel(group.mul.tolist(), perm), name=f"{group.name}~{seed}")
+
+
 def naive_alpha(table, f):
     """The image table of x -> x f(x) for a value table f, or None when the
     map is not a bijection (decided by counting distinct images)."""
@@ -419,3 +429,23 @@ def dfs_search_maps(
     del descend
     found.sort()
     return found, attempts
+
+
+def extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tuple[int, ...]:
+    """Extend a generator assignment multiplicatively; the result must be total.
+
+    Returns the value table as a tuple of Python ints.  The search is looked
+    up on the module, so a test that records its calls sees this one.
+    """
+    # one candidate per generator: at most one extension attempt per level
+    tables, _ = automorphisms._search_maps(
+        group, group, gens, [[y] for y in images], injective=False,
+        limit=len(images), what=f"generator extension for {group.name}",
+    )
+    if not len(tables):
+        raise InternalDisagreement(
+            f"generator assignment on {group.name} does not extend to a homomorphism"
+        )
+    if len(group.closure(gens)) != group.n:
+        raise InternalDisagreement(f"generators do not generate {group.name}")
+    return tuple(tables[0].tolist())

@@ -55,6 +55,7 @@ from oracles import (
     naive_fixing_quotient,
     naive_fixing_subgroup,
     relabel,
+    relabelled_group,
 )
 
 
@@ -489,6 +490,22 @@ class TestAlphaFromF:
                 assert AutSet(g, (a for a in built if a is not None)) == expected, (
                     g.name, m.members,
                 )
+
+    def test_generator_width_filter_matches_the_full_width_one(self):
+        # aut_fixing_quotient reads x^-1 a(x) at a generating set only; the
+        # scalar loop reads every x and is its oracle
+        for seed, (name, make) in enumerate(catalog().items()):
+            group = make()
+            for g in (group, relabelled_group(group, seed)):
+                table = g.mul_rows()
+                sets = (autcent(g), center_fixing_autcent(g), inner_automorphisms(g))
+                for m in g.center().all_subgroups():
+                    for within in sets:
+                        kept = [a.images for a in aut_fixing_quotient(g, m, within)]
+                        expected = naive_fixing_quotient(
+                            table, m.members, [a.images for a in within]
+                        )
+                        assert kept == expected, (g.name, m.members)
 
     def test_roundtrip_small_corpus(self, corpus):
         for g in corpus:

@@ -10,7 +10,16 @@ from centauts import (
     invariants,
     minimal_generating_set,
 )
-from centauts.corpus import abelian_group, cyclic_group, dicyclic_group, dihedral_group
+from centauts import groups
+from centauts.corpus import (
+    PER_GROUP_CHECKS,
+    abelian_group,
+    analyze_group,
+    catalog,
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+)
 from centauts.errors import (
     NotAGroup,
     NotNilpotent,
@@ -19,7 +28,7 @@ from centauts.errors import (
     SizeLimitExceeded,
 )
 
-from centauts.groups import _associativity_failure
+from centauts.groups import Group, QuotientMap, Subgroup, _associativity_failure
 from centauts.groups import _right_closure_generators as _magma_generators
 from oracles import (
     identity_of,
@@ -329,6 +338,70 @@ class TestQuotient:
         refl = [x for x in range(8) if orders[x] == 2 and x != z][0]
         with pytest.raises(NotNormal):
             g.quotient(g.subgroup_generated([refl]))
+
+    def test_central_kernels_are_not_walked(self, monkeypatch):
+        # Z(G), and [G,G] in class 2, are central and so normal: no walk
+        def refuse(subgroup):
+            raise AssertionError("a central kernel was walked for normality")
+
+        monkeypatch.setattr(Subgroup, "normality_witness", refuse)
+        class_two = 0
+        for make in catalog().values():
+            g = make()
+            if g.p_group_prime() is not None and g.nilpotency_class() == 2:
+                g.center_quotient()
+                g.abelianization()
+                class_two += 1
+        assert class_two == 29
+        monkeypatch.undo()
+        self.test_rejects_non_normal()
+
+    def test_derived_tables_pass_the_public_checks(self, monkeypatch):
+        # the quotient and as_group tables a scan derives skip Group's checks;
+        # each must pass them, and each quotient QuotientMap's, on its own
+        made, quotients = [], []
+        derived, quotient = Group._derived.__func__, Group.quotient
+
+        def recording_derived(cls, *args):
+            made.append(derived(cls, *args))
+            return made[-1]
+
+        def recording_quotient(self, kernel):
+            quotients.append(quotient(self, kernel))
+            return quotients[-1]
+
+        monkeypatch.setattr(Group, "_derived", classmethod(recording_derived))
+        monkeypatch.setattr(Group, "quotient", recording_quotient)
+        for make in catalog().values():
+            analyze_group(make(), PER_GROUP_CHECKS)
+        assert len(quotients) > 47 and len(made) > len(quotients)
+        for g in made:
+            checked = Group(g.mul, labels=g.labels, name=g.name)
+            assert checked.identity == g.identity and np.array_equal(checked.inv, g.inv)
+            assert g.mul.dtype == checked.mul.dtype and g.inv.dtype == checked.inv.dtype
+        for q in quotients:
+            QuotientMap(q.source, Group(q.target.mul), q.projection)
+
+    def test_a_corrupted_coset_table_is_rejected(self, monkeypatch):
+        coset_table = groups._coset_table
+
+        def corrupted(mul, members):
+            reps, proj, table = coset_table(mul, members)
+            table = table.copy()
+            table[1, [1, 2]] = table[1, [2, 1]]  # swap two products
+            return reps, proj, table
+
+        monkeypatch.setattr(groups, "_coset_table", corrupted)
+        g = d8()
+        with pytest.raises(NotAGroup, match="not a homomorphism"):
+            g.quotient(g.center())
+
+    def test_a_subset_not_closed_has_no_table(self):
+        g = d8()
+        rotation = next(x for x in range(g.n) if g.element_order(x) == 4)
+        members = (g.identity, rotation)
+        with pytest.raises(NotAGroup, match="not closed under multiplication"):
+            Subgroup._of(g, members, frozenset(members)).as_group()
 
     def test_center_quotient_never_nontrivial_cyclic(self, corpus):
         for g in corpus:

@@ -148,6 +148,7 @@ class TestBudgetOnCachedSearch:
             raise AssertionError("lemma0a searched an abelian group")
 
         monkeypatch.setattr(automorphisms, "_search_maps", refuse)
+        monkeypatch.setattr(automorphisms, "_basis_homs", refuse)
         doc = {"name": "C2^5", "format": "product", "factors": ["C2"] * 5}
         g = parse_group_text(json.dumps(doc))
         for budget in (0, None):

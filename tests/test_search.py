@@ -8,7 +8,9 @@ already verified subgroup.  Every search the library makes for central
 Homs, full automorphism groups and generator extensions is recorded and
 replayed through both, which must return the same tables in the same
 order, the same attempt count and, at a budget one below that count, the
-same error.
+same error.  A p-group's central Homs are built from a basis instead of
+searched; that build is compared with both searches, and the lemma 3
+witness it looks up with the generator extension it replaced.
 """
 
 import re
@@ -18,11 +20,11 @@ import pytest
 
 from centauts import all_automorphisms, enumerate_homs, homs_to_central_subgroup
 from centauts import automorphisms, theory
-from centauts.corpus import abelian_group, catalog, cyclic_group, dihedral_group
+from centauts.corpus import abelian_group, catalog, catalog_group, cyclic_group, dihedral_group
 from centauts.errors import BudgetExceeded, InternalDisagreement
-from centauts.theory import _extend_generator_map, build_factor_witness
+from centauts.theory import build_factor_witness
 
-from oracles import dfs_search_maps
+from oracles import dfs_search_maps, extend_generator_map, relabelled_group
 
 # bound before the fixture below wraps the module attribute
 search_maps = automorphisms._search_maps
@@ -33,17 +35,11 @@ def recorded(monkeypatch):
     """The argument tuples of every ``_search_maps`` call, in call order."""
     calls = []
 
-    def record(module):
-        search = module._search_maps
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search_maps(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls.append((args, kwargs))
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(module, "_search_maps", wrapper)
-
-    record(automorphisms)
-    record(theory)
+    monkeypatch.setattr(automorphisms, "_search_maps", wrapper)
     return calls
 
 
@@ -110,41 +106,95 @@ def test_automorphism_searches_match_dfs(recorded):
     _assert_same_budget_edge([c for c in recorded if c[0][0].n <= 8])
 
 
+def test_basis_homs_match_the_searches(recorded):
+    # every catalog p-group and one relabelling of it, every M <= Z(G): the
+    # basis build equals the array search, which the recording replays
+    # through the recursive search
+    for seed, (name, make) in enumerate(catalog().items()):
+        group = make()
+        if group.p_group_prime() is None:
+            continue
+        for g in (group, relabelled_group(group, seed)):
+            ab = g.abelianization().target
+            for target in _central_subgroups(g):
+                built = automorphisms._ab_homs(g, target, None)
+                what = f"homomorphism search for {g.name}"
+                searched, _, _ = automorphisms._hom_search(ab, target.as_group(), 10**7, what)
+                assert not built.flags.writeable
+                assert built.dtype == searched.dtype, g.name
+                assert np.array_equal(built, searched), g.name
+    _assert_same(recorded)
+
+
+def test_a_dependent_basis_is_caught(monkeypatch):
+    # a basis step that ignores the span picks the first basis element again
+    orders_modulo = automorphisms._orders_modulo
+
+    def ignoring_the_span(powers, in_span):
+        identity = powers[-1, 0]  # x^exponent
+        return orders_modulo(powers, np.arange(len(in_span)) == identity)
+
+    monkeypatch.setattr(automorphisms, "_orders_modulo", ignoring_the_span)
+    g = catalog_group("D8xC2")
+    with pytest.raises(InternalDisagreement, match="basis construction for .* meets the span"):
+        automorphisms._ab_homs(g, g.center(), None)
+
+
 def test_generator_extensions_match_dfs(recorded):
+    witnessed = 0
     for name, make in catalog().items():
         group = make()
         if not group.is_abelian() and group.p_group_prime() is not None:
             if automorphisms.abelian_factor_split(group) is not None:
-                build_factor_witness(group)
+                # the looked-up witness is the generator extension it replaced
+                z, gens = theory._witness_generators(group, None)
+                expected = extend_generator_map(group, gens, [z] * len(gens))
+                assert build_factor_witness(group) == (z, expected), name
+                witnessed += 1
+    assert witnessed == 13
     d8 = dihedral_group(4, name="D8")
     gens = list(automorphisms.minimal_generating_set(d8))
-    _extend_generator_map(d8, gens, gens)
+    extend_generator_map(d8, gens, gens)
     rotation = next(x for x in range(d8.n) if d8.element_order(x) == 4)
     with pytest.raises(InternalDisagreement, match="does not extend to a homomorphism"):
         # some generator has order 2, and its image has order 4
-        _extend_generator_map(d8, gens, [rotation] * len(gens))
+        extend_generator_map(d8, gens, [rotation] * len(gens))
     # 2 already lies in <1>, so its image is forced by the image of 1
     c4 = cyclic_group(4)
-    assert _extend_generator_map(c4, [1, 2], [1, 2]) == (0, 1, 2, 3)
+    assert extend_generator_map(c4, [1, 2], [1, 2]) == (0, 1, 2, 3)
     with pytest.raises(InternalDisagreement, match="does not extend to a homomorphism"):
-        _extend_generator_map(c4, [1, 2], [1, 1])
+        extend_generator_map(c4, [1, 2], [1, 1])
     extensions = [c for c in recorded if c[1]["what"].startswith("generator extension")]
-    assert len(extensions) > 4
     _assert_same(extensions)
     _assert_same_budget_edge(extensions)
+
+
+def test_witness_lookup_reports_a_bad_assignment(monkeypatch):
+    g = catalog_group("D8xC4")
+    z, gens = theory._witness_generators(g, None)
+    orders = g.element_orders()
+    # a central z of order 4 at a generator of order 2: no homomorphism
+    z4 = next(x for x in g.center().members if orders[x] == 4)
+    monkeypatch.setattr(theory, "_witness_generators", lambda group, budget: (z4, gens))
+    with pytest.raises(InternalDisagreement, match="does not extend to a homomorphism"):
+        build_factor_witness(g)
+    # without its last generator the rest does not generate G
+    monkeypatch.setattr(theory, "_witness_generators", lambda group, budget: (z, gens[:-1]))
+    with pytest.raises(InternalDisagreement, match="generators do not generate"):
+        build_factor_witness(g)
 
 
 class TestOrder256:
     """At n = 256 the largest index 255 is an element; nothing marks a missing image."""
 
     def test_identity_extension_reaches_255(self):
-        table = _extend_generator_map(cyclic_group(256), [1], [1])
+        table = extend_generator_map(cyclic_group(256), [1], [1])
         assert table == tuple(range(256))
         assert all(type(v) is int for v in table)
 
     def test_non_generating_set_is_reported(self):
         with pytest.raises(InternalDisagreement, match="generators do not generate C256"):
-            _extend_generator_map(cyclic_group(256), [2], [2])
+            extend_generator_map(cyclic_group(256), [2], [2])
 
     def test_automorphisms_of_c256(self):
         auts = all_automorphisms(cyclic_group(256))
