@@ -126,6 +126,32 @@ def hom_order(a: AbelianType, b: AbelianType) -> int:
     return math.prod(a.p ** min(x, y) for x in a.exps for y in b.exps)
 
 
+def _sylow_type(group: Group, p: int) -> AbelianType:
+    """Type of the Sylow p-subgroup of a finite abelian group: the elements
+    whose order divides the p-part of |G|.  A p-group is its own, so no
+    subgroup is built for it."""
+    if group.p_group_prime() == p:
+        return invariants(group, p)
+    part = math.gcd(group.n, p ** group.n.bit_length())
+    orders = group.element_orders()
+    sylow = group.subgroup(x for x in range(group.n) if part % orders[x] == 0)
+    return invariants(sylow.as_group(), p)
+
+
+def _hom_count(a: Group, m: Group) -> int:
+    """|Hom(A, M)| for finite abelian groups A and M, by type formula.
+
+    A homomorphism maps each Sylow p-subgroup of A into that of M, and both
+    groups are the direct products of their Sylow subgroups, so the count is
+    the product over the primes p dividing both orders of :func:`hom_order`
+    on the two Sylow p-subgroups' types.
+    """
+    common = math.gcd(a.n, m.n)
+    divisors = [d for d in range(2, common + 1) if common % d == 0]
+    primes = [p for p in divisors if all(p % d for d in divisors if d < p)]
+    return math.prod(hom_order(_sylow_type(a, p), _sylow_type(m, p)) for p in primes)
+
+
 def _exponent_matrix(types: Sequence[AbelianType]) -> np.ndarray:
     """The exponents of each type as one row, zero-padded to the largest rank.
 

@@ -11,10 +11,10 @@ Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.
 
 The central automorphisms come from Hom(G/[G,G], Z(G)) alone, made once per
-central target at the abelianization's width: for a p-group as a product
-over a verified basis of G/[G,G] (:func:`_basis_homs`), for any other group
-by the search (on p-groups the tests compare the two).  The checks read a
-count, not a set: one chunked pass maps every row f to x -> x f(x),
+central target at the abelianization's width, as a product over a verified
+basis of G/[G,G] (:func:`_basis_homs`) whose row count is checked against a
+type formula; the search is only its oracle (:func:`enumerate_homs`).  The
+checks read a count, not a set: one chunked pass maps every row f to x -> x f(x),
 compares the inverse-image criterion with direct bijectivity on each row,
 and keeps only |Autcent(G)| (:func:`autcent_order`, a checked count), the
 accepted mask and the small set Aut^Z_Z(G) (:func:`center_fixing_autcent`).
@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .abelian import hom_order, invariants
+from .abelian import _hom_count
 from .errors import (
     BudgetExceeded,
     HypothesisViolated,
@@ -190,6 +190,8 @@ class AutSet:
         return iter(self.elements)
 
     def __contains__(self, item) -> bool:
+        if isinstance(item, Automorphism) and item.group is not self.group:
+            return False
         images = item.images if isinstance(item, Automorphism) else tuple(item)
         if len(images) != self.group.n:
             return False
@@ -411,31 +413,21 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     return AutSet._of(group, _cached_search(group, "all_automorphisms", limit, what, compute))
 
 
-def _hom_search(source: Group, target: Group, limit: int, what: str):
-    """(``k x source.n`` array of every homomorphism's value table, attempts, naive space).
-
-    The array is :func:`_search_maps`'s: read-only, rows sorted, in the
-    target's index dtype.
-    """
-    gens = _search_generating_set(source)
-    sorders = source.element_orders()
-    torders = target.element_orders()
-    cands = [
-        [t for t in range(target.n) if sorders[w] % torders[t] == 0] for w in gens
-    ]
-    tables, attempts = _search_maps(
-        source, target, gens, cands, injective=False, limit=limit, what=what
-    )
-    return tables, attempts, math.prod(map(len, cands))
-
-
 def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
     """Value tables of every homomorphism from source into target, sorted.
 
-    Each table is a tuple of Python ints.
+    Found by the generator-image search, the oracle of every Hom set and
+    count the checks read.  Each table is a tuple of Python ints.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    tables = _hom_search(source, target, limit, f"homomorphism search for {source.name}")[0]
+    gens = _search_generating_set(source)
+    sorders = source.element_orders()
+    torders = target.element_orders()
+    cands = [[t for t in range(target.n) if sorders[w] % torders[t] == 0] for w in gens]
+    what = f"homomorphism search for {source.name}"
+    tables, _ = _search_maps(
+        source, target, gens, cands, injective=False, limit=limit, what=what
+    )
     return [tuple(t) for t in tables.tolist()]
 
 
@@ -461,7 +453,9 @@ def inner_automorphisms(group: Group) -> AutSet:
 
 
 def is_central_automorphism(group: Group, aut: Automorphism) -> bool:
-    """True iff x^-1 * aut(x) is central for every x."""
+    """True iff x^-1 * aut(x) is central for every x; ``aut`` must be the group's."""
+    if aut.group is not group:
+        raise HypothesisViolated("automorphism belongs to a different group")
     rows = group.mul_rows()
     inv = group.inv
     zset = group.center().member_set
@@ -629,17 +623,19 @@ def _orders_modulo(powers: np.ndarray, in_span: np.ndarray) -> np.ndarray:
 
 
 def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
-    """A basis b_1..b_r of an abelian p-group and every element's coordinates.
+    """A basis b_1..b_r of a finite abelian group and every element's coordinates.
 
     Greedy: with S the span of the basis so far, pick the least element x of
-    largest order p^k modulo S, and lift it to the least element of xS of
-    order p^k, whose cyclic group then meets S trivially (one exists, as S
-    is a direct summand spanned by elements of order at least p^k).  Each
-    step is checked, |<S, b>| = |S| ord(b), and so is the end: the products
-    b_1^c_1 ... b_r^c_r, 0 <= c_i < ord(b_i), are every element once.  A
-    failed check raises :class:`InternalDisagreement`.  Returns the basis,
-    in order of non-increasing order, and the read-only ``n x r`` array
-    whose row g holds the exponents c_i of g; both are cached on the group.
+    largest order m modulo S, and lift it to the least element b of xS of
+    order m.  With S a direct summand, G = S + T and x = t + s, t in T of
+    the largest order m in T; so b = t + s' with ord(s') | m, <b> meets S
+    trivially, and S + <b> = S + <t> is a summand, as a cyclic subgroup of
+    largest order is one of T.  Each step is checked, |<S, b>| = |S| ord(b),
+    and so is the end: the products b_1^c_1 ... b_r^c_r, 0 <= c_i < ord(b_i),
+    are every element once.  A failed check raises
+    :class:`InternalDisagreement`.  Returns the basis, in order of
+    non-increasing order, and the read-only ``n x r`` array whose row g
+    holds the exponents c_i of g; both are cached on the group.
     """
 
     def fail(step: str) -> InternalDisagreement:
@@ -698,19 +694,20 @@ def _pointwise_products(target: Group, values: list[np.ndarray], n: int) -> np.n
 
 
 def _basis_homs(ab: Group, target: Group, limit: int, what: str):
-    """(``k x ab.n`` array of every homomorphism's value table, rows, rows) for
-    an abelian p-group ``ab``: Hom(ab, target) as a product over a basis.
+    """(``k x ab.n`` array of every homomorphism's value table, attempts, rows)
+    for a finite abelian group ``ab``: Hom(ab, target) as a product over a basis.
 
     A homomorphism is free on the basis b_i of :func:`_abelian_basis`, with
     f(b_i) any element of the target whose order divides ord(b_i), and
-    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  The row count, one
-    attempt per row, is known first, so a count past ``limit`` raises
-    :func:`_budget_exceeded` before any row is allocated.  The basis is
-    split in two halves of about equal row counts; each row is the pointwise
-    product of a row of each half's products, one gather, in chunks of about
-    :data:`_BUILD_CELLS` cells into one array that is then canonicalized.  So
-    the result is the array :func:`_hom_search` returns: read-only, sorted,
-    in the target's index dtype.
+    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  One attempt per
+    row, none for an empty basis (as a search without generators): the count
+    is known first, so one past ``limit`` raises :func:`_budget_exceeded`
+    before any row is allocated.  The basis is split in two halves of about
+    equal row counts; each row is the pointwise product of a row of each
+    half's products, one gather, in chunks of about :data:`_BUILD_CELLS`
+    cells into one array that is then canonicalized.  So the result is the
+    array :func:`_search_maps` returns: read-only, sorted, in the target's
+    index dtype.
     """
     basis, coords = _abelian_basis(ab)
     tmul, _ = _index_tables(target)
@@ -724,7 +721,8 @@ def _basis_homs(ab: Group, target: Group, limit: int, what: str):
         values.append(np.stack(powers, axis=1)[:, coords[:, i]])
     sizes = [len(v) for v in values]
     rows = math.prod(sizes)
-    if rows > max(limit, 0):
+    attempts = rows if basis else 0
+    if attempts > max(limit, 0):
         raise _budget_exceeded(what, limit, rows)
     split = min(
         range(len(sizes) + 1), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:]))
@@ -736,7 +734,7 @@ def _basis_homs(ab: Group, target: Group, limit: int, what: str):
     for start in range(0, len(head), step):
         block = tmul[head[start : start + step, None, :], tail[None, :, :]]
         tables[start * len(tail) : (start + len(block)) * len(tail)] = block.reshape(-1, ab.n)
-    return _canonical(tables), rows, rows
+    return _canonical(tables), attempts, rows
 
 
 def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
@@ -747,11 +745,10 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     indices into ``target.members`` (the elements of ``target.as_group()``),
     rows sorted lexicographically.  A homomorphism into an abelian group
     factors through G^ab, so these are all of Hom(G, M).  The target must be
-    central (:class:`NotCentral` otherwise).  For a p-group the rows are
-    built from a basis of G^ab (:func:`_basis_homs`, one attempt per row)
-    and their number is checked against the Hom order of the two invariant
-    types; any other group is searched (:func:`_hom_search`), and the tests
-    compare the two on p-groups.  The budget bounds the attempts; their
+    central (:class:`NotCentral` otherwise).  The rows are built from a
+    basis of G^ab (:func:`_basis_homs`, one attempt per row) and their
+    number is checked against :func:`~centauts.abelian._hom_count`; the
+    tests compare them with the search.  The budget bounds the attempts; their
     count is cached with the result, so a later call with a smaller budget
     raises exactly as a fresh build would.
     """
@@ -763,16 +760,13 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     def compute():
         ab = group.abelianization().target
         target_group = target.as_group()
-        p = group.p_group_prime()
-        build = _hom_search if p is None else _basis_homs
-        tables, attempts, naive_space = build(ab, target_group, limit, what)
-        if p is not None:
-            expected = hom_order(invariants(ab, p), invariants(target_group, p))
-            if len(tables) != expected:
-                raise InternalDisagreement(
-                    f"enumerated {len(tables)} homomorphisms from the abelianization "
-                    f"of {group.name} into a central subgroup, Hom order is {expected}"
-                )
+        tables, attempts, naive_space = _basis_homs(ab, target_group, limit, what)
+        expected = _hom_count(ab, target_group)
+        if len(tables) != expected:
+            raise InternalDisagreement(
+                f"enumerated {len(tables)} homomorphisms from the abelianization "
+                f"of {group.name} into a central subgroup, Hom order is {expected}"
+            )
         return tables, attempts, naive_space
 
     return _cached_search(group, ("ab_homs", target.members), limit, what, compute)
@@ -807,12 +801,11 @@ def homs_to_central_subgroup(
     rows distinct and sorted lexicographically.  The target must be a
     central subgroup of the group (:class:`NotCentral` otherwise).  The rows
     are those of :func:`_ab_homs` on the abelianization, pulled back through
-    the quotient map on each call: for a p-group built from its checked
-    basis (:func:`_basis_homs`), otherwise found by the verified search;
-    either way their count is checked against :func:`hom_order`.  The rows
-    are not checked again, and the pull-back keeps their order (see
-    :func:`_pull_back`).  The budget bounds the enumeration and applies on
-    every call, cached or not.
+    the quotient map on each call: built from a checked basis of G^ab
+    (:func:`_basis_homs`), their count checked against a type formula
+    (:func:`~centauts.abelian._hom_count`).  The rows are not checked again,
+    and the pull-back keeps their order (see :func:`_pull_back`).  The
+    budget bounds the enumeration and applies on every call, cached or not.
     """
     return _readonly(_pull_back(group, target, _ab_homs(group, target, budget)))
 
@@ -862,10 +855,13 @@ def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
 def hom_from_automorphism(group: Group, aut: Automorphism, target: Subgroup) -> tuple[int, ...]:
     """Value table of f(x) = x^-1 * aut(x), for aut centralizing G/target.
 
-    With ``target`` central, f is a homomorphism into it; it is not checked again.
+    With ``target`` central, f is a homomorphism into it; it is not checked
+    again.  ``aut`` must be the group's (:class:`HypothesisViolated` otherwise).
     """
     if target.parent is not group or not target.is_central():
         raise NotCentral(f"target subgroup of {group.name} is not central")
+    if aut.group is not group:
+        raise HypothesisViolated("automorphism belongs to a different group")
     rows = group.mul_rows()
     inv = group.inv
     values = tuple(rows[int(inv[x])][aut.images[x]] for x in range(group.n))
@@ -921,31 +917,6 @@ def is_purely_nonabelian(group: Group, budget: int | None = None) -> bool:
     return abelian_factor_split(group, budget) is None
 
 
-def _independent_hom_count(source: Group, target: Group, budget: int | None = None) -> int:
-    """|Hom(source, target)| by type formula when possible, else enumeration.
-
-    The closed form applies when both sides are abelian p-groups over one
-    prime; anything else (non-abelian source, mixed orders) falls back to a
-    direct search, which stays independent of any automorphism filtering.
-    The budget bounds that search; its attempt count is cached with the count.
-    """
-    if source.n == 1 or target.n == 1:
-        return 1
-    if source.is_abelian() and target.is_abelian():
-        ps, pt = source.p_group_prime(), target.p_group_prime()
-        if ps is not None and ps == pt:
-            return hom_order(invariants(source, ps), invariants(target, pt))
-    limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    what = f"homomorphism search for {source.name}"
-
-    def count():
-        tables, attempts, naive_space = _hom_search(source, target, limit, what)
-        return len(tables), attempts, naive_space
-
-    # the key holds the target alive, so its identity cannot be reused
-    return _cached_search(source, ("hom_count", target), limit, what, count)
-
-
 @dataclass(frozen=True)
 class Lemma0Report:
     """Counts behind the Hom <-> quotient-centralizing-automorphism bijection."""
@@ -977,7 +948,8 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     :func:`autcent_order`: an automorphism acting trivially on G/M, M
     central, is central.  |Aut^M_Z(G)| counts the rows of
     :func:`center_fixing_autcent` that act trivially on G/M, read at a
-    generating set by :func:`aut_fixing_quotient`.
+    generating set by :func:`aut_fixing_quotient`.  |Hom(G/Z, M)| is a type
+    formula on (G/Z)^ab, through which every map into the abelian M factors.
     """
     tables = _ab_homs(group, target, budget)
     zero = target.members.index(group.identity)
@@ -985,9 +957,10 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
 
     aut_quotient_count = _aut_quotient_count(group, target, budget)
     center_fixing = aut_fixing_quotient(group, target, center_fixing_autcent(group, budget))
-    center_homs = _independent_hom_count(
-        group.center_quotient().target, target.as_group(), budget
-    )
+    quotient = group.center_quotient().target
+    if not quotient.is_abelian():
+        quotient = quotient.abelianization().target
+    center_homs = _hom_count(quotient, target.as_group())
 
     return Lemma0Report(
         group=group.name,
@@ -1028,7 +1001,5 @@ def verify_lemma0a(group: Group, budget: int | None = None) -> Lemma0aReport:
     if group.n > 1 and group.is_abelian() or not is_purely_nonabelian(group, budget):
         raise NotPurelyNonabelian(f"{group.name} has a non-trivial abelian direct factor")
     order = autcent_order(group, budget)
-    homs = _independent_hom_count(
-        group.abelianization().target, group.center().as_group(), budget
-    )
+    homs = _hom_count(group.abelianization().target, group.center().as_group())
     return Lemma0aReport(group=group.name, autcent_order=order, hom_count=homs)

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from centauts import (
     AbelianType,
     class_two_invariants,
+    enumerate_homs,
     from_cayley_table,
     hom_exponents,
     hom_order,
     invariants,
     lemma4_compare,
 )
+from centauts.abelian import _hom_count
 from centauts.corpus import (
     abelian_group,
+    catalog,
     cyclic_group,
     dihedral_group,
     heisenberg_group,
@@ -135,6 +138,33 @@ class TestHomOrder:
                 assert expected == order_census_hom_count(ta.exps, p, gb.mul.tolist())
                 if ga.n <= 8 and gb.n <= 8:
                     assert expected == brute_force_hom_count(ga.mul.tolist(), gb.mul.tolist())
+
+
+class TestHomCount:
+    """|Hom(A, M)| for finite abelian groups of any order, over their Sylow subgroups."""
+
+    def test_mixed_orders_match_brute_force(self):
+        groups = [from_cayley_table([[0]])] + [
+            abelian_group(f) for f in ([2], [3], [4], [2, 2], [6], [2, 6], [12], [5])
+        ]
+        for a in groups:
+            for m in groups:
+                expected = brute_force_hom_count(a.mul.tolist(), m.mul.tolist())
+                assert _hom_count(a, m) == expected, (a.name, m.name)
+
+    def test_matches_the_search_on_the_catalog(self):
+        # every catalog (G/Z, M <= Z) and (G^ab, Z) pair; a map into the
+        # abelian M factors through the abelianization of G/Z
+        for name, make in catalog().items():
+            g = make()
+            center = g.center()
+            quotient = g.center_quotient().target
+            source = quotient if quotient.is_abelian() else quotient.abelianization().target
+            for sub in center.as_group().all_subgroups():
+                m = g.subgroup(center.members[i] for i in sub.members).as_group()
+                assert _hom_count(source, m) == len(enumerate_homs(quotient, m)), name
+            ab, z = g.abelianization().target, center.as_group()
+            assert _hom_count(ab, z) == len(enumerate_homs(ab, z)), name
 
 
 class TestHomExponents:

@@ -28,7 +28,6 @@ from centauts import (
 from centauts.automorphisms import (
     Automorphism,
     _generator_chain,
-    _independent_hom_count,
     _search_generating_set,
 )
 from centauts.corpus import (
@@ -376,16 +375,6 @@ class TestHomSearchBudget:
         with pytest.raises(BudgetExceeded, match=r"^homomorphism search for "):
             verify_lemma0(g, g.center(), budget=1)
 
-    def test_enumeration_fallback_obeys_budget_after_caching(self):
-        source, target = dihedral_group(4, name="D8"), cyclic_group(2)
-        with pytest.raises(BudgetExceeded, match=r"^homomorphism search for D8: ") as fresh:
-            _independent_hom_count(source, target, budget=1)
-        assert _independent_hom_count(source, target) == 4
-        with pytest.raises(BudgetExceeded) as cached:
-            _independent_hom_count(source, target, budget=1)
-        assert str(cached.value) == str(fresh.value)
-
-
     def test_center_fixing_autcent_obeys_budget_after_caching(self):
         g = dihedral_group(4, name="D8")
         assert center_fixing_autcent(g) == autcent(g)
@@ -394,7 +383,8 @@ class TestHomSearchBudget:
 
 
 class TestForeignObjects:
-    """A subgroup or automorphism set of another group is rejected, not read as indices."""
+    """A subgroup, automorphism or automorphism set of another group is rejected,
+    not read as indices."""
 
     @pytest.fixture
     def d8_q8(self):
@@ -425,6 +415,21 @@ class TestForeignObjects:
         with pytest.raises(NotCentral):
             hom_from_automorphism(d8, aut, q8.center())
 
+    def test_a_foreign_automorphism_is_rejected(self, d8_q8):
+        # every central automorphism of Q8 once read as one of D8: central,
+        # with tables such as (0,0,0,0,2,2,2,2) for its Hom into Z(D8)
+        d8, q8 = d8_q8
+        d8_autcent = autcent(d8)
+        for aut in autcent(q8):
+            with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+                is_central_automorphism(d8, aut)
+            with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+                hom_from_automorphism(d8, aut, d8.center())
+            assert aut not in d8_autcent
+        identity = tuple(range(8))
+        assert Automorphism(q8, identity) not in d8_autcent
+        assert Automorphism(d8, identity) in d8_autcent and identity in d8_autcent
+
     def test_subset_is_false_across_groups(self, d8_q8):
         d8, q8 = d8_q8
         assert not autcent(d8).is_subset_of(autcent(q8))
@@ -439,6 +444,12 @@ class TestForeignObjects:
             homs_to_central_subgroup(d8, copy.center())
         with pytest.raises(NotCentral):
             hom_from_automorphism(d8, next(iter(autcent(d8))), copy.center())
+        foreign = next(iter(autcent(copy)))
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            is_central_automorphism(d8, foreign)
+        with pytest.raises(HypothesisViolated, match="belongs to a different group"):
+            hom_from_automorphism(d8, foreign, d8.center())
+        assert foreign not in autcent(d8)
         with pytest.raises(HypothesisViolated, match="belongs to a different group"):
             aut_fixing_subgroup(d8, copy.center(), autcent(d8))
         with pytest.raises(HypothesisViolated, match="belongs to a different group"):

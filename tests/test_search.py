@@ -4,23 +4,37 @@
 It verifies every (element, generator) product at every level, while the
 array search verifies only the relations of ``_generator_chain``: the
 products that neither define a new element nor lie in the previous,
-already verified subgroup.  Every search the library makes for central
-Homs, full automorphism groups and generator extensions is recorded and
-replayed through both, which must return the same tables in the same
-order, the same attempt count and, at a budget one below that count, the
-same error.  A p-group's central Homs are built from a basis instead of
-searched; that build is compared with both searches, and the lemma 3
-witness it looks up with the generator extension it replaced.
+already verified subgroup.  Every search made here for central Homs, full
+automorphism groups and generator extensions is recorded and replayed
+through both, which must return the same tables in the same order, the
+same attempt count and, at a budget one below that count, the same error.
+The checks search nothing: central Homs are built from a basis, which is
+compared with both searches, and the lemma 3 witness is looked up in them
+and compared with the generator extension it replaced.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from centauts import all_automorphisms, enumerate_homs, homs_to_central_subgroup
+from centauts import all_automorphisms, direct_product, enumerate_homs
 from centauts import automorphisms, theory
-from centauts.corpus import abelian_group, catalog, catalog_group, cyclic_group, dihedral_group
+from centauts.corpus import (
+    CACHE_ENV_VAR,
+    PER_GROUP_CHECKS,
+    RunConfig,
+    abelian_group,
+    analyze_group,
+    catalog,
+    catalog_group,
+    cyclic_group,
+    dicyclic_group,
+    dihedral_group,
+    emit_report,
+    scan_corpus,
+)
 from centauts.errors import BudgetExceeded, InternalDisagreement
 from centauts.theory import build_factor_witness
 
@@ -28,6 +42,9 @@ from oracles import dfs_search_maps, extend_generator_map, relabelled_group
 
 # bound before the fixture below wraps the module attribute
 search_maps = automorphisms._search_maps
+
+# the scan of every check over the whole catalog (orders up to 125, primes 2, 3, 5)
+FULL_SCAN = Path(__file__).parent / "reference/catalog_scan_full.json"
 
 
 @pytest.fixture
@@ -89,10 +106,12 @@ def _central_subgroups(group):
 
 
 def test_central_hom_searches_match_dfs(recorded):
+    # the oracle's search of Hom(G^ab, M) for every catalog G and M <= Z(G)
     for name, make in catalog().items():
         group = make()
+        ab = group.abelianization().target
         for target in _central_subgroups(group):
-            homs_to_central_subgroup(group, target)
+            enumerate_homs(ab, target.as_group())
     _assert_same(recorded)
     _assert_same_budget_edge([c for c in recorded if c[0][0].n <= 16])
 
@@ -106,24 +125,51 @@ def test_automorphism_searches_match_dfs(recorded):
     _assert_same_budget_edge([c for c in recorded if c[0][0].n <= 8])
 
 
+def _mixed_groups():
+    """Groups that are not p-groups, each with a non-abelian G/Z: Dic3 x Q8,
+    Dic3 x C3 x Q8, whose center C2 x C3 x C2 has mixed order, and S3 x C6."""
+    dic3, q8 = dicyclic_group(3), catalog_group("Q8")
+    return [
+        direct_product(dic3, q8),
+        direct_product(direct_product(dic3, cyclic_group(3)), q8),
+        direct_product(catalog_group("S3"), catalog_group("C6")),
+    ]
+
+
 def test_basis_homs_match_the_searches(recorded):
-    # every catalog p-group and one relabelling of it, every M <= Z(G): the
-    # basis build equals the array search, which the recording replays
-    # through the recursive search
-    for seed, (name, make) in enumerate(catalog().items()):
-        group = make()
-        if group.p_group_prime() is None:
-            continue
+    # every catalog group, three groups that are not p-groups and one
+    # relabelling of each, every M <= Z(G): the basis build equals the array
+    # search, which the recording replays through the recursive search
+    groups = [make() for make in catalog().values()] + _mixed_groups()
+    for seed, group in enumerate(groups):
         for g in (group, relabelled_group(group, seed)):
             ab = g.abelianization().target
             for target in _central_subgroups(g):
                 built = automorphisms._ab_homs(g, target, None)
-                what = f"homomorphism search for {g.name}"
-                searched, _, _ = automorphisms._hom_search(ab, target.as_group(), 10**7, what)
                 assert not built.flags.writeable
-                assert built.dtype == searched.dtype, g.name
-                assert np.array_equal(built, searched), g.name
+                assert built.dtype == automorphisms._index_dtype(len(target)), g.name
+                searched = enumerate_homs(ab, target.as_group())
+                assert [tuple(t) for t in built.tolist()] == searched, g.name
     _assert_same(recorded)
+
+
+def test_no_check_runs_the_search(monkeypatch):
+    # a whole-catalog scan with every check, and every check on a
+    # relabelling of each catalog group and of the three groups above: the
+    # search is only the oracle, so none of them reaches it
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a check ran the search: {kwargs['what']}")
+
+    monkeypatch.setattr(automorphisms, "_search_maps", refuse)
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    reports = scan_corpus(RunConfig(max_order=125, primes=(2, 3, 5)))
+    assert emit_report(reports, "json") == FULL_SCAN.read_text(encoding="utf-8")
+    statuses = {r.group_id: r.lemma_checks for r in reports}
+    groups = [make() for make in catalog().values()] + _mixed_groups()
+    for seed, group in enumerate(groups):
+        report = analyze_group(relabelled_group(group, seed), PER_GROUP_CHECKS)
+        assert report.verdict == "agree", (group.name, report.error)
+        assert report.lemma_checks == statuses.get(group.name, report.lemma_checks)
 
 
 def test_a_dependent_basis_is_caught(monkeypatch):
