@@ -43,6 +43,7 @@ from .errors import (
     NotCentral,
     NotNormal,
     NotPurelyNonabelian,
+    SizeLimitExceeded,
 )
 from .groups import Group, Subgroup
 
@@ -276,19 +277,6 @@ def _budget_exceeded(what: str, limit: int, naive_space: int) -> BudgetExceeded:
     )
 
 
-def _cached_search(owner, key, limit: int, what: str, search):
-    """Run ``search() -> (result, attempts, naive_space)`` once per ``owner`` and ``key``.
-
-    The attempt count is cached with the result, which must be plain data
-    (an array or a count), so a later call with a smaller budget raises
-    exactly as a fresh search would.
-    """
-    result, attempts, naive_space = owner._cached(key, search)
-    if attempts > max(limit, 0):  # a search that made no attempts never raises
-        raise _budget_exceeded(what, limit, naive_space)
-    return result
-
-
 def _level_schedule(source: Group, gens: Sequence[int]):
     """Index arrays that derive and verify each level of the chain H_i = <gens[0..i]>.
 
@@ -410,7 +398,10 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
         )
         return tables, attempts, math.prod(map(len, cands))
 
-    return AutSet._of(group, _cached_search(group, "all_automorphisms", limit, what, compute))
+    tables, attempts, naive_space = group._cached("all_automorphisms", compute)
+    if attempts > max(limit, 0):  # a search that made no attempts never raises
+        raise _budget_exceeded(what, limit, naive_space)
+    return AutSet._of(group, tables)
 
 
 def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> list[tuple[int, ...]]:
@@ -680,6 +671,9 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
 
 # Cells of Hom rows built per chunk by _basis_homs: bounds its temporaries.
 _BUILD_CELLS = 1 << 22
+# Cells (rows x |G^ab| columns) of the largest Hom(G^ab, M) array _ab_homs
+# builds; a larger one raises SizeLimitExceeded before any basis or row exists.
+HOM_CELL_CAP = 1 << 28
 
 
 def _pointwise_products(target: Group, values: list[np.ndarray], n: int) -> np.ndarray:
@@ -693,21 +687,21 @@ def _pointwise_products(target: Group, values: list[np.ndarray], n: int) -> np.n
     return rows
 
 
-def _basis_homs(ab: Group, target: Group, limit: int, what: str):
-    """(``k x ab.n`` array of every homomorphism's value table, attempts, rows)
-    for a finite abelian group ``ab``: Hom(ab, target) as a product over a basis.
+def _basis_homs(ab: Group, target: Group, rows: int) -> np.ndarray:
+    """The ``rows x ab.n`` array of every homomorphism's value table for a
+    finite abelian group ``ab``: Hom(ab, target) as a product over a basis.
 
     A homomorphism is free on the basis b_i of :func:`_abelian_basis`, with
     f(b_i) any element of the target whose order divides ord(b_i), and
-    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  One attempt per
-    row, none for an empty basis (as a search without generators): the count
-    is known first, so one past ``limit`` raises :func:`_budget_exceeded`
-    before any row is allocated.  The basis is split in two halves of about
-    equal row counts; each row is the pointwise product of a row of each
-    half's products, one gather, in chunks of about :data:`_BUILD_CELLS`
-    cells into one array that is then canonicalized.  So the result is the
-    array :func:`_search_maps` returns: read-only, sorted, in the target's
-    index dtype.
+    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  ``rows`` is the
+    Hom order by type formula; the product of the candidate counts must
+    equal it (:class:`InternalDisagreement` otherwise) before any row is
+    allocated.  The basis is split in two halves of about equal row counts;
+    each row is the pointwise product of a row of each half's products, one
+    gather, in chunks of about :data:`_BUILD_CELLS` cells into one array
+    that is then canonicalized.  So the result is the array
+    :func:`_search_maps` returns: read-only, sorted, in the target's index
+    dtype.
     """
     basis, coords = _abelian_basis(ab)
     tmul, _ = _index_tables(target)
@@ -720,10 +714,10 @@ def _basis_homs(ab: Group, target: Group, limit: int, what: str):
             powers.append(tmul[powers[-1], cand])
         values.append(np.stack(powers, axis=1)[:, coords[:, i]])
     sizes = [len(v) for v in values]
-    rows = math.prod(sizes)
-    attempts = rows if basis else 0
-    if attempts > max(limit, 0):
-        raise _budget_exceeded(what, limit, rows)
+    if math.prod(sizes) != rows:
+        raise InternalDisagreement(
+            f"a basis of {ab.name} gives {math.prod(sizes)} homomorphisms, Hom order is {rows}"
+        )
     split = min(
         range(len(sizes) + 1), key=lambda j: max(math.prod(sizes[:j]), math.prod(sizes[j:]))
     )
@@ -734,7 +728,7 @@ def _basis_homs(ab: Group, target: Group, limit: int, what: str):
     for start in range(0, len(head), step):
         block = tmul[head[start : start + step, None, :], tail[None, :, :]]
         tables[start * len(tail) : (start + len(block)) * len(tail)] = block.reshape(-1, ab.n)
-    return _canonical(tables), attempts, rows
+    return _canonical(tables)
 
 
 def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
@@ -745,31 +739,39 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     indices into ``target.members`` (the elements of ``target.as_group()``),
     rows sorted lexicographically.  A homomorphism into an abelian group
     factors through G^ab, so these are all of Hom(G, M).  The target must be
-    central (:class:`NotCentral` otherwise).  The rows are built from a
-    basis of G^ab (:func:`_basis_homs`, one attempt per row) and their
-    number is checked against :func:`~centauts.abelian._hom_count`; the
-    tests compare them with the search.  The budget bounds the attempts; their
-    count is cached with the result, so a later call with a smaller budget
-    raises exactly as a fresh build would.
+    central (:class:`NotCentral` otherwise).  The row count k is the type
+    formula :func:`~centauts.abelian._hom_count`, cached per target, so each
+    call checks the bounds before any basis or row exists: one attempt per
+    row (none for a trivial G^ab) past the budget raises
+    :func:`_budget_exceeded`, and k x |G^ab| cells past :data:`HOM_CELL_CAP`
+    raise :class:`SizeLimitExceeded`.  The rows are built from a basis of
+    G^ab (:func:`_basis_homs`), their number checked against k; the tests
+    compare them with the search.
     """
     if target.parent is not group or not target.is_central():
         raise NotCentral(f"subgroup of {group.name} is not central")
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    what = f"homomorphism search for {group.name}"
+    ab = group.abelianization().target
+    target_group = target.as_group()
+    rows = group._cached(("hom_rows", target.members), lambda: _hom_count(ab, target_group))
+    if (rows if ab.n > 1 else 0) > max(limit, 0):
+        raise _budget_exceeded(f"homomorphism search for {group.name}", limit, rows)
+    if rows * ab.n > HOM_CELL_CAP:
+        raise SizeLimitExceeded(
+            f"Hom(G^ab, M) for {group.name} has {rows} rows x {ab.n} columns = "
+            f"{rows * ab.n} cells, over the cell bound {HOM_CELL_CAP}"
+        )
 
     def compute():
-        ab = group.abelianization().target
-        target_group = target.as_group()
-        tables, attempts, naive_space = _basis_homs(ab, target_group, limit, what)
-        expected = _hom_count(ab, target_group)
-        if len(tables) != expected:
+        tables = _basis_homs(ab, target_group, rows)
+        if len(tables) != rows:
             raise InternalDisagreement(
                 f"enumerated {len(tables)} homomorphisms from the abelianization "
-                f"of {group.name} into a central subgroup, Hom order is {expected}"
+                f"of {group.name} into a central subgroup, Hom order is {rows}"
             )
-        return tables, attempts, naive_space
+        return tables
 
-    return _cached_search(group, ("ab_homs", target.members), limit, what, compute)
+    return group._cached(("ab_homs", target.members), compute)
 
 
 def _projection(group: Group) -> np.ndarray:

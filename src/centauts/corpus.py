@@ -108,26 +108,21 @@ def _cyclic_table(k: int) -> Table:
     return _element_table(list(range(k)), lambda a, b: (a + b) % k)
 
 
-def cyclic_group(k: int, name: str | None = None, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
+def cyclic_group(k: int, name: str | None = None) -> Group:
     """C_k with element i representing the i-th power of the generator."""
-    return from_cayley_table(*_cyclic_table(k), name=name or f"C{k}", max_order=max_order)
+    return from_cayley_table(*_cyclic_table(k), name=name or f"C{k}")
 
 
-def _abelian_table(factor_orders: Sequence[int], max_order: int = DEFAULT_ELEMENT_CAP) -> Table:
-    return _product_table([_cyclic_table(k) for k in factor_orders], max_order)
+def _abelian_table(factor_orders: Sequence[int]) -> Table:
+    return _product_table([_cyclic_table(k) for k in factor_orders])
 
 
-def abelian_group(
-    factor_orders: Sequence[int],
-    name: str | None = None,
-    max_order: int = DEFAULT_ELEMENT_CAP,
-) -> Group:
+def abelian_group(factor_orders: Sequence[int], name: str | None = None) -> Group:
     """Direct product of cyclic groups of the given orders."""
     if not factor_orders:
         return cyclic_group(1, name or "C1")
     name = name or "x".join(f"C{k}" for k in factor_orders)
-    table = _abelian_table(factor_orders, max_order)
-    return from_cayley_table(*table, name=name, max_order=max_order)
+    return from_cayley_table(*_abelian_table(factor_orders), name=name)
 
 
 def _dihedral_table(m: int) -> Table:
@@ -391,7 +386,7 @@ def _final_name(name: str | None, n: int, stem: str | None) -> str | None:
     return name
 
 
-def _parse_group_document(doc, max_order: int, stem: str | None = None) -> Group:
+def _parse_group_document(doc, stem: str | None = None) -> Group:
     """The group of a document; ``stem`` names it where the document leaves
     it unnamed or at the default name ``G<n>``.  Each format builds its
     whole table first and validates it once; a product validates its
@@ -413,9 +408,7 @@ def _parse_group_document(doc, max_order: int, stem: str | None = None) -> Group
     elif fmt == "perm":
         if "degree" not in doc or "generators" not in doc:
             raise ParseError("perm format requires fields 'degree' and 'generators'")
-        table = _permutation_table(
-            _int_field(doc, "degree"), _int_rows(doc, "generators"), max_order
-        )
+        table = _permutation_table(_int_field(doc, "degree"), _int_rows(doc, "generators"))
     elif fmt == "product":
         factors = doc.get("factors")
         if not isinstance(factors, list) or not factors:
@@ -425,7 +418,7 @@ def _parse_group_document(doc, max_order: int, stem: str | None = None) -> Group
             if isinstance(factor, str):
                 parts.append(catalog_group(factor))
             elif isinstance(factor, dict):
-                parts.append(_parse_group_document(factor, max_order))
+                parts.append(_parse_group_document(factor))
             else:
                 raise ParseError(f"factor {k} must be a catalog name or a nested document")
         if name is None:
@@ -433,34 +426,36 @@ def _parse_group_document(doc, max_order: int, stem: str | None = None) -> Group
         name = _final_name(name, math.prod(part.n for part in parts), stem)
         if len(parts) == 1 and name == parts[0].name:
             return parts[0]
-        table, labels = _product_table([(part.mul, part.labels) for part in parts], max_order)
-        return from_cayley_table(table, labels=labels, name=name, max_order=max_order)
+        table, labels = _product_table([(part.mul, part.labels) for part in parts])
+        return from_cayley_table(table, labels=labels, name=name)
     else:
         raise ParseError(f"unknown group format {fmt!r} (expected cayley, perm, or product)")
-    return from_cayley_table(table, name=_final_name(name, len(table), stem), max_order=max_order)
+    return from_cayley_table(table, name=_final_name(name, len(table), stem))
 
 
-def _parse(text: str, max_order: int, stem: str | None = None) -> Group:
+def _parse(text: str, stem: str | None = None) -> Group:
+    """The group of a JSON document; nesting too deep to decode or walk is a ParseError."""
     try:
-        doc = json.loads(text)
+        return _parse_group_document(json.loads(text), stem)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _parse_group_document(doc, max_order, stem)
+    except RecursionError:
+        raise ParseError("group document nested too deeply") from None
 
 
-def parse_group_text(text: str, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
+def parse_group_text(text: str) -> Group:
     """Parse a group-file document from a JSON string."""
-    return _parse(text, max_order)
+    return _parse(text)
 
 
-def parse_group_file(path: str | Path, max_order: int = DEFAULT_ELEMENT_CAP) -> Group:
+def parse_group_file(path: str | Path) -> Group:
     """Parse a group-file document from disk; a group the document leaves
     unnamed, or named ``G<n>``, is named after the file stem."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read group file {path}: {exc}") from exc
-    return _parse(text, max_order, Path(path).stem)
+    return _parse(text, Path(path).stem)
 
 
 # -- check registry ---------------------------------------------------------
@@ -706,9 +701,10 @@ def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
     try:
         text = (cache_dir / f"{key}.json").read_text(encoding="utf-8")
         return _report_from_json_dict(json.loads(text))
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError):
         # OSError covers a missing entry; ValueError, invalid JSON and
-        # non-UTF-8 bytes; the rest, a document of the wrong shape.
+        # non-UTF-8 bytes; RecursionError, JSON nested too deeply to decode;
+        # the rest, a document of the wrong shape.
         return None
 
 

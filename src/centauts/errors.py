@@ -10,7 +10,8 @@ class NotAGroup(CentautsError):
 
 
 class SizeLimitExceeded(CentautsError):
-    """A construction or enumeration passed its configured element cap."""
+    """A construction or enumeration passed a size bound fixed in the library:
+    the element cap, the subgroup cap or the Hom cell bound."""
 
 
 class NotNormal(CentautsError):
@@ -46,7 +47,7 @@ class NotPurelyNonabelian(CentautsError):
 
 
 class BudgetExceeded(CentautsError):
-    """The automorphism search exceeded its extension-attempt budget."""
+    """A search, or a Hom build at one attempt per row, exceeded its attempt budget."""
 
 
 class InternalDisagreement(CentautsError):

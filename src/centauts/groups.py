@@ -51,7 +51,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-DEFAULT_ELEMENT_CAP = 512
+DEFAULT_ELEMENT_CAP = 512  # elements of the largest group table; read at call time
+SUBGROUP_CAP = 50_000  # subgroups one enumeration may find before it raises
 
 # A raw multiplication table and its optional element labels, before validation.
 Table = tuple[np.ndarray, tuple[str, ...] | None]
@@ -178,7 +179,6 @@ class Group:
         table: Sequence[Sequence[int]] | np.ndarray,
         labels: Sequence[str] | None = None,
         name: str | None = None,
-        max_order: int = DEFAULT_ELEMENT_CAP,
     ) -> None:
         try:
             raw = np.asarray(table)
@@ -190,8 +190,8 @@ class Group:
             raise NotAGroup(f"table entries must be integers, got dtype {raw.dtype}")
         mul = np.array(raw, dtype=np.int64)
         n = int(mul.shape[0])
-        if n > max_order:
-            raise SizeLimitExceeded(f"group order {n} exceeds the element cap {max_order}")
+        if n > DEFAULT_ELEMENT_CAP:
+            raise SizeLimitExceeded(f"group order {n} exceeds the element cap {DEFAULT_ELEMENT_CAP}")
         if mul.min() < 0 or mul.max() >= n:
             bad = np.argwhere((mul < 0) | (mul >= n))[0]
             raise NotAGroup(
@@ -488,7 +488,8 @@ class Group:
         """Every normal subgroup, sorted by (size, members).
 
         A filter of :meth:`all_subgroups`, so it shares that walk's cap:
-        :class:`SizeLimitExceeded` once more than 50 000 subgroups are found.
+        :class:`SizeLimitExceeded` once more than :data:`SUBGROUP_CAP` subgroups
+        are found.
         """
         normal = self._cached(
             "normal_subgroups",
@@ -632,7 +633,7 @@ class Subgroup:
 
         return self.parent._cached(("as_group", self.members), compute)
 
-    def all_subgroups(self, subgroup_cap: int = 50_000) -> tuple["Subgroup", ...]:
+    def all_subgroups(self) -> tuple["Subgroup", ...]:
         """Every subgroup contained in this one, sorted by (size, members).
 
         Breadth-first walk from the trivial subgroup, closing each found
@@ -641,14 +642,11 @@ class Subgroup:
         Once <H, g> is closed, every ``g^k h`` and ``h g^k`` with h in H and
         k prime to the order of g is skipped for this H: <H, y> for such a y
         contains g^k and so g, and thus equals <H, g>.
-        Raises :class:`SizeLimitExceeded` once more than ``subgroup_cap``
-        subgroups are found; a cached walk raises the same for a smaller cap.
-        The walk is cached on the parent by this subgroup's members.
+        Raises :class:`SizeLimitExceeded` once more than :data:`SUBGROUP_CAP`
+        subgroups are found.  The walk is cached on the parent by this
+        subgroup's members.
         """
         parent = self.parent
-
-        def too_many() -> SizeLimitExceeded:
-            return SizeLimitExceeded(f"more than {subgroup_cap} subgroups during enumeration")
 
         def compute():
             rows = parent.mul_rows()
@@ -670,8 +668,10 @@ class Subgroup:
                     _extend_right_closure(rows, reached, bytearray(base_seen), len(reached), gens)
                     closed = frozenset(reached)
                     if closed not in found:
-                        if len(found) >= subgroup_cap:
-                            raise too_many()
+                        if len(found) >= SUBGROUP_CAP:
+                            raise SizeLimitExceeded(
+                                f"more than {SUBGROUP_CAP} subgroups during enumeration"
+                            )
                         found[closed] = gens
                         queue.append(closed)
                     order, power = orders[g], g
@@ -686,8 +686,6 @@ class Subgroup:
             return tuple(subs)
 
         subs = parent._cached(("all_subgroups", self.members), compute)
-        if len(subs) > max(subgroup_cap, 1):  # the trivial subgroup alone never raises
-            raise too_many()
         return tuple(Subgroup._of(parent, *data) for data in subs)
 
 
@@ -742,10 +740,9 @@ def from_cayley_table(
     table: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str] | None = None,
     name: str | None = None,
-    max_order: int = DEFAULT_ELEMENT_CAP,
 ) -> Group:
     """Validate a multiplication table and wrap it as a :class:`Group`."""
-    return Group(table, labels=labels, name=name, max_order=max_order)
+    return Group(table, labels=labels, name=name)
 
 
 def _compose_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -757,7 +754,6 @@ def from_permutation_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
     name: str | None = None,
-    max_order: int = DEFAULT_ELEMENT_CAP,
 ) -> Group:
     """Close permutation generators into a group, indexed in discovery order.
 
@@ -765,12 +761,10 @@ def from_permutation_generators(
     generator-first and left-multiplier-second, which makes the element
     indexing deterministic.
     """
-    return Group(_permutation_table(degree, generators, max_order), name=name, max_order=max_order)
+    return Group(_permutation_table(degree, generators), name=name)
 
 
-def _permutation_table(
-    degree: int, generators: Sequence[Sequence[int]], max_order: int
-) -> list[list[int]]:
+def _permutation_table(degree: int, generators: Sequence[Sequence[int]]) -> list[list[int]]:
     """The table of :func:`from_permutation_generators`, not yet validated."""
     if degree < 1:
         raise NotAGroup("degree must be positive")
@@ -780,6 +774,8 @@ def _permutation_table(
         if len(perm) != degree or sorted(perm) != list(range(degree)):
             raise NotAGroup(f"generator {k} is not a bijection on [0, {degree})")
         gens.append(perm)
+    if not gens:  # the trivial group, at any degree, with no permutation built
+        return [[0]]
 
     identity = tuple(range(degree))
     elems = [identity]
@@ -791,9 +787,9 @@ def _permutation_table(
             for x in frontier:
                 t = _compose_perms(x, g)
                 if t not in index:
-                    if len(elems) >= max_order:
+                    if len(elems) >= DEFAULT_ELEMENT_CAP:
                         raise SizeLimitExceeded(
-                            f"permutation closure exceeds the element cap {max_order}"
+                            f"permutation closure exceeds the element cap {DEFAULT_ELEMENT_CAP}"
                         )
                     index[t] = len(elems)
                     elems.append(t)
@@ -803,28 +799,25 @@ def _permutation_table(
     return [[index[_compose_perms(x, y)] for y in elems] for x in elems]
 
 
-def direct_product(
-    g: Group,
-    h: Group,
-    name: str | None = None,
-    max_order: int = DEFAULT_ELEMENT_CAP,
-) -> Group:
+def direct_product(g: Group, h: Group, name: str | None = None) -> Group:
     """Componentwise product; the pair (a, b) gets index ``a*|H| + b``."""
-    table, labels = _product_table([(g.mul, g.labels), (h.mul, h.labels)], max_order)
-    return Group(table, labels=labels, name=name or f"{g.name}x{h.name}", max_order=max_order)
+    table, labels = _product_table([(g.mul, g.labels), (h.mul, h.labels)])
+    return Group(table, labels=labels, name=name or f"{g.name}x{h.name}")
 
 
-def _product_table(factors: Sequence[Table], max_order: int = DEFAULT_ELEMENT_CAP) -> Table:
+def _product_table(factors: Sequence[Table], cap: int | None = None) -> Table:
     """The (table, labels) of the direct product of the factor tables, folded
     left: the pair (a, b) of the product so far and the next factor H gets
     index ``a*|H| + b`` and label ``(a,b)``; the labels are None once any
     factor has none.  :class:`SizeLimitExceeded` as soon as a partial
-    product has more than ``max_order`` elements, before its table is made."""
+    product has more than ``cap`` elements (the element cap unless given),
+    before its table is made."""
+    cap = DEFAULT_ELEMENT_CAP if cap is None else cap
     table, labels = factors[0]
     for mul, more in factors[1:]:
         n, m = len(table), len(mul)
-        if n * m > max_order:
-            raise SizeLimitExceeded(f"product order {n * m} exceeds the element cap {max_order}")
+        if n * m > cap:
+            raise SizeLimitExceeded(f"product order {n * m} exceeds the element cap {cap}")
         table = (table[:, None, :, None] * m + mul[None, :, None, :]).reshape(n * m, n * m)
         if labels is not None and more is not None:
             labels = tuple(f"({a},{b})" for a in labels for b in more)

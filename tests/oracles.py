@@ -32,7 +32,7 @@ import numpy as np
 from centauts import __version__, automorphisms
 from centauts.automorphisms import _budget_exceeded, _generator_chain
 from centauts.errors import InternalDisagreement
-from centauts.groups import DEFAULT_ELEMENT_CAP, Group, Subgroup, direct_product
+from centauts.groups import Group, Subgroup, direct_product
 
 
 def json_cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
@@ -63,16 +63,14 @@ def g_row_abelian_factor_split(group: Group, homs: np.ndarray) -> tuple[Subgroup
     return group.subgroup(kernel), group.subgroup(image)
 
 
-def pairwise_product(
-    parts: Sequence[Group], name: str | None, max_order: int = DEFAULT_ELEMENT_CAP
-) -> Group:
+def pairwise_product(parts: Sequence[Group], name: str | None) -> Group:
     """The ``product`` group-file format by pairwise direct products, left to
     right, a named result wrapped once more under its name."""
     group = parts[0]
     for part in parts[1:]:
-        group = direct_product(group, part, max_order=max_order)
+        group = direct_product(group, part)
     if name is not None:
-        group = Group(group.mul, labels=group.labels, name=name, max_order=max_order)
+        group = Group(group.mul, labels=group.labels, name=name)
     return group
 
 

@@ -14,6 +14,7 @@ from centauts import (
     invariants,
     lemma4_compare,
 )
+from centauts import groups
 from centauts.abelian import _hom_count
 from centauts.corpus import (
     abelian_group,
@@ -78,13 +79,15 @@ class TestInvariants:
         with pytest.raises(NotPGroup):
             invariants(cyclic_group(9), 2)
 
-    def test_roundtrip_exhaustive(self):
-        # realize every type of total order exponent <= 6 over p in {2, 3}
+    def test_roundtrip_exhaustive(self, monkeypatch):
+        # realize every type of total order exponent <= 6 over p in {2, 3},
+        # order 729 included, so the element cap is raised past it
+        monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 729)
         for p in (2, 3):
             for t in all_types(p, 6):
                 if t.is_trivial():
                     continue
-                g = abelian_group([p**e for e in t.exps], max_order=1024)
+                g = abelian_group([p**e for e in t.exps])
                 assert invariants(g, p) == t, t
 
     def test_census_agrees_with_extraction(self):

@@ -35,7 +35,7 @@ from centauts.corpus import (
     metacyclic_group,
 )
 from centauts.errors import ConfigError, NotAGroup, NotNormal, ParseError
-from centauts.groups import DEFAULT_ELEMENT_CAP, Group
+from centauts.groups import Group
 from oracles import json_cache_key, pairwise_product, scalar_table, stem_named
 
 # sha256 of the concatenated JSON cache keys (oracles.json_cache_key) of every
@@ -50,15 +50,20 @@ CATALOG_TABLE_KEY_DIGEST = "74ea5a081359739619235d51f4e953c15e02c1c685b137374c4e
 # neither cache key reads labels, so they are pinned on their own.
 CATALOG_LABELS_DIGEST = "b8cedc79c466dbd35d636c994d5532176337be5a37edddd0056da844ef2b8301"
 
+# JSON nested deeper than the decoder's recursion allows, and a product
+# document whose factors nest 900 deep
+DEEP_BRACKETS = "[" * 100_000 + "]" * 100_000
+DEEP_PRODUCT = '{"format": "product", "factors": [' * 900 + '"C2"' + "]}" * 900
+
 
 def _counting_constructor(monkeypatch) -> list:
     """The names passed to every ``Group.__init__`` from now on, in call order."""
     built = []
     init = Group.__init__
 
-    def counting_init(self, table, labels=None, name=None, max_order=DEFAULT_ELEMENT_CAP):
+    def counting_init(self, table, labels=None, name=None):
         built.append(name)
-        init(self, table, labels, name, max_order)
+        init(self, table, labels, name)
 
     monkeypatch.setattr(Group, "__init__", counting_init)
     return built
@@ -267,6 +272,19 @@ class TestGroupFiles:
             parse_group_text('{"format": "cayley"}')
         with pytest.raises(ParseError, match="format"):
             parse_group_text('{"table": [[0]]}')
+
+    @pytest.mark.parametrize("text", [DEEP_BRACKETS, DEEP_PRODUCT], ids=["brackets", "product"])
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_group_text(text)
+
+    def test_huge_degree_without_generators_is_trivial(self):
+        # no degree-length permutation is built for the trivial group
+        doc = {"format": "perm", "degree": 10**12, "generators": []}
+        assert parse_group_text(json.dumps(doc)).n == 1
+        doc["generators"] = [[0]]
+        with pytest.raises(NotAGroup, match="not a bijection"):
+            parse_group_text(json.dumps(doc))
 
     def test_wrong_n_field(self):
         with pytest.raises(ParseError, match="'n'"):
@@ -571,9 +589,11 @@ class TestCli:
             b'{"format": "perm", "degree": 2, "generators": [[1, "x"]]}',
             b'{"format": "cayley", "n": true, "table": [[0]]}',
             b'{"format": "perm", "degree": true, "generators": [[0]]}',
+            DEEP_BRACKETS.encode(),
+            DEEP_PRODUCT.encode(),
         ],
         ids=["bad-json", "directory", "non-utf8", "ragged", "strings", "float", "int-generators",
-             "string-generator", "bool-n", "bool-degree"],
+             "string-generator", "bool-n", "bool-degree", "deep-brackets", "deep-product"],
     )
     def test_bad_group_file_reports_error(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"

@@ -14,10 +14,11 @@ from centauts import (
     homs_to_central_subgroup,
     parse_group_text,
     scan_corpus,
+    verify_lemma0,
 )
 import centauts.automorphisms as automorphisms
 from centauts.cli import main
-from centauts.corpus import _cache_read, analyze_group, catalog_group
+from centauts.corpus import _cache_read, abelian_group, analyze_group, catalog_group
 from centauts.errors import BudgetExceeded, ConfigError
 
 
@@ -35,8 +36,10 @@ class TestCorruptCache:
             b'{"groupId": "D8", "order": 8, "prime": 2, "class": 2, "conditionSide": null,'
             b' "oracleSide": {"autcentOrder": 4, "autZZOrder": 4, "autcentEqualsAutZZ": true,'
             b' "autcentEqualsInn": true}, "lemmaChecks": {}, "verdict": "agree"}',
+            b"[" * 100_000 + b"]" * 100_000,
         ],
-        ids=["list", "non-utf8", "string", "wrong-field-type", "bad-json", "oracle-lacks-inn"],
+        ids=["list", "non-utf8", "string", "wrong-field-type", "bad-json", "oracle-lacks-inn",
+             "deep-nesting"],
     )
     def test_unreadable_entry_is_a_miss(self, tmp_path, payload):
         cfg = RunConfig(cache_dir=str(tmp_path), **self.CFG)
@@ -158,6 +161,40 @@ class TestBudgetOnCachedSearch:
         monkeypatch.undo()
         trivial = from_cayley_table([[0]])
         assert analyze_group(trivial, ("lemma0a",), 0).lemma_checks == {"lemma0a": "pass"}
+
+
+def _refuse_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a basis of G^ab was built")
+
+    monkeypatch.setattr(automorphisms, "_abelian_basis", refuse)
+
+
+class TestBoundsBeforeTheBuild:
+    """The rows of Hom(G^ab, M) are a type formula, so the budget and the cell
+    bound are checked before any basis or row exists."""
+
+    def test_budget_raises_before_the_basis(self, monkeypatch):
+        _refuse_basis(monkeypatch)
+        g = abelian_group([2] * 5, name="C2^5")
+        with pytest.raises(BudgetExceeded) as exc:
+            verify_lemma0(g, g.center())
+        assert str(exc.value) == (
+            "homomorphism search for C2^5: 10000001 extension attempts exceed "
+            "the budget 10000000 (naive candidate space 33554432)"
+        )
+
+    def test_cell_bound_is_an_error_verdict(self, monkeypatch):
+        # Hom(D8^ab, Z(D8)) = Hom(C2 x C2, C2): 4 rows of 4 cells each
+        _refuse_basis(monkeypatch)
+        monkeypatch.setattr(automorphisms, "HOM_CELL_CAP", 15)
+        report = analyze_group(catalog_group("D8"), ("lemma0",))
+        assert report.lemma_checks == {"lemma0": "error"}
+        assert report.verdict == "error"
+        assert report.error == (
+            "lemma0: Hom(G^ab, M) for D8 has 4 rows x 4 columns = 16 cells, "
+            "over the cell bound 15"
+        )
 
 
 class TestBounds:
