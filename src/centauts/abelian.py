@@ -64,6 +64,7 @@ def invariants(group: Group, p: int | None = None) -> AbelianType:
 
     The count of elements x with ``x**(p**i) = 1`` equals ``p**sum_j(min(a_j, i))``,
     so the exponent vector is the conjugate of the successive log differences.
+    Cached on the group per resolved prime; a call that raises caches nothing.
     """
     if not group.is_abelian():
         raise NotAbelian(f"{group.name} is not abelian")
@@ -75,7 +76,10 @@ def invariants(group: Group, p: int | None = None) -> AbelianType:
             raise NotPGroup(f"{group.name} has order {group.n}, not a power of {p}")
     elif p is None:
         p = 2  # the trivial group carries no prime; any placeholder works
+    return group._cached(("invariants", p), lambda: _census_type(group, p))
 
+
+def _census_type(group: Group, p: int) -> AbelianType:
     orders = group.element_orders()
     log_orders = []
     for o in orders:
@@ -153,36 +157,58 @@ def _hom_count(a: Group, m: Group) -> int:
 
 
 def _exponent_matrix(types: Sequence[AbelianType]) -> np.ndarray:
-    """The exponents of each type as one row, zero-padded to the largest rank.
-
-    There is at least one column, so column 0 holds every type's top exponent
-    (0 for the trivial type).  The dtype is the narrowest unsigned one that
-    holds the largest exponent.
-    """
+    """Each type's exponents as one row, zero-padded to the largest rank but to
+    at least one column, in the narrowest unsigned dtype that holds them all."""
     width = max((t.rank for t in types), default=0) or 1
     top = max((t.exps[0] for t in types if t.exps), default=0)
     rows = [t.exps + (0,) * (width - t.rank) for t in types]
     return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(types), width)
 
 
-def hom_exponents(types: Sequence[AbelianType]) -> np.ndarray:
-    """``log_p |Hom(x, c)|`` for every pair of types over one prime p.
+def _type_exponents(max_exp: int) -> np.ndarray:
+    """Every type of total exponent at most ``max_exp``, one uint8 row each.
 
-    Entry ``[i, j]`` is ``sum min(x_k, c_l)`` over the factor pairs of
-    ``x = types[i]`` and ``c = types[j]``; so ``p ** table[i, j] ==
-    hom_order(x, c)``.  That sum equals ``sum_k x'_k c'_k`` over the conjugate
-    partitions (``x'_k = #{i : x_i >= k}``), so the table is one integer
-    matmul.  No entry or partial sum exceeds the square of the largest total
-    exponent, and the dtype is the narrowest unsigned one that holds it.
+    Rows are nonincreasing, zero-padded to ``max(max_exp, 1)`` columns and
+    ordered by total, rank, and the exponents read from the smallest.  The
+    partitions of n into k parts in that order are, for each smallest part s,
+    those of n - s into k - 1 parts of at least s, with s appended.
     """
-    primes = sorted({t.p for t in types if t.exps})
-    if len(primes) > 1:
-        raise PrimeMismatch(f"types over different primes: {primes}")
-    exps = _exponent_matrix(types)
-    largest = max((sum(t.exps) for t in types), default=0)
+    width = max(max_exp, 1)
+    parts: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    flat = bytearray(width)
+    for n in range(1, max_exp + 1):
+        for k in range(1, n + 1):
+            parts[n, k] = [(n,)] if k == 1 else [
+                (*r, s) for s in range(1, n // k + 1) for r in parts[n - s, k - 1] if r[-1] >= s
+            ]
+            pad = (0,) * (width - k)
+            for row in parts[n, k]:
+                flat += bytes(row + pad)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(-1, width)
+
+
+def _hom_exponent_table(exps: np.ndarray) -> np.ndarray:
+    """``log_p |Hom(x, c)|`` for every pair of rows x, c of a type exponent matrix.
+
+    That is ``sum min(x_k, c_l)``, or ``sum_k x'_k c'_k`` over the conjugate
+    partitions (``x'_k = #{i : x_i >= k}``): one integer matmul.  No entry or
+    partial sum exceeds the square of the largest row total, and the dtype is
+    the narrowest unsigned one that holds it.
+    """
+    largest = int(exps.sum(axis=1).max(initial=0))
     levels = np.arange(1, int(exps.max(initial=0)) + 1, dtype=exps.dtype)
     conj = (exps[:, :, None] >= levels).sum(axis=1, dtype=np.min_scalar_type(largest**2))
     return conj @ conj.T
+
+
+def hom_exponents(types: Sequence[AbelianType]) -> np.ndarray:
+    """``log_p |Hom(x, c)|`` for every pair of types over one prime p, so that
+    ``p ** table[i, j] == hom_order(types[i], types[j])``: the
+    :func:`_hom_exponent_table` of their exponent rows."""
+    primes = sorted({t.p for t in types if t.exps})
+    if len(primes) > 1:
+        raise PrimeMismatch(f"types over different primes: {primes}")
+    return _hom_exponent_table(_exponent_matrix(types))
 
 
 @dataclass(frozen=True, slots=True)

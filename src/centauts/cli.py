@@ -24,7 +24,7 @@ from .theory import verify_lemma4_sweep
 
 # The sweep's triple count grows about sixfold per two steps of --max-exp
 # (115231 at 10, 678912 at 12); 12 takes about 0.3 s per prime, process start
-# included and about 9 ms of it the sweep, on a 2-vCPU Intel Xeon VM.
+# included and about 3 ms of it the sweep, on a 2-vCPU Intel Xeon VM.
 MAX_SWEEP_EXP = 12
 
 

@@ -8,16 +8,15 @@ counterexample and carries a serializable witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .abelian import (
     AbelianType,
-    _exponent_matrix,
     _growth_disagreement,
+    _hom_exponent_table,
+    _type_exponents,
     class_two_invariants,
-    hom_exponents,
 )
 from .automorphisms import (
     AutSet,
@@ -408,33 +407,8 @@ class HomGrowthSweep:
         return not self.failures
 
 
-def _partitions(total: int, length: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples of ``length`` parts >= ``least`` summing to ``total``,
-    in lexicographic order."""
-    if length == 1:
-        if total >= least:
-            yield (total,)
-        return
-    for first in range(least, total // length + 1):
-        for rest in _partitions(total - first, length - 1, first):
-            yield (first, *rest)
-
-
-def _types_up_to(p: int, max_exp: int) -> list[AbelianType]:
-    """All abelian types over p of total order at most p**max_exp (trivial included).
-
-    Ordered by total exponent, then by rank, then lexicographically on the
-    exponents read from the smallest.
-    """
-    types: list[AbelianType] = [AbelianType(p, ())]
-    for total in range(1, max_exp + 1):
-        for length in range(1, total + 1):
-            types.extend(AbelianType(p, parts[::-1]) for parts in _partitions(total, length))
-    return types
-
-
-# Pairs of types compared per batch: bounds the (pairs x types) temporaries.
-_SWEEP_PAIR_CHUNK = 128
+# Triples per batch, a few temporary bytes each; max_exp 10 is one batch.
+_SWEEP_CELLS = 1 << 17
 
 
 def verify_lemma4_sweep(p: int, max_exp: int) -> HomGrowthSweep:
@@ -442,42 +416,41 @@ def verify_lemma4_sweep(p: int, max_exp: int) -> HomGrowthSweep:
 
     For each hypothesis-satisfying triple, the strictness of
     |Hom(A, C)| < |Hom(B, C)| must coincide with the exponent of C reaching
-    p**(a_t + 1).  One array pass: the Hom orders come as exponents from
-    :func:`hom_exponents` (``p**x < p**y`` iff ``x < y``, so this compares
-    the exact orders), the dominated pairs as a mask, and the threshold test
-    as ``c_1 >= a_t + 1`` on C's top exponent ``c_1``.  Every triple is
-    compared, in batches of pairs; only a disagreeing triple builds a
-    message, that of :func:`lemma4_compare`, in nested-loop (A, B, C) order.
+    p**(a_t + 1).  Every step reads the rows of :func:`_type_exponents`: the
+    Hom orders are exponents (``p**x < p**y`` iff ``x < y``), and the
+    threshold test is ``c_1 >= a_t + 1`` on C's top exponent.  Every triple
+    is compared, ``_SWEEP_CELLS`` per batch; only a disagreeing one builds
+    types, and the message of :func:`lemma4_compare`, in (A, B, C) order.
+    Nothing is kept between calls.
     """
-    types = _types_up_to(p, max_exp)
-    homs = hom_exponents(types)
-    exps = _exponent_matrix(types)
-    ranks = np.count_nonzero(exps, axis=1)
-    totals = exps.sum(axis=1)
-    # row 0 is the trivial type; A and B range over the rest
-    dominated = (ranks[1:, None] == ranks[None, 1:]) & (totals[1:, None] < totals[None, 1:])
-    for slot in exps[1:].T:
-        dominated &= slot[:, None] <= slot[None, :]
-    a_rows, b_rows = np.nonzero(dominated)
-    a_rows += 1
-    b_rows += 1
-    differs = exps[a_rows] != exps[b_rows]
-    last = exps.shape[1] - 1 - np.argmax(differs[:, ::-1], axis=1)
-    a_t = exps[a_rows, last]
-    top = exps[:, 0]
+    exps = _type_exponents(max_exp)
+    homs = _hom_exponent_table(exps)
+    ranks, totals = np.count_nonzero(exps, axis=1), exps.sum(axis=1)
+    # same rank, a smaller total and below in every slot; row 0 alone has rank 0
+    same = (ranks[:, None] == ranks) & (totals[:, None] < totals)
+    a_rows, b_rows = np.divmod(np.flatnonzero(same), len(exps))
+    a_exps, b_exps = exps.take(a_rows, axis=0), exps.take(b_rows, axis=0)
+    keep = np.flatnonzero((a_exps <= b_exps).all(axis=1))
+    a_rows, b_rows, a_exps, b_exps = a_rows[keep], b_rows[keep], a_exps[keep], b_exps[keep]
+    last = exps.shape[1] - 1 - np.argmax((a_exps != b_exps)[:, ::-1], axis=1)
+    a_t = a_exps[np.arange(len(last)), last]
+    top = exps[:, 0].copy()  # contiguous, for the broadcast below
 
     failures: list[str] = []
-    for start in range(0, len(a_rows), _SWEEP_PAIR_CHUNK):
-        a = a_rows[start : start + _SWEEP_PAIR_CHUNK]
-        b = b_rows[start : start + _SWEEP_PAIR_CHUNK]
-        strict = top > a_t[start : start + _SWEEP_PAIR_CHUNK, None]
-        grows = homs[a] < homs[b]
-        for pair, c in zip(*np.nonzero(strict != grows)):
-            failures.append(_growth_disagreement(types[a[pair]], types[b[pair]], types[c]))
+    step = max(1, _SWEEP_CELLS // len(exps))
+    for start in range(0, len(a_rows), step):
+        a, b = a_rows[start : start + step], b_rows[start : start + step]
+        grows = homs.take(a, axis=0) < homs.take(b, axis=0)
+        bad = (top > a_t[start : start + step, None]) != grows
+        if bad.any():
+            for pair, c in zip(*np.nonzero(bad)):
+                rows = exps[[a[pair], b[pair], c]].tolist()
+                types = [AbelianType(p, tuple(filter(None, row))) for row in rows]
+                failures.append(_growth_disagreement(*types))
     return HomGrowthSweep(
         prime=p,
         max_exp=max_exp,
-        triples_checked=len(a_rows) * len(types),
+        triples_checked=len(a_rows) * len(exps),
         failures=tuple(failures),
     )
 

@@ -19,17 +19,20 @@ three are kept as references of the code that replaced them.
 :func:`extend_generator_map` is the generator-image extension the lemma 3
 witness used before it looked its table up among the central Homs, kept as
 the reference of that lookup; it runs the library's array search.
+:func:`types_up_to` is the recursive partition generator the lemma 4 sweep
+read its types from before it built their exponent rows as one array, kept
+as the reference of that array's rows and their order.
 """
 
 import hashlib
 import json
 import math
 from itertools import permutations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from centauts import __version__, automorphisms
+from centauts import AbelianType, __version__, automorphisms
 from centauts.automorphisms import _budget_exceeded, _generator_chain
 from centauts.errors import InternalDisagreement
 from centauts.groups import Group, Subgroup, direct_product
@@ -61,6 +64,31 @@ def g_row_abelian_factor_split(group: Group, homs: np.ndarray) -> tuple[Subgroup
         return None
     _, image, kernel = min(splits)
     return group.subgroup(kernel), group.subgroup(image)
+
+
+def partitions(total: int, length: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing tuples of ``length`` parts >= ``least`` summing to ``total``,
+    in lexicographic order."""
+    if length == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total // length + 1):
+        for rest in partitions(total - first, length - 1, first):
+            yield (first, *rest)
+
+
+def types_up_to(p: int, max_exp: int) -> list[AbelianType]:
+    """All abelian types over p of total order at most p**max_exp (trivial included).
+
+    Ordered by total exponent, then by rank, then lexicographically on the
+    exponents read from the smallest.
+    """
+    types: list[AbelianType] = [AbelianType(p, ())]
+    for total in range(1, max_exp + 1):
+        for length in range(1, total + 1):
+            types.extend(AbelianType(p, parts[::-1]) for parts in partitions(total, length))
+    return types
 
 
 def pairwise_product(parts: Sequence[Group], name: str | None) -> Group:

@@ -1,5 +1,6 @@
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from centauts import (
     lemma4_compare,
 )
 from centauts import groups
-from centauts.abelian import _hom_count
+from centauts.abelian import _hom_count, _hom_exponent_table, _type_exponents
 from centauts.corpus import (
     abelian_group,
     catalog,
@@ -32,7 +33,7 @@ from centauts.errors import (
     WrongClass,
 )
 
-from oracles import brute_force_hom_count, naive_element_order, order_census_hom_count
+from oracles import brute_force_hom_count, naive_element_order, order_census_hom_count, types_up_to
 
 
 def all_types(p, max_total):
@@ -78,6 +79,27 @@ class TestInvariants:
             invariants(cyclic_group(6))
         with pytest.raises(NotPGroup):
             invariants(cyclic_group(9), 2)
+
+    def test_cached_per_resolved_prime(self, monkeypatch):
+        g = abelian_group([4, 2])
+        reads = []
+        element_orders = groups.Group.element_orders
+        monkeypatch.setattr(
+            groups.Group, "element_orders", lambda self: reads.append(self) or element_orders(self)
+        )
+        assert invariants(g) is invariants(g, 2) is invariants(g)
+        assert reads == [g]
+
+    def test_a_raising_call_caches_nothing(self):
+        d8, c6, c9 = dihedral_group(4), cyclic_group(6), cyclic_group(9)
+        for _ in range(2):
+            with pytest.raises(NotAbelian):
+                invariants(d8)
+            with pytest.raises(NotPGroup):
+                invariants(c6)
+            with pytest.raises(NotPGroup):
+                invariants(c9, 2)
+        assert invariants(c9).exps == (2,)
 
     def test_roundtrip_exhaustive(self, monkeypatch):
         # realize every type of total order exponent <= 6 over p in {2, 3},
@@ -191,6 +213,20 @@ class TestHomExponents:
     def test_prime_mismatch(self):
         with pytest.raises(PrimeMismatch):
             hom_exponents([AbelianType(2, (1,)), AbelianType(3, (1,))])
+
+
+class TestTypeExponents:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("max_exp", range(13))
+    def test_rows_are_the_oracle_types_in_order(self, p, max_exp):
+        exps = _type_exponents(max_exp)
+        types = types_up_to(p, max_exp)
+        width = max(max_exp, 1)
+        assert exps.dtype == np.uint8
+        assert exps.tolist() == [list(t.exps) + [0] * (width - t.rank) for t in types]
+        table = _hom_exponent_table(exps)
+        expected = hom_exponents(types)
+        assert table.dtype == expected.dtype and np.array_equal(table, expected)
 
 
 class TestClassTwoInvariants:

@@ -32,13 +32,13 @@ from centauts import (
     verify_theorem,
 )
 from centauts.corpus import abelian_group
-from centauts.theory import _types_up_to as _all_types
 
 from oracles import (
     brute_force_hom_count,
     dfs_search_maps,
     naive_generating_set,
     order_census_hom_count,
+    types_up_to,
 )
 
 
@@ -186,7 +186,7 @@ def test_criterion_5_hom_growth_sweep():
     for p in (2, 3, 5):
         realized = [
             (t, abelian_group([p**e for e in t.exps]) if t.exps else abelian_group([1]))
-            for t in _all_types(p, 5)
+            for t in types_up_to(p, 5)
             if t.order <= 32
         ]
         for ta, ga in realized:

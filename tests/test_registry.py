@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centauts import RunConfig, analyze_group, from_cayley_table, scan_corpus
+from centauts import AbelianType, RunConfig, analyze_group, from_cayley_table, scan_corpus
+from centauts.abelian import _type_exponents
 from centauts.cli import _build_parser, main
 from centauts.corpus import (
     CHECK_NAMES,
@@ -17,7 +18,6 @@ from centauts.corpus import (
     report_to_json_dict,
 )
 from centauts.errors import ConfigError, InternalDisagreement, NotAGroup
-from centauts.theory import _types_up_to
 
 from oracles import relabel
 
@@ -80,7 +80,7 @@ class TestCheckErrors:
 class TestAbelianTypes:
     @pytest.mark.parametrize("p", [2, 3])
     def test_partitions_up_to_ten(self, p):
-        types = _types_up_to(p, 10)
+        types = [AbelianType(p, tuple(filter(None, row))) for row in _type_exponents(10).tolist()]
         assert len(types) == 139
         assert len({t.exps for t in types}) == 139
         assert all(list(t.exps) == sorted(t.exps, reverse=True) for t in types)

@@ -32,7 +32,9 @@ from centauts.corpus import (
     metacyclic_group,
 )
 from centauts.errors import HypothesisViolated, InternalDisagreement, NotPGroup, WrongClass
-from centauts.theory import _types_up_to, build_factor_witness
+from centauts.theory import build_factor_witness
+
+from oracles import types_up_to
 
 
 def d8():
@@ -214,7 +216,7 @@ class TestLemma3:
 
 def _per_triple_sweep(p, max_exp):
     """(triples, failures) of ``lemma4_compare`` run on every ordered type triple."""
-    types = _types_up_to(p, max_exp)
+    types = types_up_to(p, max_exp)
     triples, failures = 0, []
     for a, b, c in product(types, repeat=3):
         try:
@@ -227,17 +229,20 @@ def _per_triple_sweep(p, max_exp):
     return triples, failures
 
 
-def _patch_hom_order(monkeypatch, hom):
+def _patch_hom_order(monkeypatch, p, hom):
     """Route both Hom-order routes to ``hom``: the scalar ``hom_order`` that
-    ``lemma4_compare`` reads, and the sweep's ``hom_exponents`` table.
+    ``lemma4_compare`` reads, and the sweep's table of exponent rows over p.
 
     The sweep only compares table entries, and ``p**x < p**y`` iff ``x < y``,
     so a table of the orders ``hom`` gives stands in for their exponents.
     """
+
+    def table(exps):
+        types = [AbelianType(p, tuple(filter(None, row))) for row in exps.tolist()]
+        return np.array([[hom(x, c) for c in types] for x in types])
+
     monkeypatch.setattr(abelian, "hom_order", hom)
-    monkeypatch.setattr(
-        theory, "hom_exponents", lambda types: np.array([[hom(x, c) for c in types] for x in types])
-    )
+    monkeypatch.setattr(theory, "_hom_exponent_table", table)
 
 
 class TestLemma4Sweep:
@@ -258,21 +263,27 @@ class TestLemma4Sweep:
 
     @pytest.mark.parametrize("p, max_exp", [(2, 6), (3, 4), (5, 4)])
     def test_one_hom_table_and_no_scalar_hom_order(self, monkeypatch, p, max_exp):
-        tables, scalar = [], []
+        tables, scalar, matrices = [], [], []
+        exponent_matrix = abelian._exponent_matrix
 
-        def counted_table(types):
-            tables.append(len(types))
-            return abelian.hom_exponents(types)
+        def counted_table(exps):
+            tables.append(len(exps))
+            return abelian._hom_exponent_table(exps)
 
         def counted_scalar(a, c):
             scalar.append((a, c))
             return hom_order(a, c)
 
-        monkeypatch.setattr(theory, "hom_exponents", counted_table)
+        def counted_matrix(types):
+            matrices.append(len(types))
+            return exponent_matrix(types)
+
+        monkeypatch.setattr(theory, "_hom_exponent_table", counted_table)
         monkeypatch.setattr(abelian, "hom_order", counted_scalar)
+        monkeypatch.setattr(abelian, "_exponent_matrix", counted_matrix)
         assert verify_lemma4_sweep(p, max_exp).agree
-        assert tables == [len(_types_up_to(p, max_exp))]
-        assert scalar == []
+        assert tables == [len(types_up_to(p, max_exp))]
+        assert scalar == matrices == []
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("max_exp", [0, 1])
@@ -286,7 +297,7 @@ class TestLemma4Sweep:
         def broken(a, c):
             return hom_order(a, c) * (2 if (a, c) == wrong else 1)
 
-        _patch_hom_order(monkeypatch, broken)
+        _patch_hom_order(monkeypatch, 2, broken)
         sweep = verify_lemma4_sweep(2, 4)
         assert sweep.failures == (
             "threshold test and Hom comparison disagree for A=C4 x C2, B=C4 x C4, C=C4",
@@ -300,12 +311,28 @@ class TestLemma4Sweep:
         def broken(a, c):
             return hom_order(a, c) - (a == low)
 
-        _patch_hom_order(monkeypatch, broken)
+        _patch_hom_order(monkeypatch, 2, broken)
         sweep = verify_lemma4_sweep(2, 4)
         assert _per_triple_sweep(2, 4) == (sweep.triples_checked, list(sweep.failures))
-        below = [c for c in _types_up_to(2, 4) if c.exponent() < 4]
+        below = [c for c in types_up_to(2, 4) if c.exponent() < 4]
         assert len(sweep.failures) == 3 * len(below)
         assert all(any(f.endswith(f"C={c}") for f in sweep.failures) for c in below)
+
+    def test_failures_across_batches_keep_their_order(self, monkeypatch):
+        # five pairs per batch; C2 x C2 lies below eight types at max_exp 6,
+        # so its failures span batches, none of them the first
+        low = AbelianType(2, (1, 1))
+
+        def broken(a, c):
+            return hom_order(a, c) - (a == low)
+
+        _patch_hom_order(monkeypatch, 2, broken)
+        types = len(types_up_to(2, 6))
+        monkeypatch.setattr(theory, "_SWEEP_CELLS", 5 * types)
+        sweep = verify_lemma4_sweep(2, 6)
+        assert sweep.triples_checked > 2 * theory._SWEEP_CELLS
+        assert len({f.split(", C=")[0] for f in sweep.failures}) == 8
+        assert _per_triple_sweep(2, 6) == (sweep.triples_checked, list(sweep.failures))
 
 
 class TestAttar:
