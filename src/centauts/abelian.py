@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -156,15 +155,6 @@ def _hom_count(a: Group, m: Group) -> int:
     return math.prod(hom_order(_sylow_type(a, p), _sylow_type(m, p)) for p in primes)
 
 
-def _exponent_matrix(types: Sequence[AbelianType]) -> np.ndarray:
-    """Each type's exponents as one row, zero-padded to the largest rank but to
-    at least one column, in the narrowest unsigned dtype that holds them all."""
-    width = max((t.rank for t in types), default=0) or 1
-    top = max((t.exps[0] for t in types if t.exps), default=0)
-    rows = [t.exps + (0,) * (width - t.rank) for t in types]
-    return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(types), width)
-
-
 def _type_exponents(max_exp: int) -> np.ndarray:
     """Every type of total exponent at most ``max_exp``, one uint8 row each.
 
@@ -199,16 +189,6 @@ def _hom_exponent_table(exps: np.ndarray) -> np.ndarray:
     levels = np.arange(1, int(exps.max(initial=0)) + 1, dtype=exps.dtype)
     conj = (exps[:, :, None] >= levels).sum(axis=1, dtype=np.min_scalar_type(largest**2))
     return conj @ conj.T
-
-
-def hom_exponents(types: Sequence[AbelianType]) -> np.ndarray:
-    """``log_p |Hom(x, c)|`` for every pair of types over one prime p, so that
-    ``p ** table[i, j] == hom_order(types[i], types[j])``: the
-    :func:`_hom_exponent_table` of their exponent rows."""
-    primes = sorted({t.p for t in types if t.exps})
-    if len(primes) > 1:
-        raise PrimeMismatch(f"types over different primes: {primes}")
-    return _hom_exponent_table(_exponent_matrix(types))
 
 
 @dataclass(frozen=True, slots=True)

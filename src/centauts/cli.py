@@ -87,12 +87,11 @@ def _cmd_scan(args) -> int:
         max_order=args.max_order,
         primes=tuple(args.prime) if args.prime else RunConfig.primes,
         checks=tuple(args.check) if args.check else CHECK_NAMES,
-        output_format=args.format,
         cache_dir=args.cache_dir,
         budget=args.budget,
     )
     reports = scan_corpus(cfg)
-    sys.stdout.write(emit_report(reports, cfg.output_format))
+    sys.stdout.write(emit_report(reports, args.format))
     return 1 if has_failures(reports) else 0
 
 

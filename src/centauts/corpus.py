@@ -49,8 +49,6 @@ from .theory import (
     verify_theorem,
 )
 
-CACHE_ENV_VAR = "CENTAUTS_CACHE_DIR"
-
 _CSV_COLUMNS = (
     "groupId",
     "check",
@@ -526,7 +524,6 @@ class RunConfig:
     max_order: int = 64
     primes: tuple[int, ...] = (2, 3, 5)
     checks: tuple[str, ...] = CHECK_NAMES
-    output_format: str = "json"
     cache_dir: str | None = None
     budget: int = DEFAULT_SEARCH_BUDGET
 
@@ -540,8 +537,6 @@ class RunConfig:
             raise ConfigError(
                 f"max_order must be within [1, {DEFAULT_ELEMENT_CAP}], got {self.max_order}"
             )
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"output format must be json or csv, got {self.output_format!r}")
         if not self.primes:
             raise ConfigError("the prime list must not be empty")
         not_prime = [p for p in self.primes if not is_prime(p)]
@@ -549,12 +544,6 @@ class RunConfig:
             raise ConfigError(f"primes must be prime, got {not_prime}")
         if self.budget < 0:
             raise ConfigError(f"budget must be non-negative, got {self.budget}")
-
-    def resolved_cache_dir(self) -> Path | None:
-        override = os.environ.get(CACHE_ENV_VAR)
-        if override:
-            return Path(override)
-        return Path(self.cache_dir) if self.cache_dir else None
 
 
 def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None) -> GroupReport:
@@ -665,12 +654,7 @@ def _report_from_json_dict(doc: dict) -> GroupReport:
     )
 
 
-def _cache_key(group: Group, checks: Sequence[str], budget: int) -> str:
-    """The cache key of a group: :func:`_table_cache_key` of its name and table."""
-    return _table_cache_key(group.name, group.mul, checks, budget)
-
-
-def _table_cache_key(name: str, table: np.ndarray, checks: Sequence[str], budget: int) -> str:
+def _cache_key(name: str, table: np.ndarray, checks: Sequence[str], budget: int) -> str:
     """sha256 of a JSON header (version, name, order, check set, budget) followed
     by the table as little-endian uint16 bytes.  The header's ``n`` fixes the
     table's length, and a scan keeps n within the element cap, so uint16
@@ -708,40 +692,43 @@ def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
         return None
 
 
+def _unusable_cache(cache_dir: Path, exc: OSError) -> ConfigError:
+    return ConfigError(f"cache directory {str(cache_dir)!r} cannot be used: {exc}")
+
+
 def _cache_write(cache_dir: Path, key: str, report: GroupReport) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    """Write ``report`` under ``key`` by an atomic rename; an OSError becomes a
+    ConfigError naming the directory."""
     payload = json.dumps(report_to_json_dict(report), sort_keys=True, indent=2)
-    fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, cache_dir / f"{key}.json")
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(tmp_name, cache_dir / f"{key}.json")
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise _unusable_cache(cache_dir, exc) from exc
 
 
-def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[GroupReport]:
-    """Run the enabled checks over the catalog (plus extra groups) within caps.
+def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
+    """Run the enabled checks over the catalog within caps.
 
-    Reports come back in catalog order followed by the extra groups and the
-    Hom-growth sweeps; per-group failures never abort the scan.
+    Reports come back in catalog order followed by the Hom-growth sweeps;
+    per-group failures never abort the scan.  A cache directory that cannot
+    be created raises :class:`ConfigError` before any group is analyzed, and
+    one that cannot be written raises it at the first write.
     """
-    cache_dir = cfg.resolved_cache_dir()
+    cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else None
+    if cache_dir is not None:
+        try:
+            cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _unusable_cache(cache_dir, exc) from exc
     reports: list[GroupReport] = []
-
-    def run_one(key: str | None, build: Callable[[], Group]) -> GroupReport:
-        """The report cached under ``key``, else that of ``build()``, cached."""
-        if key is not None:
-            cached = _cache_read(cache_dir, key)
-            if cached is not None:
-                return cached
-        report = analyze_group(build(), cfg.checks, cfg.budget)
-        if key is not None:
-            _cache_write(cache_dir, key, report)
-        return report
-
     for name, entry in _catalog_entries().items():
         if entry.order > cfg.max_order:
             continue
@@ -749,14 +736,14 @@ def scan_corpus(cfg: RunConfig, extra_groups: Sequence[Group] = ()) -> list[Grou
             continue
         # a cache hit reads the report without building (and validating) the group
         table, labels = entry.table()
-        key = None if cache_dir is None else _table_cache_key(name, table, cfg.checks, cfg.budget)
-        reports.append(run_one(key, partial(from_cayley_table, table, labels, name=name)))
-
-    for group in extra_groups:
-        if group.n > cfg.max_order:
-            continue
-        key = None if cache_dir is None else _cache_key(group, cfg.checks, cfg.budget)
-        reports.append(run_one(key, lambda group=group: group))
+        key = None if cache_dir is None else _cache_key(name, table, cfg.checks, cfg.budget)
+        report = None if key is None else _cache_read(cache_dir, key)
+        if report is None:
+            group = from_cayley_table(table, labels, name=name)
+            report = analyze_group(group, cfg.checks, cfg.budget)
+            if key is not None:
+                _cache_write(cache_dir, key, report)
+        reports.append(report)
 
     if "lemma4" in cfg.checks:
         for prime in cfg.primes:

@@ -11,7 +11,8 @@ class NotAGroup(CentautsError):
 
 class SizeLimitExceeded(CentautsError):
     """A construction or enumeration passed a size bound fixed in the library:
-    the element cap, the subgroup cap or the Hom cell bound."""
+    the element cap, the subgroup cap, the permutation cell bound or the Hom
+    cell bound."""
 
 
 class NotNormal(CentautsError):

@@ -53,6 +53,10 @@ from .errors import (
 
 DEFAULT_ELEMENT_CAP = 512  # elements of the largest group table; read at call time
 SUBGROUP_CAP = 50_000  # subgroups one enumeration may find before it raises
+# Points one permutation closure may store, elements x degree, before it
+# raises: 2^25 is 128 MB at four bytes a point, and holds 512 elements of
+# degree 65536.
+PERM_CELL_CAP = 1 << 25
 
 # A raw multiplication table and its optional element labels, before validation.
 Table = tuple[np.ndarray, tuple[str, ...] | None]
@@ -745,9 +749,9 @@ def from_cayley_table(
     return Group(table, labels=labels, name=name)
 
 
-def _compose_perms(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+def _compose_perms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Product p then q: (p*q)(i) = q(p(i))."""
-    return tuple(q[i] for i in p)
+    return q[p]
 
 
 def from_permutation_generators(
@@ -764,39 +768,66 @@ def from_permutation_generators(
     return Group(_permutation_table(degree, generators), name=name)
 
 
-def _permutation_table(degree: int, generators: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The table of :func:`from_permutation_generators`, not yet validated."""
+def _permutation_table(degree: int, generators: Sequence[Sequence[int]]) -> np.ndarray:
+    """The table of :func:`from_permutation_generators`, not yet validated.
+
+    The closure composes each element x with each generator g_s once,
+    recording the index of ``x*g_s``.  Every element b but the identity was
+    found as ``parent(b)*g_s``, so ``a*b = (a*parent(b))*g_s``: column b of
+    the table is read off column parent(b), and the table pass composes
+    nothing.
+    :class:`SizeLimitExceeded` before an element is stored past the element
+    cap or past :data:`PERM_CELL_CAP` stored points.
+    """
     if degree < 1:
         raise NotAGroup("degree must be positive")
-    gens: list[tuple[int, ...]] = []
+    dtype = np.min_scalar_type(degree - 1)
+    gens: list[np.ndarray] = []
     for k, g in enumerate(generators):
-        perm = tuple(int(i) for i in g)
+        perm = [int(i) for i in g]
         if len(perm) != degree or sorted(perm) != list(range(degree)):
             raise NotAGroup(f"generator {k} is not a bijection on [0, {degree})")
-        gens.append(perm)
+        gens.append(np.array(perm, dtype=dtype))
     if not gens:  # the trivial group, at any degree, with no permutation built
-        return [[0]]
+        return np.zeros((1, 1), dtype=np.int64)
 
-    identity = tuple(range(degree))
-    elems = [identity]
-    index = {identity: 0}
-    frontier = [identity]
+    index: dict[bytes, int] = {}  # each element's image bytes, the one copy kept
+    origin: list[tuple[int, int]] = []  # (parent(b), s) with b = parent(b)*g_s
+    right: list[list[int]] = []  # right[x][s] is the index of x*g_s
+
+    def store(perm: bytes, parent: int, s: int) -> tuple[int, bytes]:
+        n, cells = len(index), (len(index) + 1) * degree
+        if n >= DEFAULT_ELEMENT_CAP:
+            raise SizeLimitExceeded(
+                f"permutation closure exceeds the element cap {DEFAULT_ELEMENT_CAP}"
+            )
+        if cells > PERM_CELL_CAP:
+            raise SizeLimitExceeded(
+                f"permutation closure of degree {degree} exceeds the cell bound "
+                f"{PERM_CELL_CAP} at element {n} ({cells} cells)"
+            )
+        index[perm] = n
+        origin.append((parent, s))
+        right.append([0] * len(gens))
+        return n, perm
+
+    frontier = [store(np.arange(degree, dtype=dtype).tobytes(), 0, 0)]
     while frontier:
         nxt = []
-        for g in gens:
-            for x in frontier:
-                t = _compose_perms(x, g)
+        for s, g in enumerate(gens):
+            for x, perm in frontier:
+                t = _compose_perms(np.frombuffer(perm, dtype=dtype), g).tobytes()
                 if t not in index:
-                    if len(elems) >= DEFAULT_ELEMENT_CAP:
-                        raise SizeLimitExceeded(
-                            f"permutation closure exceeds the element cap {DEFAULT_ELEMENT_CAP}"
-                        )
-                    index[t] = len(elems)
-                    elems.append(t)
-                    nxt.append(t)
+                    nxt.append(store(t, x, s))
+                right[x][s] = index[t]
         frontier = nxt
 
-    return [[index[_compose_perms(x, y)] for y in elems] for x in elems]
+    n, steps = len(index), np.array(right)
+    cols = np.empty((n, n), dtype=np.int64)
+    cols[0] = np.arange(n)
+    for b, (parent, s) in enumerate(origin[1:], 1):
+        cols[b] = steps[cols[parent], s]
+    return cols.T
 
 
 def direct_product(g: Group, h: Group, name: str | None = None) -> Group:

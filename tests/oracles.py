@@ -22,6 +22,9 @@ the reference of that lookup; it runs the library's array search.
 :func:`types_up_to` is the recursive partition generator the lemma 4 sweep
 read its types from before it built their exponent rows as one array, kept
 as the reference of that array's rows and their order.
+:func:`composed_permutation_table` is the permutation-group table the library
+built by composing every pair of elements before it read the table off the
+closure's right multiplications, kept as the reference of that table.
 """
 
 import hashlib
@@ -34,7 +37,8 @@ import numpy as np
 
 from centauts import AbelianType, __version__, automorphisms
 from centauts.automorphisms import _budget_exceeded, _generator_chain
-from centauts.errors import InternalDisagreement
+from centauts import groups
+from centauts.errors import InternalDisagreement, NotAGroup, SizeLimitExceeded
 from centauts.groups import Group, Subgroup, direct_product
 
 
@@ -89,6 +93,45 @@ def types_up_to(p: int, max_exp: int) -> list[AbelianType]:
         for length in range(1, total + 1):
             types.extend(AbelianType(p, parts[::-1]) for parts in partitions(total, length))
     return types
+
+
+def composed_permutation_table(degree: int, generators) -> list[list[int]]:
+    """The closure of the generators as tuples, breadth-first, generator-first
+    then left multiplier, with entry (x, y) the index of x then y found by
+    composing the two; the element cap is read from the groups module."""
+    if degree < 1:
+        raise NotAGroup("degree must be positive")
+    gens: list[tuple[int, ...]] = []
+    for k, g in enumerate(generators):
+        perm = tuple(int(i) for i in g)
+        if len(perm) != degree or sorted(perm) != list(range(degree)):
+            raise NotAGroup(f"generator {k} is not a bijection on [0, {degree})")
+        gens.append(perm)
+    if not gens:
+        return [[0]]
+
+    def compose(p, q):
+        return tuple(q[i] for i in p)
+
+    identity = tuple(range(degree))
+    elems = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in gens:
+            for x in frontier:
+                t = compose(x, g)
+                if t not in index:
+                    if len(elems) >= groups.DEFAULT_ELEMENT_CAP:
+                        raise SizeLimitExceeded(
+                            f"permutation closure exceeds the element cap {groups.DEFAULT_ELEMENT_CAP}"
+                        )
+                    index[t] = len(elems)
+                    elems.append(t)
+                    nxt.append(t)
+        frontier = nxt
+    return [[index[compose(x, y)] for y in elems] for x in elems]
 
 
 def pairwise_product(parts: Sequence[Group], name: str | None) -> Group:

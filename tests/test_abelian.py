@@ -1,5 +1,3 @@
-from itertools import combinations_with_replacement
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +8,6 @@ from centauts import (
     class_two_invariants,
     enumerate_homs,
     from_cayley_table,
-    hom_exponents,
     hom_order,
     invariants,
     lemma4_compare,
@@ -34,15 +31,6 @@ from centauts.errors import (
 )
 
 from oracles import brute_force_hom_count, naive_element_order, order_census_hom_count, types_up_to
-
-
-def all_types(p, max_total):
-    yield AbelianType(p, ())
-    for total in range(1, max_total + 1):
-        for length in range(1, total + 1):
-            for combo in combinations_with_replacement(range(1, total + 1), length):
-                if sum(combo) == total:
-                    yield AbelianType(p, tuple(sorted(combo, reverse=True)))
 
 
 class TestAbelianType:
@@ -106,7 +94,7 @@ class TestInvariants:
         # order 729 included, so the element cap is raised past it
         monkeypatch.setattr(groups, "DEFAULT_ELEMENT_CAP", 729)
         for p in (2, 3):
-            for t in all_types(p, 6):
+            for t in types_up_to(p, 6):
                 if t.is_trivial():
                     continue
                 g = abelian_group([p**e for e in t.exps])
@@ -152,7 +140,7 @@ class TestHomOrder:
         assert hom_order(ta, tb) == hom_order(tb, ta)
 
     def test_matches_brute_force_up_to_32(self):
-        pairs = [(p, t) for p in (2, 3, 5) for t in all_types(p, 5) if t.order <= 32]
+        pairs = [(p, t) for p in (2, 3, 5) for t in types_up_to(p, 5) if t.order <= 32]
         for p, ta in pairs:
             ga = abelian_group([p**e for e in ta.exps]) if ta.exps else from_cayley_table([[0]])
             for q, tb in pairs:
@@ -192,27 +180,28 @@ class TestHomCount:
             assert _hom_count(ab, z) == len(enumerate_homs(ab, z)), name
 
 
+def _assert_hom_exponents(table, types, p):
+    """``p ** table[i, j] == hom_order(types[i], types[j])`` for every pair."""
+    assert table.shape == (len(types), len(types))
+    for x, row in zip(types, table.tolist()):
+        assert [p**e for e in row] == [hom_order(x, c) for c in types]
+
+
 class TestHomExponents:
+    """``_hom_exponent_table``, the one log_p |Hom| kernel, against hom_order."""
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_hom_order_up_to_exponent_8(self, p):
-        types = list(all_types(p, 8))
-        table = hom_exponents(types)
-        assert table.shape == (len(types), len(types))
-        for x, row in zip(types, table.tolist()):
-            assert [p**e for e in row] == [hom_order(x, c) for c in types]
+        _assert_hom_exponents(_hom_exponent_table(_type_exponents(8)), types_up_to(p, 8), p)
 
     def test_dtype_holds_the_largest_entry(self):
         # 16 * 16 = 256 overflows uint8
-        c2_16 = AbelianType(2, (1,) * 16)
-        assert hom_exponents([c2_16]).tolist() == [[256]]
+        c2_16 = np.ones((1, 16), dtype=np.uint8)
+        assert _hom_exponent_table(c2_16).tolist() == [[256]]
 
     def test_trivial_only(self):
-        assert hom_exponents([AbelianType(3, ())]).tolist() == [[0]]
-        assert hom_exponents([]).shape == (0, 0)
-
-    def test_prime_mismatch(self):
-        with pytest.raises(PrimeMismatch):
-            hom_exponents([AbelianType(2, (1,)), AbelianType(3, (1,))])
+        assert _hom_exponent_table(np.zeros((1, 1), dtype=np.uint8)).tolist() == [[0]]
+        assert _hom_exponent_table(np.zeros((0, 1), dtype=np.uint8)).shape == (0, 0)
 
 
 class TestTypeExponents:
@@ -224,9 +213,7 @@ class TestTypeExponents:
         width = max(max_exp, 1)
         assert exps.dtype == np.uint8
         assert exps.tolist() == [list(t.exps) + [0] * (width - t.rank) for t in types]
-        table = _hom_exponent_table(exps)
-        expected = hom_exponents(types)
-        assert table.dtype == expected.dtype and np.array_equal(table, expected)
+        _assert_hom_exponents(_hom_exponent_table(exps), types, p)
 
 
 class TestClassTwoInvariants:

@@ -1,7 +1,7 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from centauts.corpus import (
     _cache_key,
     _cache_read,
     _catalog_entries,
-    _table_cache_key,
     catalog,
     catalog_group,
     central_product,
@@ -146,7 +145,10 @@ class TestCatalog:
         assert self._catalog_key_digest(json_cache_key) == CATALOG_CACHE_DIGEST
 
     def test_table_byte_keys_pin_the_catalog(self):
-        assert self._catalog_key_digest(_cache_key) == CATALOG_TABLE_KEY_DIGEST
+        def key(g, checks, budget):
+            return _cache_key(g.name, g.mul, checks, budget)
+
+        assert self._catalog_key_digest(key) == CATALOG_TABLE_KEY_DIGEST
 
     def test_labels_pin_the_catalog(self):
         doc = json.dumps({name: make().labels for name, make in catalog().items()})
@@ -155,22 +157,22 @@ class TestCatalog:
     def test_cache_key_sensitivity(self, monkeypatch):
         d8 = dihedral_group(4, "D8")
         checks = ("theorem", "prop1", "lemma3")
-        base = _cache_key(d8, checks, 100)
-        # the key reads only name, n and mul, so one changed entry needs no group
+        base = _cache_key("D8", d8.mul, checks, 100)
+        # the key reads only a name and a table, so one changed entry needs no group
         mul = d8.mul.copy()
         mul[3, 5] = (mul[3, 5] + 1) % 8
         changed = {
-            "name": _cache_key(dihedral_group(4, "D8b"), checks, 100),
-            "table-entry": _cache_key(SimpleNamespace(name="D8", n=8, mul=mul), checks, 100),
-            "checks": _cache_key(d8, checks[:2], 100),
-            "budget": _cache_key(d8, checks, 101),
+            "name": _cache_key("D8b", d8.mul, checks, 100),
+            "table-entry": _cache_key("D8", mul, checks, 100),
+            "checks": _cache_key("D8", d8.mul, checks[:2], 100),
+            "budget": _cache_key("D8", d8.mul, checks, 101),
         }
         monkeypatch.setattr(corpus, "__version__", "0.0.0-other")
-        changed["version"] = _cache_key(d8, checks, 100)
+        changed["version"] = _cache_key("D8", d8.mul, checks, 100)
         monkeypatch.undo()
         assert len({base, *changed.values()}) == 1 + len(changed), changed
-        assert _cache_key(Group(d8.mul.tolist(), name="D8"), checks, 100) == base
-        assert _cache_key(d8, [*reversed(checks), "theorem"], 100) == base
+        assert _cache_key("D8", np.array(d8.mul.tolist()), checks, 100) == base
+        assert _cache_key("D8", d8.mul, [*reversed(checks), "theorem"], 100) == base
 
     def test_catalog_validates_each_table_once(self, monkeypatch):
         built = _counting_constructor(monkeypatch)
@@ -376,16 +378,9 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(max_order=100000)
 
-    def test_bad_format(self):
-        with pytest.raises(ConfigError):
-            RunConfig(output_format="xml")
-
-    def test_env_var_overrides_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CENTAUTS_CACHE_DIR", str(tmp_path / "env"))
-        cfg = RunConfig(cache_dir=str(tmp_path / "cfg"))
-        assert cfg.resolved_cache_dir() == tmp_path / "env"
-        monkeypatch.delenv("CENTAUTS_CACHE_DIR")
-        assert cfg.resolved_cache_dir() == tmp_path / "cfg"
+    def test_fields_are_the_scan_settings(self):
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        assert names == ["max_order", "primes", "checks", "cache_dir", "budget"]
 
 
 SMALL_CFG = dict(max_order=16, primes=(2, 3), checks=("theorem", "cor1", "lemma0a"))
@@ -427,13 +422,31 @@ class TestScan:
         no_cache = scan_corpus(RunConfig(**SMALL_CFG))
         assert emit_report(no_cache, "json") == emit_report(cached, "json")
 
-    def test_extra_groups_are_analyzed(self, groups):
-        cfg = RunConfig(max_order=8, primes=(2,), checks=("theorem",))
-        reports = scan_corpus(cfg, extra_groups=[groups["M16"]])
-        assert "M16" not in [r.group_id for r in reports]  # above the cap
-        cfg2 = RunConfig(max_order=16, primes=(2,), checks=("theorem",))
-        reports2 = scan_corpus(cfg2, extra_groups=[groups["M16"]])
-        assert reports2[-1].group_id == "M16"
+    def test_cache_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # RunConfig.cache_dir is the one cache setting; the environment is not read
+        monkeypatch.setenv("CENTAUTS_CACHE_DIR", str(tmp_path))
+        scan_corpus(RunConfig(**SMALL_CFG))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_uncreatable_cache_dir_fails_before_any_analysis(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        analyzed = []
+        monkeypatch.setattr(corpus, "analyze_group", lambda *args: analyzed.append(args))
+        for cache_dir in (blocker, blocker / "sub"):
+            with pytest.raises(ConfigError, match=f"cache directory {str(cache_dir)!r}"):
+                scan_corpus(RunConfig(cache_dir=str(cache_dir), **SMALL_CFG))
+        assert analyzed == []
+        assert blocker.read_text() == ""
+
+    def test_failed_cache_write_is_a_config_error(self, tmp_path, monkeypatch):
+        def refuse(**kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(corpus.tempfile, "mkstemp", refuse)
+        with pytest.raises(ConfigError, match="No space left on device"):
+            scan_corpus(RunConfig(cache_dir=str(tmp_path / "cache"), **SMALL_CFG))
+        assert list((tmp_path / "cache").iterdir()) == []
 
 
 # The benchmark's reference: the scan of every check at max_order 81, primes 2 and 3.
@@ -472,8 +485,8 @@ class TestCacheHits:
             for name, entry in _catalog_entries().items():
                 table, labels = entry.table()
                 group = Group(table, labels, name)
-                assert _table_cache_key(name, table, checks, cfg.budget) == _cache_key(
-                    group, checks, cfg.budget
+                assert _cache_key(name, table, checks, cfg.budget) == _cache_key(
+                    group.name, group.mul, checks, cfg.budget
                 ), name
 
     def test_truncated_entry_is_a_miss_that_validates_and_rewrites(self, tmp_path, monkeypatch):
@@ -481,7 +494,7 @@ class TestCacheHits:
         assert self._scan(tmp_path) == reference
         cfg = RunConfig()
         table, _ = _catalog_entries()["D8cpD8"].table()
-        path = tmp_path / f"{_table_cache_key('D8cpD8', table, cfg.checks, cfg.budget)}.json"
+        path = tmp_path / f"{_cache_key('D8cpD8', table, cfg.checks, cfg.budget)}.json"
         written = path.read_bytes()
         path.write_bytes(written[: len(written) // 2])
         assert _cache_read(tmp_path, path.stem) is None
@@ -529,6 +542,10 @@ class TestEmission:
         ):
             assert row in scan
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ConfigError, match="unknown output format 'xml'"):
+            emit_report([], "xml")
+
     def test_serialize_group_shape(self, groups):
         doc = serialize_group(groups["C2"])
         assert doc == {"name": "C2", "format": "cayley", "n": 2, "table": [[0, 1], [1, 0]]}
@@ -569,6 +586,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "verdict=agree" in out and "triples=" in out
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_scan_into_an_unusable_cache_dir_is_an_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache_dir = str(blocker / below) if below else str(blocker)
+        rc = main(["scan", "--max-order", "8", "--prime", "2", "--cache-dir", cache_dir])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cache directory {cache_dir!r} cannot be used")
 
     def test_list_catalog(self, capsys):
         rc = main(["list-catalog"])

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from centauts.errors import (
 from centauts.groups import Group, QuotientMap, Subgroup, _associativity_failure
 from centauts.groups import _right_closure_generators as _magma_generators
 from oracles import (
+    composed_permutation_table,
     identity_of,
     naive_associativity_failure,
     naive_center,
@@ -222,6 +225,103 @@ class TestFromPermutationGenerators:
         a = from_permutation_generators(4, [[1, 2, 3, 0], [2, 1, 0, 3]])
         b = from_permutation_generators(4, [[1, 2, 3, 0], [2, 1, 0, 3]])
         assert np.array_equal(a.mul, b.mul)
+
+
+def _regular_q8():
+    rows = dicyclic_group(2).mul_rows()
+    return [[rows[x][1] for x in range(8)], [rows[x][4] for x in range(8)]]
+
+
+# (degree, generators) of every perm group built in the tests and demos,
+# error cases included
+PERM_DOCUMENTS = [
+    (4, [[1, 2, 3, 0], [2, 1, 0, 3]]),
+    (4, [[1, 2, 3, 0]]),
+    (4, [[1, 2, 3, 0], [1, 0, 2, 3]]),
+    (5, [[1, 2, 3, 4, 0], [1, 2, 0, 3, 4]]),
+    (8, _regular_q8()),
+    (3, [[1, 2, 0]]),
+    (3, [[0, 0, 1]]),
+    (6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]),
+    (10**12, []),
+    (10**12, [[0]]),
+    (0, []),
+]
+
+
+def _table_or_error(build, degree, generators):
+    try:
+        return np.asarray(build(degree, generators)).tolist()
+    except (NotAGroup, SizeLimitExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _random_generators(rng: random.Random):
+    degree = rng.randint(1, 7)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        perm = list(range(degree))
+        rng.shuffle(perm)
+        gens.append(perm)
+    return degree, gens
+
+
+class TestPermutationTable:
+    """The table read off the closure's right multiplications, against the
+    reference that composes every pair of elements."""
+
+    @pytest.mark.parametrize("degree, generators", PERM_DOCUMENTS)
+    def test_documents_match_the_reference(self, degree, generators):
+        got = _table_or_error(groups._permutation_table, degree, generators)
+        assert got == _table_or_error(composed_permutation_table, degree, generators)
+
+    def test_random_generator_sets_match_the_reference(self):
+        rng = random.Random(20240601)
+        for _ in range(150):
+            degree, gens = _random_generators(rng)
+            got = _table_or_error(groups._permutation_table, degree, gens)
+            assert got == _table_or_error(composed_permutation_table, degree, gens), gens
+
+    def test_one_composition_per_element_and_generator(self, monkeypatch):
+        compose = groups._compose_perms
+        calls = []
+
+        def counted(p, q):
+            calls.append(1)
+            return compose(p, q)
+
+        monkeypatch.setattr(groups, "_compose_perms", counted)
+        rng = random.Random(7)
+        for degree, gens in PERM_DOCUMENTS[:6] + [_random_generators(rng) for _ in range(40)]:
+            calls.clear()
+            try:
+                n = len(groups._permutation_table(degree, gens))
+            except SizeLimitExceeded:
+                continue
+            assert len(calls) <= n * len(gens), (degree, gens)
+
+    def test_cell_bound_fires_before_it_is_passed(self, monkeypatch):
+        # a 30-cycle: the fourth element would make 120 cells, past 100
+        monkeypatch.setattr(groups, "PERM_CELL_CAP", 100)
+        cycle = [*range(1, 30), 0]
+        with pytest.raises(SizeLimitExceeded, match=r"cell bound 100 at element 3 \(120 cells\)"):
+            groups._permutation_table(30, [cycle])
+        # a 10-cycle stores exactly 100 cells
+        assert len(groups._permutation_table(10, [[*range(1, 10), 0]])) == 10
+        with pytest.raises(SizeLimitExceeded, match=r"cell bound 100 at element 0 \(101 cells\)"):
+            groups._permutation_table(101, [list(range(101))])
+
+    def test_block_involutions_on_9000_points(self):
+        # C2^9, each involution swapping 500 pairs in its own block of 1000:
+        # 512 elements of degree 9000, 4.6M cells, within the bound
+        gens = []
+        for b in range(9):
+            perm = list(range(9000))
+            for a in range(1000 * b, 1000 * b + 1000, 2):
+                perm[a], perm[a + 1] = perm[a + 1], perm[a]
+            gens.append(perm)
+        g = from_permutation_generators(9000, gens)
+        assert g.n == 512 and g.is_abelian() and g.exponent() == 2
 
 
 class TestDirectProduct:

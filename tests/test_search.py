@@ -22,7 +22,6 @@ import pytest
 from centauts import all_automorphisms, direct_product, enumerate_homs
 from centauts import automorphisms, theory
 from centauts.corpus import (
-    CACHE_ENV_VAR,
     PER_GROUP_CHECKS,
     RunConfig,
     abelian_group,
@@ -161,7 +160,6 @@ def test_no_check_runs_the_search(monkeypatch):
         raise AssertionError(f"a check ran the search: {kwargs['what']}")
 
     monkeypatch.setattr(automorphisms, "_search_maps", refuse)
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     reports = scan_corpus(RunConfig(max_order=125, primes=(2, 3, 5)))
     assert emit_report(reports, "json") == FULL_SCAN.read_text(encoding="utf-8")
     statuses = {r.group_id: r.lemma_checks for r in reports}

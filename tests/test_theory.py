@@ -263,8 +263,7 @@ class TestLemma4Sweep:
 
     @pytest.mark.parametrize("p, max_exp", [(2, 6), (3, 4), (5, 4)])
     def test_one_hom_table_and_no_scalar_hom_order(self, monkeypatch, p, max_exp):
-        tables, scalar, matrices = [], [], []
-        exponent_matrix = abelian._exponent_matrix
+        tables, scalar = [], []
 
         def counted_table(exps):
             tables.append(len(exps))
@@ -274,16 +273,11 @@ class TestLemma4Sweep:
             scalar.append((a, c))
             return hom_order(a, c)
 
-        def counted_matrix(types):
-            matrices.append(len(types))
-            return exponent_matrix(types)
-
         monkeypatch.setattr(theory, "_hom_exponent_table", counted_table)
         monkeypatch.setattr(abelian, "hom_order", counted_scalar)
-        monkeypatch.setattr(abelian, "_exponent_matrix", counted_matrix)
         assert verify_lemma4_sweep(p, max_exp).agree
         assert tables == [len(types_up_to(p, max_exp))]
-        assert scalar == matrices == []
+        assert scalar == []
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("max_exp", [0, 1])
