@@ -69,8 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     if args.budget < 0:
         raise ConfigError(f"budget must be non-negative, got {args.budget}")
-    if args.group in catalog():
-        group = catalog()[args.group]()
+    entries = catalog()
+    if args.group in entries:
+        group = entries[args.group]()
     elif os.path.exists(args.group):
         group = parse_group_file(args.group)
     else:

@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,12 +70,15 @@ _CSV_COLUMNS = (
 #
 # Every family and product is a table step returning (table, labels); catalog
 # entries compose those raw tables and hand only the final one to the Group
-# constructor, so each entry's table is validated exactly once.
+# constructor, so each entry's table is validated exactly once.  A step's
+# labels are left unformatted: the Group constructor formats each with str,
+# so a scan formats labels only for the groups it builds.
 
 
 def _element_table(elements: Sequence, mul: Callable) -> Table:
     """The table on ``elements`` (element k is index k, labelled ``str(elements[k])``)
-    whose product is ``mul``, evaluated once over the whole table.
+    whose product is ``mul``, evaluated once over the whole table; the labels
+    returned are the elements themselves.
 
     Array contract: every element is a non-negative int, or every element is
     a tuple of non-negative ints of one length, and no two are equal.
@@ -99,7 +102,7 @@ def _element_table(elements: Sequence, mul: Callable) -> Table:
     else:
         prod = (mul(rows[0], cols[0]),)
     table = lookup[np.ravel_multi_index(prod, radix)]
-    return table, tuple(str(t) for t in elements)
+    return table, tuple(elements)
 
 
 def _cyclic_table(k: int) -> Table:
@@ -227,9 +230,17 @@ def _cp(a: Table, b: Table) -> Table:
     return _central_product_table(a[0], b[0], _central_involution(a[0]), _central_involution(b[0]))
 
 
+def _product_labels(factors: Sequence[Table]) -> Iterator[str]:
+    """The labels of the product of ``factors``, formatted when first iterated,
+    by folding the factors again."""
+    yield from _product_table(factors)[1]
+
+
 class _CatalogEntry(NamedTuple):
     """A catalog entry before it is built: its order, its prime (None unless
-    the order is a prime power) and the table step that builds it."""
+    the order is a prime power) and the table step that builds it.  The
+    step's labels are for the Group constructor, which formats them: a
+    product's are a generator, read once."""
 
     order: int
     prime: int | None
@@ -245,69 +256,90 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
     negative controls.  Each entry declares its order, so a scan filters on
     order and prime before any table is made; the tests check every
     declaration against the built group.
+
+    A step that several entries read runs at most once while the returned
+    entries live: its result is kept in a memo that only their steps see.
+    The memo's keys are plain values (a step and its int arguments), so it
+    references no step that references it, and dropping the entries frees it
+    without the cycle collector.  A step only one entry reads is not kept.
     """
+    memo: dict[tuple, Table] = {}
 
-    def cyc(k: int) -> Callable[[], Table]:
-        return partial(_cyclic_table, k)
+    def shared(key: tuple, build: Callable[[], Table]) -> Callable[[], Table]:
+        def make() -> Table:
+            if key not in memo:
+                memo[key] = build()
+            return memo[key]
 
-    def ab(*orders: int) -> Callable[[], Table]:
-        return partial(_abelian_table, orders)
+        return make
+
+    def step(table: Callable[..., Table], *args: int) -> Callable[[], Table]:
+        return shared((table, *args), partial(table, *args))
 
     def prod(*factors: Callable[[], Table]) -> Callable[[], Table]:
-        return lambda: _product_table([f() for f in factors])
+        def make() -> Table:
+            parts = [f() for f in factors]
+            table, _ = _product_table([(t, None) for t, _ in parts])
+            if any(labels is None for _, labels in parts):
+                return table, None
+            return table, _product_labels(parts)
+
+        return make
 
     def cp(a: Callable[[], Table], b: Callable[[], Table]) -> Callable[[], Table]:
         return lambda: _cp(a(), b())
 
-    d8, q8 = partial(_dihedral_table, 4), partial(_dicyclic_table, 2)
-    m16, c4sdc4 = partial(_metacyclic_table, 8, 2, 5), partial(_metacyclic_table, 4, 4, 3)
-    heis3, m27 = partial(_heisenberg_table, 3), partial(_metacyclic_table, 9, 3, 4)
+    c2, c3, c4, c8, c9 = (step(_cyclic_table, k) for k in (2, 3, 4, 8, 9))
+    d8, q8 = step(_dihedral_table, 4), step(_dicyclic_table, 2)
+    m16, c4sdc4 = step(_metacyclic_table, 8, 2, 5), step(_metacyclic_table, 4, 4, 3)
+    heis3, m27 = step(_heisenberg_table, 3), step(_metacyclic_table, 9, 3, 4)
+    d8cpd8 = shared(("D8cpD8",), cp(d8, d8))
     tables: dict[str, tuple[int, Callable[[], Table]]] = {
         # abelian p-groups (controls for the non-abelian criteria)
-        "C2": (2, cyc(2)),
-        "C4": (4, cyc(4)),
-        "C8": (8, cyc(8)),
-        "C16": (16, cyc(16)),
-        "C2xC2": (4, ab(2, 2)),
-        "C2xC4": (8, ab(2, 4)),
-        "C4xC4": (16, ab(4, 4)),
-        "C2xC2xC2": (8, ab(2, 2, 2)),
-        "C3": (3, cyc(3)),
-        "C9": (9, cyc(9)),
-        "C27": (27, cyc(27)),
-        "C3xC3": (9, ab(3, 3)),
-        "C3xC9": (27, ab(3, 9)),
-        "C5": (5, cyc(5)),
+        "C2": (2, c2),
+        "C4": (4, c4),
+        "C8": (8, c8),
+        "C16": (16, partial(_cyclic_table, 16)),
+        "C2xC2": (4, prod(c2, c2)),
+        "C2xC4": (8, prod(c2, c4)),
+        "C4xC4": (16, prod(c4, c4)),
+        "C2xC2xC2": (8, prod(c2, c2, c2)),
+        "C3": (3, c3),
+        "C9": (9, c9),
+        "C27": (27, partial(_cyclic_table, 27)),
+        "C3xC3": (9, prod(c3, c3)),
+        "C3xC9": (27, prod(c3, c9)),
+        "C5": (5, partial(_cyclic_table, 5)),
         # class-2 2-groups
         "D8": (8, d8),
         "Q8": (8, q8),
         "M16": (16, m16),
         "M32": (32, partial(_metacyclic_table, 16, 2, 9)),
         "C4sdC4": (16, c4sdc4),
-        "D8cpC4": (16, cp(d8, cyc(4))),
-        "D8xC2": (16, prod(d8, cyc(2))),
-        "Q8xC2": (16, prod(q8, cyc(2))),
-        "D8xC4": (32, prod(d8, cyc(4))),
-        "Q8xC4": (32, prod(q8, cyc(4))),
-        "M16xC2": (32, prod(m16, cyc(2))),
-        "C4sdC4xC2": (32, prod(c4sdc4, cyc(2))),
-        "D8xC2xC2": (32, prod(d8, cyc(2), cyc(2))),
-        "Q8xC2xC2": (32, prod(q8, cyc(2), cyc(2))),
-        "D8cpD8": (32, cp(d8, d8)),
+        "D8cpC4": (16, cp(d8, c4)),
+        "D8xC2": (16, prod(d8, c2)),
+        "Q8xC2": (16, prod(q8, c2)),
+        "D8xC4": (32, prod(d8, c4)),
+        "Q8xC4": (32, prod(q8, c4)),
+        "M16xC2": (32, prod(m16, c2)),
+        "C4sdC4xC2": (32, prod(c4sdc4, c2)),
+        "D8xC2xC2": (32, prod(d8, c2, c2)),
+        "Q8xC2xC2": (32, prod(q8, c2, c2)),
+        "D8cpD8": (32, d8cpd8),
         "D8cpQ8": (32, cp(d8, q8)),
-        "D8xC8": (64, prod(d8, cyc(8))),
-        "M16xC4": (64, prod(m16, cyc(4))),
+        "D8xC8": (64, prod(d8, c8)),
+        "M16xC4": (64, prod(m16, c4)),
         "D8xQ8": (64, prod(d8, q8)),
         "D8xD8": (64, prod(d8, d8)),
         "Q8xQ8": (64, prod(q8, q8)),
-        "D8cpD8xC2": (64, prod(cp(d8, d8), cyc(2))),
+        "D8cpD8xC2": (64, prod(d8cpd8, c2)),
         # class-2 odd-order groups
         "Heis3": (27, heis3),
         "M27": (27, m27),
-        "Heis3xC3": (81, prod(heis3, cyc(3))),
-        "M27xC3": (81, prod(m27, cyc(3))),
+        "Heis3xC3": (81, prod(heis3, c3)),
+        "M27xC3": (81, prod(m27, c3)),
         "C9sdC9": (81, partial(_metacyclic_table, 9, 9, 4)),
-        "Heis3cpC9": (81, lambda: _central_product_table(heis3()[0], _cyclic_table(9)[0], 2, 3)),
+        "Heis3cpC9": (81, lambda: _central_product_table(heis3()[0], c9()[0], 2, 3)),
         "Heis5": (125, partial(_heisenberg_table, 5)),
         # higher-class and non-prime-power controls
         "D16": (16, partial(_dihedral_table, 8)),
@@ -315,7 +347,7 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
         "Q16": (16, partial(_dicyclic_table, 4)),
         "D32": (32, partial(_dihedral_table, 16)),
         "S3": (6, partial(_dihedral_table, 3)),
-        "C6": (6, cyc(6)),
+        "C6": (6, partial(_cyclic_table, 6)),
     }
 
     return {name: _CatalogEntry(n, _order_prime(n), make) for name, (n, make) in tables.items()}
@@ -680,11 +712,11 @@ def _cache_key(name: str, table: np.ndarray, checks: Sequence[str], budget: int)
     return digest.hexdigest()
 
 
-def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
+def _cache_read(cache_dir: str, key: str) -> GroupReport | None:
     """The cached report under ``key``; None on a miss or an unreadable entry."""
     try:
-        text = (cache_dir / f"{key}.json").read_text(encoding="utf-8")
-        return _report_from_json_dict(json.loads(text))
+        with open(os.path.join(cache_dir, f"{key}.json"), encoding="utf-8") as handle:
+            return _report_from_json_dict(json.load(handle))
     except (OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError):
         # OSError covers a missing entry; ValueError, invalid JSON and
         # non-UTF-8 bytes; RecursionError, JSON nested too deeply to decode;
@@ -692,20 +724,21 @@ def _cache_read(cache_dir: Path, key: str) -> GroupReport | None:
         return None
 
 
-def _unusable_cache(cache_dir: Path, exc: OSError) -> ConfigError:
-    return ConfigError(f"cache directory {str(cache_dir)!r} cannot be used: {exc}")
+def _unusable_cache(cache_dir: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cache directory {cache_dir!r} cannot be used: {exc}")
 
 
-def _cache_write(cache_dir: Path, key: str, report: GroupReport) -> None:
+def _cache_write(cache_dir: str, key: str, report: GroupReport) -> None:
     """Write ``report`` under ``key`` by an atomic rename; an OSError becomes a
-    ConfigError naming the directory."""
-    payload = json.dumps(report_to_json_dict(report), sort_keys=True, indent=2)
+    ConfigError naming the directory.  Entries are compact JSON, which the C
+    encoder writes; a reader takes any layout."""
+    payload = json.dumps(report_to_json_dict(report), sort_keys=True)
     try:
         fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
-            os.replace(tmp_name, cache_dir / f"{key}.json")
+            os.replace(tmp_name, os.path.join(cache_dir, f"{key}.json"))
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
@@ -722,10 +755,10 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
     be created raises :class:`ConfigError` before any group is analyzed, and
     one that cannot be written raises it at the first write.
     """
-    cache_dir = Path(cfg.cache_dir) if cfg.cache_dir else None
+    cache_dir = cfg.cache_dir or None
     if cache_dir is not None:
         try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
+            os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
             raise _unusable_cache(cache_dir, exc) from exc
     reports: list[GroupReport] = []
@@ -734,7 +767,8 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
             continue
         if entry.prime is not None and entry.prime not in cfg.primes:
             continue
-        # a cache hit reads the report without building (and validating) the group
+        # a cache hit reads the report without building (and validating) the
+        # group, and without formatting its labels
         table, labels = entry.table()
         key = None if cache_dir is None else _cache_key(name, table, cfg.checks, cfg.budget)
         report = None if key is None else _cache_read(cache_dir, key)

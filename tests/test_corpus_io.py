@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +123,9 @@ class TestCatalog:
         assert invariants(g.center().as_group(), 2).exps == (1, 1)
 
     def test_construction_is_deterministic(self):
-        entries = catalog()
+        # two catalogs, so that no step result is shared between the builds
         for name in ("D8", "Q8", "M16", "Heis3", "D8cpD8"):
-            a, b = entries[name](), entries[name]()
+            a, b = catalog()[name](), catalog()[name]()
             assert np.array_equal(a.mul, b.mul), name
 
     def test_names_match_orders(self, groups):
@@ -478,6 +479,42 @@ class TestCacheHits:
         built.clear()
         assert self._scan(tmp_path) == reference
         assert built == []
+
+    def test_each_table_step_runs_once_per_scan(self, tmp_path, monkeypatch):
+        reference = REFERENCE_SCAN.read_text(encoding="utf-8")
+        calls = Counter()
+        for step in ("_cyclic_table", "_dihedral_table", "_dicyclic_table",
+                     "_metacyclic_table", "_heisenberg_table"):
+            def counting(*args, step=step, run=getattr(corpus, step)):
+                calls[(step, *args)] += 1
+                return run(*args)
+
+            monkeypatch.setattr(corpus, step, counting)
+        # no cache, then a cache filled and then read
+        for cache_dir in (None, str(tmp_path), str(tmp_path)):
+            calls.clear()
+            cfg = RunConfig(cache_dir=cache_dir, **REFERENCE_CFG)
+            assert emit_report(scan_corpus(cfg)) == reference
+            for step in (("_dihedral_table", 4), ("_cyclic_table", 2), ("_dicyclic_table", 2)):
+                assert calls[step] == 1, (cache_dir, step)
+            assert set(calls.values()) == {1}, (cache_dir, calls)
+
+    def test_indented_entries_are_hits_and_stay(self, tmp_path, monkeypatch):
+        """Entries written before entries became compact JSON still hit, unrewritten."""
+        reference = REFERENCE_SCAN.read_text(encoding="utf-8")
+        assert self._scan(tmp_path) == reference
+        entries = sorted(tmp_path.glob("*.json"))
+        assert len(entries) == 47
+        for path in entries:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True)
+            path.write_text(json.dumps(doc, sort_keys=True, indent=2), encoding="utf-8")
+        before = {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in entries}
+        built = _counting_constructor(monkeypatch)
+        assert self._scan(tmp_path) == reference
+        assert built == []
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns) for path in entries} == before
+        assert sorted(tmp_path.iterdir()) == entries
 
     def test_raw_table_key_is_the_group_key(self):
         cfg = RunConfig()
