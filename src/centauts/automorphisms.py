@@ -14,12 +14,13 @@ The central automorphisms come from Hom(G/[G,G], Z(G)) alone, made once per
 central target at the abelianization's width, as a product over a verified
 basis of G/[G,G] (:func:`_basis_homs`) whose row count is checked against a
 type formula; the search is only its oracle (:func:`enumerate_homs`).  The
-checks read a count, not a set: one chunked pass maps every row f to x -> x f(x),
-compares the inverse-image criterion with direct bijectivity on each row,
-and keeps only |Autcent(G)| (:func:`autcent_order`, a checked count), the
-accepted mask and the small set Aut^Z_Z(G) (:func:`center_fixing_autcent`).
-:func:`autcent` still materializes the whole set, as the oracle of that
-count, and the full automorphism group, :func:`all_automorphisms`, is the
+checks read a count, not a set: one pass reads the rows at the prime-order
+columns of Z(G) (x -> x f(x) is bijective iff no such z has f(z) = z^-1)
+and pulls back only the Z-fixing rows, keeping |Autcent(G)|, the accepted
+mask and Aut^Z_Z(G) (:func:`autcent_order`, :func:`center_fixing_autcent`);
+the tests and the acceptance gate compare them with full-width bijectivity.
+:func:`autcent` materializes the whole set, as the oracle of that count,
+and the full automorphism group, :func:`all_automorphisms`, is the
 independent oracle the tests compare both against.  A set of Homs into a
 central subgroup and an :class:`AutSet` are both ``k x n`` arrays of element
 indices, one value table per row, so Autcent and its filters are array
@@ -45,7 +46,7 @@ from .errors import (
     NotPurelyNonabelian,
     SizeLimitExceeded,
 )
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, is_prime
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -461,13 +462,13 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     homomorphism from G into Z(G) (Adney and Yen, Illinois J. Math. 9, 1965),
     so the set is read off the ``k x n`` array of
     :func:`homs_to_central_subgroup` in one batched pass of the map behind
-    :func:`alpha_from_f`, inverse-image criterion against bijectivity
-    included, without enumerating the full automorphism group.  The kept
-    rows are sorted into the :class:`AutSet` table array.  The budget bounds
-    that Hom search and applies on every call, cached or not.  The checks
-    read :func:`autcent_order` and :func:`center_fixing_autcent` instead;
-    this set is their oracle, and the tests compare it with the centrality
-    filter and the Inn-centralizer test over :func:`all_automorphisms`.
+    :func:`alpha_from_f`, criterion against full-width bijectivity included,
+    and sorted into the :class:`AutSet` table array.  The budget bounds that
+    Hom search and applies on every call, cached or not.  The checks read
+    :func:`autcent_order` and :func:`center_fixing_autcent` instead (the
+    prime-order columns of Z(G) and the Z-fixing rows); this set is their
+    oracle, and the tests compare it with the centrality filter and the
+    Inn-centralizer test over :func:`all_automorphisms`.
     """
     homs = homs_to_central_subgroup(group, group.center(), budget)
 
@@ -478,19 +479,12 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     return AutSet._of(group, group._cached("autcent", compute))
 
 
-# Hom(G^ab, Z) rows mapped to alpha_f at a time: bounds the ``chunk x n``
-# temporaries of the central pass, whatever the size of Autcent.
-_ALPHA_CHUNK = 65_536
-
-
 @dataclass(frozen=True)
 class _CentralPass:
-    """What the checks read of Autcent(G), from one pass over Hom(G^ab, Z(G)).
-
-    ``order`` is |Autcent(G)|, ``accepted`` marks the rows of
-    :func:`_ab_homs` into Z(G) whose x -> x f(x) is bijective, and
-    ``center_fixing`` is the canonical table array of Aut^Z_Z(G).
-    """
+    """What the checks read of Autcent(G): ``order`` is |Autcent(G)|,
+    ``accepted`` marks the rows of :func:`_ab_homs` into Z(G) whose
+    x -> x f(x) is bijective, and ``center_fixing`` is Aut^Z_Z(G)'s canonical
+    table array."""
 
     order: int
     accepted: np.ndarray
@@ -498,28 +492,33 @@ class _CentralPass:
 
 
 def _central_pass(group: Group, budget: int | None) -> _CentralPass:
-    """Every row of Hom(G^ab, Z(G)), in chunks of :data:`_ALPHA_CHUNK`, pulled
-    back to G and mapped to alpha_f by :func:`_alpha_tables`, which compares
-    the inverse-image criterion with direct bijectivity on each row.  Only
-    the count, the accepted mask and the Z-fixing images are kept; the
-    result is cached, and the budget of the Hom search applies on every call.
+    """The rows of Hom(G^ab, Z(G)) held by :func:`_ab_homs`, read at the width of Z.
+
+    For f in Hom(G, Z), alpha: x -> x f(x) is an endomorphism, and x f(x) = 1
+    puts x = f(x)^-1 in Z: alpha is bijective iff its kernel in Z, a
+    subgroup, is trivial, iff (Cauchy) no z in Z of prime order has
+    f(z) = z^-1.  With f = F o pi that reads F at the columns pi(z) of G^ab,
+    one ``k x m`` gather, m the number of such z.  A row fixes Z iff F
+    vanishes on pi(Z); those rows are accepted, and only they are pulled back
+    to G and mapped to ``mul[x, f(x)]``.  The tests and the acceptance gate
+    compare mask and images with full-width bijectivity.  Cached; the
+    budget of the Hom search applies on every call.
     """
     center = group.center()
     tables = _ab_homs(group, center, budget)
 
     def compute():
-        zcols = np.asarray(center.members)
-        accepted = np.empty(len(tables), dtype=bool)
-        fixing = []
-        for start in range(0, len(tables), _ALPHA_CHUNK):
-            homs = _pull_back(group, center, tables[start : start + _ALPHA_CHUNK])
-            images, ok = _alpha_tables(group, homs)
-            accepted[start : start + len(homs)] = ok
-            fixing.append(images[ok & (homs[:, zcols] == group.identity).all(axis=1)])
+        mul, inv = _index_tables(group)
+        members = np.asarray(center.members)
+        columns = _projection(group)[members]
+        prime = np.array([is_prime(m) for m in center.element_orders()], dtype=bool)
+        inverse = np.searchsorted(members, inv[members[prime]])
+        accepted = ~(tables[:, columns[prime]] == inverse).any(axis=1)
+        fixing = tables[(tables[:, columns] == center.members.index(group.identity)).all(axis=1)]
         return _CentralPass(
             order=int(accepted.sum()),
             accepted=_readonly(accepted),
-            center_fixing=_canonical(np.concatenate(fixing)),
+            center_fixing=_canonical(mul[np.arange(group.n), _pull_back(group, center, fixing)]),
         )
 
     return group._cached("central_pass", compute)
@@ -528,10 +527,9 @@ def _central_pass(group: Group, budget: int | None) -> _CentralPass:
 def autcent_order(group: Group, budget: int | None = None) -> int:
     """|Autcent(G)|, counted without materializing the set.
 
-    A checked count: every row of Hom(G/[G,G], Z(G)) is mapped to x -> x f(x)
-    and the inverse-image criterion is compared with direct bijectivity, as
-    in :func:`autcent`, but only the accepted rows are counted.  The budget
-    applies on every call, cached or not.
+    The accepted rows of :func:`_central_pass`, read at the prime-order
+    columns of Z(G) alone; the tests compare its mask with full-width
+    bijectivity.  The budget applies on every call, cached or not.
     """
     return _central_pass(group, budget).order
 
@@ -539,10 +537,11 @@ def autcent_order(group: Group, budget: int | None = None) -> int:
 def center_fixing_autcent(group: Group, budget: int | None = None) -> AutSet:
     """Aut^Z_Z(G): the central automorphisms fixing Z(G) element-wise, cached.
 
-    Read off the same pass as :func:`autcent_order` (the rows with f = 1 on
-    Z(G)), so Autcent itself is never materialized; the tests compare it
-    with the Z-fixing rows of :func:`autcent`.  The budget applies on every
-    call.  For M <= Z(G), Aut^M_Z(G) is this set filtered by
+    Read off the same pass as :func:`autcent_order`, which pulls back to G
+    only the Z-fixing rows (always accepted), so Autcent itself is never
+    materialized; the tests compare it with the Z-fixing rows of
+    :func:`autcent`.  The budget applies on every call.  For M <= Z(G),
+    Aut^M_Z(G) is this set filtered by
     :func:`aut_fixing_quotient`, read at a generating set: an automorphism
     trivial on G/M is trivial on G/Z(G), so it is central.
     """
@@ -817,14 +816,11 @@ def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Each row must be the value table of a homomorphism into the center; it
     is not checked again.  Returns the ``k x n`` image array ``mul[x, f(x)]``
-    and a length-k mask of the accepted rows.  A row is accepted iff no
-    non-trivial z in Z(G) has f(z) = z^-1, read on the center's columns
-    alone (were m = f(x) such an element, so is m; were z one, f(z) = z^-1
-    lies in the image).  The criterion is compared with bijectivity of the
-    image row, and any disagreement raises :class:`InternalDisagreement`.
-    With f a homomorphism into the center, x -> x f(x) is an endomorphism,
-    so it is bijective iff its kernel is trivial: iff the identity occurs
-    once in the row, at x = 1.
+    and a length-k mask of the rows with no non-trivial z in Z(G) at which
+    f(z) = z^-1 (see :func:`_central_pass`), compared with bijectivity at
+    full width, the identity once in the row: a disagreement raises
+    :class:`InternalDisagreement`.  The oracle routes :func:`autcent` and
+    :func:`alpha_from_f` call it; the checks read :func:`_central_pass`.
     """
     mul, inv = _index_tables(group)
     images = mul[np.arange(group.n), homs]
@@ -885,7 +881,8 @@ def abelian_factor_split(
     H = ker f and A = im f.  The splits are read off :func:`_ab_homs` at
     G^ab width, whose budget applies on every call: with f = F o pi and
     c = pi o iota the map of Z(G) into G^ab, f is idempotent iff
-    F(c(F(y))) = F(y) for every y in G^ab.  The one split least by
+    F(c(F(y))) = F(y) for y in the basis of :func:`_abelian_basis`, as both
+    sides are homomorphisms of G^ab.  The one split least by
     (|A|, A.members, H.members) is returned; the group caches its member
     tuples, and each call builds the two subgroups from them.  The tests
     compare it with the same reading of the value tables on G and with a
@@ -897,9 +894,11 @@ def abelian_factor_split(
     def compute():
         projection = _projection(group)
         zero = center.members.index(group.identity)
+        basis, _ = _abelian_basis(group.abelianization().target)
+        at_basis = tables[:, basis]  # F(b), as indices into Z
         through = tables[:, projection[list(center.members)]]  # F o c
-        idempotent = (np.take_along_axis(through, tables, axis=1) == tables).all(axis=1)
-        nonzero = (tables != zero).any(axis=1)
+        idempotent = (np.take_along_axis(through, at_basis, axis=1) == at_basis).all(axis=1)
+        nonzero = (at_basis != zero).any(axis=1)
         splits = []
         for row in tables[idempotent & nonzero].tolist():
             image = tuple(center.members[v] for v in sorted(set(row)))

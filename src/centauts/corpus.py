@@ -36,6 +36,7 @@ from .groups import (
     _permutation_table,
     _product_table,
     from_cayley_table,
+    is_prime,
 )
 from .theory import (
     ConditionSide,
@@ -542,11 +543,6 @@ PER_GROUP_CHECKS = tuple(c for c, run in CHECKS.items() if run is not None)
 
 
 # -- run configuration and scanning ----------------------------------------
-
-
-def is_prime(n: int) -> bool:
-    """True iff ``n`` is a prime, by trial division."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)

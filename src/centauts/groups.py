@@ -148,6 +148,11 @@ def _coset_table(
     return reps, rank[rep_of], rank[rep_of[mul[np.ix_(reps, reps)]]]
 
 
+def is_prime(n: int) -> bool:
+    """True iff ``n`` is a prime, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
 def _order_prime(n: int) -> int | None:
     """The prime p with ``n = p**k``, k >= 1, or None."""
     if n == 1:

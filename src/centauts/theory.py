@@ -142,8 +142,8 @@ def _equals_autcent(group: Group, auts: AutSet, budget: int | None) -> bool:
 def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
     """Compare the structural criterion with exhaustive set equality.
 
-    The oracle enumerates Hom(G/[G,G], Z(G)) and maps every row to its
-    central endomorphism: ``autcentOrder`` is the checked count of
+    The oracle enumerates Hom(G/[G,G], Z(G)) and reads every row at the
+    prime-order columns of Z(G): ``autcentOrder`` is the count of
     :func:`autcent_order`, and Aut^Z_Z(G) is the set of
     :func:`center_fixing_autcent`.  Set equality, never just cardinality,
     is decided as a verified inclusion (every row of Aut^Z_Z(G), and of

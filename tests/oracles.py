@@ -25,6 +25,9 @@ as the reference of that array's rows and their order.
 :func:`composed_permutation_table` is the permutation-group table the library
 built by composing every pair of elements before it read the table off the
 closure's right multiplications, kept as the reference of that table.
+:func:`central_pass_matches_full_width` holds the bijectivity test the central
+pass made at the width of G before it read Z(G)'s prime-order columns alone,
+kept as the reference of that pass's mask and its Aut^Z_Z images.
 """
 
 import hashlib
@@ -399,6 +402,26 @@ def naive_alpha(table, f):
     map is not a bijection (decided by counting distinct images)."""
     images = tuple(table[x][f[x]] for x in range(len(table)))
     return images if len(set(images)) == len(table) else None
+
+
+def central_pass_matches_full_width(group: Group) -> bool:
+    """Whether the accepted mask and Aut^Z_Z images of the library's central
+    pass are those of x -> x f(x) read at the full width of G.
+
+    Each row f of Hom(G, Z(G)) is mapped to ``mul[x, f(x)]``, an
+    endomorphism, so it is bijective iff the identity occurs once in the
+    row; Aut^Z_Z is the sorted distinct images of the bijective rows with
+    f = 1 on Z(G).  The pass made this test on every row before it read
+    Hom(G^ab, Z) at the prime-order columns of Z alone.
+    """
+    homs = automorphisms.homs_to_central_subgroup(group, group.center())
+    images = group.mul[np.arange(group.n), homs]
+    bijective = np.count_nonzero(images == group.identity, axis=1) == 1
+    fixing = bijective & (homs[:, list(group.center().members)] == group.identity).all(axis=1)
+    central = automorphisms._central_pass(group, None)
+    return np.array_equal(central.accepted, bijective) and np.array_equal(
+        central.center_fixing, np.unique(images[fixing], axis=0)
+    )
 
 
 def naive_fixing_quotient(table, kernel, auts):

@@ -35,6 +35,7 @@ from centauts.corpus import abelian_group
 
 from oracles import (
     brute_force_hom_count,
+    central_pass_matches_full_width,
     dfs_search_maps,
     naive_generating_set,
     order_census_hom_count,
@@ -249,12 +250,16 @@ def test_criterion_6_abelian_factor_necessity(corpus, nonabelian_corpus):
 
 def test_criterion_7_engine_self_consistency(corpus):
     oracle_failures = []
+    pass_failures = []
     index_failures = []
     roundtrip_failures = []
     for g in corpus:
         # the Hom route against two routes over the full automorphism group
         if not autcent(g) == _autcent_by_filter(g) == _autcent_by_inn_centralizer(g):
             oracle_failures.append(g.name)
+        # the pass at the prime-order columns of Z against full-width bijectivity
+        if not central_pass_matches_full_width(g):
+            pass_failures.append(g.name)
         if len(inner_automorphisms(g)) != g.n // len(g.center()):
             index_failures.append(g.name)
         if g.n <= 32:
@@ -277,9 +282,10 @@ def test_criterion_7_engine_self_consistency(corpus):
 
     _report(
         "criterion 7 (engine self-consistency and determinism)",
-        not oracle_failures and not index_failures and not roundtrip_failures
-        and deterministic,
+        not oracle_failures and not pass_failures and not index_failures
+        and not roundtrip_failures and deterministic,
         f"{len(corpus)} groups; full-Aut oracle disagreements {len(oracle_failures)}, "
+        f"Z-width pass against full-width bijectivity {len(pass_failures)}, "
         f"inner-index failures {len(index_failures)}, "
         f"round-trip failures {len(roundtrip_failures)}, "
         f"repeated scans byte-identical: {deterministic}",

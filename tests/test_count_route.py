@@ -5,6 +5,9 @@ pass over Hom(G/[G,G], Z(G)) (``autcent_order``, ``center_fixing_autcent``,
 the lemma 0 count) and the abelian-factor split at the abelianization's
 width; :func:`autcent` materializes every central automorphism and is their
 oracle here, on every catalog group and on three seeded relabellings of each.
+The pass reads Hom(G^ab, Z) at the prime-order columns of Z alone; its mask
+and Aut^Z_Z images are compared here with full-width bijectivity of
+x -> x f(x), on every catalog group and two relabellings of each.
 """
 
 import random
@@ -32,7 +35,12 @@ from centauts import (
 )
 from centauts.corpus import PER_GROUP_CHECKS, analyze_group, catalog, catalog_group
 from centauts.errors import BudgetExceeded, InternalDisagreement
-from oracles import g_row_abelian_factor_split, relabel
+from oracles import (
+    central_pass_matches_full_width,
+    g_row_abelian_factor_split,
+    relabel,
+    relabelled_group,
+)
 
 SEEDS = (1, 2, 3)
 
@@ -128,30 +136,20 @@ def test_count_route_obeys_the_budget_on_every_call(name, count):
     assert isinstance(fresh[0], str) and isinstance(fresh[-1], int)
 
 
-def test_pass_runs_in_chunks_and_checks_every_row(monkeypatch):
-    # with chunks of 5 rows, the 64 rows of Hom(C2^3, C2^2) behind D8xC2
-    # reach _alpha_tables in 13 calls that cover every row once
-    g = catalog_group("D8xC2")
-    expected = len(autcent(catalog_group("D8xC2")))
-    seen = []
-    alpha = automorphisms._alpha_tables
-
-    def recording(group, homs):
-        seen.append(len(homs))
-        return alpha(group, homs)
-
-    monkeypatch.setattr(automorphisms, "_ALPHA_CHUNK", 5)
-    monkeypatch.setattr(automorphisms, "_alpha_tables", recording)
-    assert autcent_order(g) == expected == 32
-    assert seen == [5] * 12 + [4]
-    assert len(center_fixing_autcent(g)) == 16
+def test_z_width_pass_is_full_width_bijectivity(groups):
+    # every row once, in order: the mask and the Z-fixing images read at the
+    # prime-order columns of Z are those of x -> x f(x) on all of G
+    subjects = [*groups.values(), *(relabelled_group(g, s) for s in (1, 2) for g in groups.values())]
+    assert [g.name for g in subjects if not central_pass_matches_full_width(g)] == []
 
 
-def test_a_wrong_criterion_is_caught_on_a_chunk(monkeypatch):
-    # the pass compares the criterion with bijectivity on every row, so a
-    # criterion read with the wrong inverses (f(z) = z instead of z^-1, which
-    # rejects bijective rows at an odd prime) raises instead of miscounting
+def test_a_wrong_criterion_is_caught_by_the_full_width_check(monkeypatch):
+    # a criterion read with the wrong inverses (f(z) = z instead of z^-1,
+    # which rejects bijective rows at an odd prime) keeps the count, as
+    # f -> f^-1 swaps the two criteria, but not the mask, which full-width
+    # bijectivity, reading no inverse, tells apart
     g = catalog_group("Heis3xC3")
+    expected = len(autcent(catalog_group("Heis3xC3")))
     index_tables = automorphisms._index_tables
 
     def identity_inverse(group):
@@ -159,8 +157,8 @@ def test_a_wrong_criterion_is_caught_on_a_chunk(monkeypatch):
         return mul, np.arange(group.n, dtype=mul.dtype)
 
     monkeypatch.setattr(automorphisms, "_index_tables", identity_inverse)
-    with pytest.raises(InternalDisagreement, match="criterion and direct bijectivity"):
-        autcent_order(g)
+    assert autcent_order(g) == expected
+    assert not central_pass_matches_full_width(g)
 
 
 def test_set_equality_needs_the_inclusion_not_just_the_count(monkeypatch):

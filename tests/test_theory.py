@@ -59,6 +59,24 @@ class TestTheoremCondition:
         cond = theorem_condition(direct_product(d8(), cyclic_group(2)))
         assert not cond.r_eq_s and not cond.all_met
 
+    def test_residual_iso_implies_r_eq_s(self, groups):
+        # the residual tuples have lengths r - k and s - k, so equal residuals
+        # force r = s; rEqS never decides all_met on its own
+        class2 = [
+            g for g in groups.values()
+            if g.p_group_prime() and not g.is_abelian() and g.nilpotency_class() == 2
+        ]
+        conditions = []
+        for g in class2:
+            inv = abelian.class_two_invariants(g)
+            assert len(inv.z_residual.exps) == inv.r - inv.k, g.name
+            assert len(inv.ab_residual.exps) == inv.s - inv.k, g.name
+            cond = theorem_condition(g)
+            assert cond.r_eq_s or not cond.residual_iso, g.name
+            conditions.append((cond.r_eq_s, cond.residual_iso))
+        assert {(True, True), (False, False)} <= set(conditions)
+        assert len(class2) >= 25
+
     def test_wrong_class_rejected(self):
         with pytest.raises(WrongClass):
             theorem_condition(cyclic_group(4))
