@@ -11,7 +11,7 @@ instances may be shared freely across threads.
 A subgroup, quotient map or automorphism set belongs to the Group object it
 was made from.  Every function taking a group together with such an object
 requires that very group, by identity; a copy on the same table is another
-group, and :meth:`Group.same_table` is the table comparison.
+group.
 
 Such objects are views: each holds its group, and each call that returns one
 builds it afresh from the group's caches.  Those caches hold plain data only
@@ -293,14 +293,6 @@ class Group:
         cache keeps its members only."""
         return Subgroup._of(self, *self._cached(key, lambda: compute()._data()))
 
-    def same_table(self, other: "Group") -> bool:
-        """True iff ``other`` is this group or has the same table (indices mean the
-        same); a subgroup of a same-table copy still belongs to the copy."""
-        return other is self or np.array_equal(other.mul, self.mul)
-
-    def op(self, x: int, y: int) -> int:
-        return int(self.mul[x, y])
-
     def mul_rows(self) -> list[list[int]]:
         """Multiplication table as nested lists (fast scalar indexing)."""
         return self._cached("mul_rows", lambda: self.mul.tolist())
@@ -322,9 +314,6 @@ class Group:
             return tuple(int(o) for o in orders)
 
         return self._cached("element_orders", compute)
-
-    def element_order(self, x: int) -> int:
-        return self.element_orders()[x]
 
     def is_abelian(self) -> bool:
         return self._cached("is_abelian", lambda: bool(np.array_equal(self.mul, self.mul.T)))
@@ -351,9 +340,6 @@ class Group:
 
     def trivial_subgroup(self) -> "Subgroup":
         return self.subgroup((self.identity,))
-
-    def full_subgroup(self) -> "Subgroup":
-        return self.subgroup(range(self.n))
 
     def closure(self, seed: Iterable[int]) -> list[int]:
         """Sorted members of the subgroup generated by ``seed``."""
@@ -577,19 +563,12 @@ class Subgroup:
     def member_set(self) -> frozenset[int]:
         return self._member_set
 
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
     def element_orders(self) -> tuple[int, ...]:
         parent_orders = self.parent.element_orders()
         return tuple(parent_orders[m] for m in self.members)
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())
-
-    def is_abelian(self) -> bool:
-        rows = self.parent.mul_rows()
-        return all(rows[a][b] == rows[b][a] for a in self.members for b in self.members)
 
     def is_cyclic(self) -> bool:
         return max(self.element_orders()) == len(self.members)
@@ -734,12 +713,6 @@ class QuotientMap:
 
     def __repr__(self) -> str:
         return f"<QuotientMap {self.source.name} -> {self.target.name}>"
-
-    def kernel(self) -> Subgroup:
-        e = self.projection[self.source.identity]
-        return self.source.subgroup(
-            x for x in range(self.source.n) if self.projection[x] == e
-        )
 
 
 # -- constructors ---------------------------------------------------------

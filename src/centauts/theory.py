@@ -23,7 +23,6 @@ from .automorphisms import (
     abelian_factor_split,
     alpha_from_f,
     aut_fixing_quotient,
-    autcent,
     autcent_order,
     center_fixing_autcent,
     inner_automorphisms,
@@ -36,6 +35,7 @@ from .automorphisms import (
 )
 from .errors import InternalDisagreement, WrongClass
 from .groups import Group
+from .oracle import autcent
 
 
 def _typed(value, kind: type, what: str, nullable: bool = False):
@@ -148,8 +148,9 @@ def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
     :func:`center_fixing_autcent`.  Set equality, never just cardinality,
     is decided as a verified inclusion (every row of Aut^Z_Z(G), and of
     Inn(G), tested central) plus equal counts, so Autcent(G) is not
-    materialized; a disagreement builds it with :func:`autcent` to name the
-    first automorphism in one set and not the other.
+    materialized; a disagreement builds it with the oracle's
+    :func:`~centauts.oracle.autcent` to name the first automorphism in one
+    set and not the other.
     """
     condition = theorem_condition(group)  # raises WrongClass / NotPGroup first
     order = autcent_order(group, budget)

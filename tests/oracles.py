@@ -38,8 +38,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from centauts import AbelianType, __version__, automorphisms
-from centauts.automorphisms import _budget_exceeded, _generator_chain
+from centauts import AbelianType, __version__, automorphisms, oracle
+from centauts.automorphisms import _budget_exceeded
+from centauts.oracle import _generator_chain
 from centauts import groups
 from centauts.errors import InternalDisagreement, NotAGroup, SizeLimitExceeded
 from centauts.groups import Group, Subgroup, direct_product
@@ -391,6 +392,12 @@ def relabel(table, perm):
     return [[perm[table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
 
 
+def is_abelian_subgroup(sub: Subgroup) -> bool:
+    """Whether every two members of a subgroup commute, by a scan of all pairs."""
+    rows = sub.parent.mul_rows()
+    return all(rows[a][b] == rows[b][a] for a in sub.members for b in sub.members)
+
+
 def relabelled_group(group: Group, seed: int) -> Group:
     """A copy of the group on element indices shuffled by a seeded permutation."""
     perm = np.random.default_rng(seed).permutation(group.n).tolist()
@@ -414,7 +421,7 @@ def central_pass_matches_full_width(group: Group) -> bool:
     f = 1 on Z(G).  The pass made this test on every row before it read
     Hom(G^ab, Z) at the prime-order columns of Z alone.
     """
-    homs = automorphisms.homs_to_central_subgroup(group, group.center())
+    homs = oracle.homs_to_central_subgroup(group, group.center())
     images = group.mul[np.arange(group.n), homs]
     bijective = np.count_nonzero(images == group.identity, axis=1) == 1
     fixing = bijective & (homs[:, list(group.center().members)] == group.identity).all(axis=1)
@@ -530,7 +537,7 @@ def extend_generator_map(group: Group, gens: list[int], images: list[int]) -> tu
     up on the module, so a test that records its calls sees this one.
     """
     # one candidate per generator: at most one extension attempt per level
-    tables, _ = automorphisms._search_maps(
+    tables, _ = oracle._search_maps(
         group, group, gens, [[y] for y in images], injective=False,
         limit=len(images), what=f"generator extension for {group.name}",
     )

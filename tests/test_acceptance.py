@@ -37,6 +37,7 @@ from oracles import (
     brute_force_hom_count,
     central_pass_matches_full_width,
     dfs_search_maps,
+    is_abelian_subgroup,
     naive_generating_set,
     order_census_hom_count,
     types_up_to,
@@ -91,7 +92,7 @@ def _abelian_factor_split_by_normal_pairs(g):
     rows = g.mul_rows()
     normals = g.normal_subgroups()
     for a_sub in normals:
-        if a_sub.is_trivial() or not a_sub.is_abelian():
+        if len(a_sub) == 1 or not is_abelian_subgroup(a_sub):
             continue
         centralizer = {
             x for x in range(g.n) if all(rows[x][m] == rows[m][x] for m in a_sub.members)

@@ -25,11 +25,8 @@ from centauts import (
     verify_lemma0,
     verify_lemma0a,
 )
-from centauts.automorphisms import (
-    Automorphism,
-    _generator_chain,
-    _search_generating_set,
-)
+from centauts.automorphisms import Automorphism
+from centauts.oracle import _generator_chain, _search_generating_set
 from centauts.corpus import (
     abelian_group,
     catalog,
@@ -49,6 +46,7 @@ from centauts.errors import (
 )
 
 from oracles import (
+    is_abelian_subgroup,
     naive_all_automorphisms,
     naive_alpha,
     naive_fixing_quotient,
@@ -109,10 +107,10 @@ class TestAllAutomorphisms:
     def test_closed_under_composition_and_inverse(self):
         for g in (dihedral_group(4), dicyclic_group(2), abelian_group([4, 2])):
             auts = all_automorphisms(g)
-            for a in auts:
-                assert a.inverse() in auts
-                for b in auts:
-                    assert a.compose(b) in auts
+            for a in auts.tables:
+                assert a.argsort() in auts
+                # a[b] is a after b; composing with a permutes the group
+                assert {tuple(ab) for ab in a[auts.tables].tolist()} == auts.images_set
 
     def test_budget_exceeded(self):
         g = dihedral_group(4, name="D8-budget")
@@ -123,19 +121,6 @@ class TestAllAutomorphisms:
         a = all_automorphisms(dihedral_group(4))
         b = all_automorphisms(dihedral_group(4))
         assert [x.images for x in a] == [x.images for x in b]
-
-    def test_from_images_validates(self):
-        from centauts.errors import NotAGroup
-
-        g = dihedral_group(4)
-        for a in all_automorphisms(g):
-            assert Automorphism.from_images(g, a.images) == a
-        swapped = list(range(g.n))
-        x = next(i for i in range(g.n) if g.element_order(i) == 4)
-        y = next(i for i in range(g.n) if g.element_order(i) == 2 and i != g.identity)
-        swapped[x], swapped[y] = y, x
-        with pytest.raises(NotAGroup):
-            Automorphism.from_images(g, swapped)
 
 
 def _assert_chain_covers_each_product_once(group, gens):
@@ -177,7 +162,7 @@ def test_generator_chain_computes_each_product_once():
 class TestInnerAutomorphisms:
     def test_abelian_only_identity(self):
         inn = inner_automorphisms(abelian_group([2, 4]))
-        assert len(inn) == 1 and inn.elements[0].is_identity()
+        assert inn.tables.tolist() == [list(range(8))]
 
     def test_d8_has_four(self):
         assert len(inner_automorphisms(dihedral_group(4))) == 4
@@ -203,10 +188,12 @@ class TestCentrality:
 
     def test_triple_cycle_outer_of_q8_is_not_central(self):
         g = dicyclic_group(2)
+        identity = tuple(range(g.n))
         order_three = [
             a
             for a in all_automorphisms(g)
-            if not a.is_identity() and a.compose(a).compose(a).is_identity()
+            if a.images != identity
+            and tuple(a.images[a.images[a.images[x]]] for x in identity) == identity
         ]
         assert order_three, "Q8 has automorphisms of order 3"
         for a in order_three:
@@ -216,7 +203,7 @@ class TestCentrality:
         for g in corpus:
             inn = inner_automorphisms(g)
             ac = autcent(g)
-            assert inn.is_subset_of(ac) == (g.nilpotency_class() <= 2), g.name
+            assert (inn.images_set <= ac.images_set) == (g.nilpotency_class() <= 2), g.name
 
 
 class TestAutcent:
@@ -243,13 +230,13 @@ class TestFixingFilters:
     def test_quotient_by_whole_group_keeps_all(self):
         g = dihedral_group(4)
         auts = all_automorphisms(g)
-        assert aut_fixing_quotient(g, g.full_subgroup(), auts) == auts
+        assert aut_fixing_quotient(g, g.subgroup(range(g.n)), auts) == auts
 
     def test_quotient_by_trivial_keeps_identity_only(self):
         g = dihedral_group(4)
         auts = all_automorphisms(g)
         kept = aut_fixing_quotient(g, g.trivial_subgroup(), auts)
-        assert len(kept) == 1 and kept.elements[0].is_identity()
+        assert kept.tables.tolist() == [list(range(g.n))]
 
     def test_d8_center_quotient_keeps_four(self):
         g = dihedral_group(4)
@@ -275,7 +262,7 @@ class TestFixingFilters:
         for kernel in g.center().all_subgroups():
             aut_fixing_quotient(g, kernel, auts)
         assert walked == []
-        rotations = g.subgroup_generated([x for x in range(8) if g.element_order(x) == 4])
+        rotations = g.subgroup_generated([x for x in range(8) if g.element_orders()[x] == 4])
         aut_fixing_quotient(g, rotations, auts)
         assert walked == [rotations]
 
@@ -286,7 +273,7 @@ class TestFixingFilters:
 
     def test_fixing_whole_group_keeps_identity(self):
         g = dihedral_group(4)
-        kept = aut_fixing_subgroup(g, g.full_subgroup(), all_automorphisms(g))
+        kept = aut_fixing_subgroup(g, g.subgroup(range(g.n)), all_automorphisms(g))
         assert len(kept) == 1
 
     def test_every_d8_automorphism_fixes_the_center(self):
@@ -430,16 +417,11 @@ class TestForeignObjects:
         assert Automorphism(q8, identity) not in d8_autcent
         assert Automorphism(d8, identity) in d8_autcent and identity in d8_autcent
 
-    def test_subset_is_false_across_groups(self, d8_q8):
-        d8, q8 = d8_q8
-        assert not autcent(d8).is_subset_of(autcent(q8))
-        assert autcent(d8).is_subset_of(autcent(d8))
-
     def test_a_copy_on_the_same_table_is_rejected(self, d8_q8):
         # a subgroup or set belongs to the Group object it was made from
         d8, _ = d8_q8
         copy = catalog_group("D8")
-        assert copy.same_table(d8)
+        assert np.array_equal(copy.mul, d8.mul)
         with pytest.raises(NotCentral):
             homs_to_central_subgroup(d8, copy.center())
         with pytest.raises(NotCentral):
@@ -468,7 +450,7 @@ class TestAlphaFromF:
         g = dihedral_group(4)
         zero = homs_to_central_subgroup(g, g.trivial_subgroup())[0]
         aut = alpha_from_f(g, zero)
-        assert aut is not None and aut.is_identity()
+        assert aut is not None and aut.images == tuple(range(g.n))
 
     def test_projection_onto_factor_is_rejected(self):
         g = abelian_group([2, 2])
@@ -553,7 +535,7 @@ class TestPurelyNonabelian:
         assert not is_purely_nonabelian(g)
         h_sub, a_sub = abelian_factor_split(g)
         assert len(h_sub) * len(a_sub) == g.n
-        assert a_sub.is_abelian() and len(a_sub) > 1
+        assert is_abelian_subgroup(a_sub) and len(a_sub) > 1
         assert h_sub.member_set & a_sub.member_set == {g.identity}
         rows = g.mul_rows()
         assert all(
@@ -577,7 +559,7 @@ class TestLemma0:
 
     def test_elementary_abelian_full_target_fails_hypothesis(self):
         g = abelian_group([2, 2])
-        rep = verify_lemma0(g, g.full_subgroup())
+        rep = verify_lemma0(g, g.subgroup(range(g.n)))
         assert not rep.hypothesis_holds
         assert rep.status == "hypothesis-fails"
 

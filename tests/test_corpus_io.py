@@ -198,7 +198,7 @@ class TestCatalog:
 
     def test_central_product_needs_central_elements(self):
         d8, c4 = dihedral_group(4), cyclic_group(4)
-        assert central_product(d8, c4, 2, 2, "D8cpC4").same_table(catalog_group("D8cpC4"))
+        assert np.array_equal(central_product(d8, c4, 2, 2, "D8cpC4").mul, catalog_group("D8cpC4").mul)
         assert central_product(d8, c4, 2, 2, "D8cpC4").n == 16
         with pytest.raises(NotNormal, match="zg=1 is not central"):
             central_product(d8, c4, 1, 2, "bad")

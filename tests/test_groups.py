@@ -362,7 +362,7 @@ class TestCenterAndCommutator:
 
     def test_abelian_commutator_trivial(self):
         g = abelian_group([3, 9])
-        assert g.commutator_subgroup().is_trivial()
+        assert len(g.commutator_subgroup()) == 1
 
     def test_d8_commutator_inside_center(self):
         g = d8()
@@ -385,7 +385,7 @@ class TestSubgroupGeneration:
 
     def test_cyclic_generator_gives_whole_group(self):
         g = cyclic_group(4)
-        x = next(i for i in range(4) if g.element_order(i) == 4)
+        x = g.element_orders().index(4)
         assert len(g.subgroup_generated([x])) == 4
 
     def test_two_reflections_give_klein_four(self):
@@ -394,7 +394,7 @@ class TestSubgroupGeneration:
         z = [m for m in g.center().members if m != g.identity][0]
         refl = [x for x in range(8) if orders[x] == 2 and x != z]
         a = refl[0]
-        b = g.op(a, z)
+        b = int(g.mul[a, z])
         sub = g.subgroup_generated([a, b])
         assert len(sub) == 4 and sub.exponent() == 2
 
@@ -418,7 +418,7 @@ class TestSubgroupGeneration:
 class TestQuotient:
     def test_quotient_by_whole_group(self):
         g = d8()
-        q = g.quotient(g.full_subgroup())
+        q = g.quotient(g.subgroup(range(g.n)))
         assert q.target.n == 1
 
     def test_d8_mod_center_is_klein_four(self):
@@ -426,7 +426,8 @@ class TestQuotient:
         q = g.quotient(g.center())
         assert q.target.n == 4
         assert q.target.exponent() == 2
-        assert q.kernel().members == g.center().members
+        kernel = [x for x in range(g.n) if q.projection[x] == q.projection[g.identity]]
+        assert tuple(kernel) == g.center().members
 
     def test_q8_mod_commutator_is_klein_four(self):
         g = dicyclic_group(2)
@@ -500,7 +501,7 @@ class TestQuotient:
 
     def test_a_subset_not_closed_has_no_table(self):
         g = d8()
-        rotation = next(x for x in range(g.n) if g.element_order(x) == 4)
+        rotation = g.element_orders().index(4)
         members = (g.identity, rotation)
         with pytest.raises(NotAGroup, match="not closed under multiplication"):
             Subgroup._of(g, members, frozenset(members)).as_group()
@@ -508,7 +509,7 @@ class TestQuotient:
     def test_center_quotient_never_nontrivial_cyclic(self, corpus):
         for g in corpus:
             q = g.center_quotient().target
-            assert q.n == 1 or not q.full_subgroup().is_cyclic(), g.name
+            assert q.n == 1 or max(q.element_orders()) < q.n, g.name
 
 
 class TestSeriesAndExponent:
@@ -536,7 +537,7 @@ class TestSeriesAndExponent:
 
 class TestFrattini:
     def test_elementary_abelian_trivial(self):
-        assert abelian_group([2, 2]).frattini_subgroup().is_trivial()
+        assert len(abelian_group([2, 2]).frattini_subgroup()) == 1
 
     def test_c4(self):
         assert len(cyclic_group(4).frattini_subgroup()) == 2
@@ -576,9 +577,11 @@ class TestPGroupPrime:
 
 
 def test_same_table_means_same_indices():
+    # a group built twice has one table; other groups of order 8 have others
     g = d8()
-    assert g.same_table(g) and g.same_table(d8())
-    assert not g.same_table(dicyclic_group(2)) and not g.same_table(cyclic_group(8))
+    assert np.array_equal(g.mul, d8().mul)
+    assert not np.array_equal(g.mul, dicyclic_group(2).mul)
+    assert not np.array_equal(g.mul, cyclic_group(8).mul)
 
 
 def _a5():
@@ -645,7 +648,7 @@ class TestDerivedObjectsAgainstOracles:
 
     def test_perfect_group_is_its_own_commutator_subgroup(self):
         g = _a5()
-        assert g.commutator_subgroup() == g.full_subgroup()
+        assert g.commutator_subgroup() == g.subgroup(range(g.n))
         with pytest.raises(NotNilpotent, match="stabilises at order 60$"):
             g.nilpotency_class()
 
@@ -712,7 +715,7 @@ class TestSubgroupEnumeration:
         monkeypatch.setattr(groups, "SUBGROUP_CAP", 3)
         g = abelian_group([2, 2, 2])
         with pytest.raises(SizeLimitExceeded, match="more than 3 subgroups during enumeration"):
-            g.full_subgroup().all_subgroups()
+            g.subgroup(range(g.n)).all_subgroups()
 
     def test_group_walk_is_cached(self, monkeypatch):
         # the walk runs once; a later call builds new views over its members

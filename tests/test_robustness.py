@@ -17,6 +17,7 @@ from centauts import (
     verify_lemma0,
 )
 import centauts.automorphisms as automorphisms
+import centauts.oracle as oracle
 from centauts.cli import main
 from centauts.corpus import _cache_read, abelian_group, analyze_group, catalog_group
 from centauts.errors import BudgetExceeded, ConfigError
@@ -150,7 +151,7 @@ class TestBudgetOnCachedSearch:
         def refuse(*args, **kwargs):
             raise AssertionError("lemma0a searched an abelian group")
 
-        monkeypatch.setattr(automorphisms, "_search_maps", refuse)
+        monkeypatch.setattr(oracle, "_search_maps", refuse)
         monkeypatch.setattr(automorphisms, "_basis_homs", refuse)
         doc = {"name": "C2^5", "format": "product", "factors": ["C2"] * 5}
         g = parse_group_text(json.dumps(doc))

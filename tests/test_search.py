@@ -10,17 +10,20 @@ through both, which must return the same tables in the same order, the
 same attempt count and, at a budget one below that count, the same error.
 The checks search nothing: central Homs are built from a basis, which is
 compared with both searches, and the lemma 3 witness is looked up in them
-and compared with the generator extension it replaced.
+and compared with the generator extension it replaced.  No check calls any
+function of ``centauts.oracle``, the search's module, at all.
 """
 
+import inspect
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from centauts import all_automorphisms, direct_product, enumerate_homs
-from centauts import automorphisms, theory
+from centauts import automorphisms, oracle, theory
 from centauts.corpus import (
     PER_GROUP_CHECKS,
     RunConfig,
@@ -40,7 +43,7 @@ from centauts.theory import build_factor_witness
 from oracles import dfs_search_maps, extend_generator_map, relabelled_group
 
 # bound before the fixture below wraps the module attribute
-search_maps = automorphisms._search_maps
+search_maps = oracle._search_maps
 
 # the scan of every check over the whole catalog (orders up to 125, primes 2, 3, 5)
 FULL_SCAN = Path(__file__).parent / "reference/catalog_scan_full.json"
@@ -55,7 +58,7 @@ def recorded(monkeypatch):
         calls.append((args, kwargs))
         return search_maps(*args, **kwargs)
 
-    monkeypatch.setattr(automorphisms, "_search_maps", wrapper)
+    monkeypatch.setattr(oracle, "_search_maps", wrapper)
     return calls
 
 
@@ -152,22 +155,51 @@ def test_basis_homs_match_the_searches(recorded):
     _assert_same(recorded)
 
 
-def test_no_check_runs_the_search(monkeypatch):
-    # a whole-catalog scan with every check, and every check on a
-    # relabelling of each catalog group and of the three groups above: the
-    # search is only the oracle, so none of them reaches it
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"a check ran the search: {kwargs['what']}")
+def _oracle_bindings():
+    """(module, name) for every name a centauts module binds an oracle function to."""
+    modules = [
+        m for key, m in list(sys.modules.items())
+        if m is not None and (key == "centauts" or key.startswith("centauts."))
+    ]
+    return [
+        (module, name)
+        for module in modules
+        for name, value in vars(module).items()
+        if inspect.isfunction(value) and value.__module__ == "centauts.oracle"
+    ]
 
-    monkeypatch.setattr(automorphisms, "_search_maps", refuse)
+
+def _refusing(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"a check called the oracle's {name}")
+
+    return refuse
+
+
+def test_no_check_calls_the_oracle(monkeypatch):
+    # the search, full Aut, the Hom enumeration and the materialized Autcent
+    # are only the oracle: every function of centauts.oracle raises, under
+    # every name a centauts module binds it to, through a whole-catalog scan
+    # with every check and every check on each catalog group, on the three
+    # groups above and on a relabelling of each
+    bindings = _oracle_bindings()
+    assert [name for module, name in bindings if module is automorphisms] == []
+    assert all(value is not oracle for value in vars(automorphisms).values())
+    assert {name for module, name in bindings if module is oracle} >= {
+        "_search_maps", "all_automorphisms", "enumerate_homs", "autcent",
+        "homs_to_central_subgroup", "hom_from_automorphism", "aut_fixing_subgroup",
+    }
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, _refusing(name))
     reports = scan_corpus(RunConfig(max_order=125, primes=(2, 3, 5)))
     assert emit_report(reports, "json") == FULL_SCAN.read_text(encoding="utf-8")
     statuses = {r.group_id: r.lemma_checks for r in reports}
     groups = [make() for make in catalog().values()] + _mixed_groups()
     for seed, group in enumerate(groups):
-        report = analyze_group(relabelled_group(group, seed), PER_GROUP_CHECKS)
-        assert report.verdict == "agree", (group.name, report.error)
-        assert report.lemma_checks == statuses.get(group.name, report.lemma_checks)
+        for g in (group, relabelled_group(group, seed)):
+            report = analyze_group(g, PER_GROUP_CHECKS)
+            assert report.verdict == "agree", (g.name, report.error)
+            assert report.lemma_checks == statuses.get(group.name, report.lemma_checks)
 
 
 def test_a_dependent_basis_is_caught(monkeypatch):
@@ -199,7 +231,7 @@ def test_generator_extensions_match_dfs(recorded):
     d8 = dihedral_group(4, name="D8")
     gens = list(automorphisms.minimal_generating_set(d8))
     extend_generator_map(d8, gens, gens)
-    rotation = next(x for x in range(d8.n) if d8.element_order(x) == 4)
+    rotation = d8.element_orders().index(4)
     with pytest.raises(InternalDisagreement, match="does not extend to a homomorphism"):
         # some generator has order 2, and its image has order 4
         extend_generator_map(d8, gens, [rotation] * len(gens))
