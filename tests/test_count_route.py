@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import centauts.automorphisms as automorphisms
+import centauts.oracle as oracle
 import centauts.theory as theory
 from centauts import (
     AutSet,
@@ -33,7 +34,7 @@ from centauts import (
     verify_lemma0,
     verify_theorem,
 )
-from centauts.corpus import catalog_group
+from centauts.corpus import PER_GROUP_CHECKS, analyze_group, catalog, catalog_group
 from centauts.errors import BudgetExceeded, InternalDisagreement
 from oracles import (
     central_pass_matches_full_width,
@@ -100,6 +101,18 @@ def test_pull_back_keeps_rows_sorted_and_distinct(subjects):
             rows = homs_to_central_subgroup(g, m_sub)
             assert not rows.flags.writeable, g.name
             assert np.array_equal(rows, automorphisms._canonical(rows)), (g.name, m_sub.members)
+
+
+def test_checks_never_materialize_autcent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check materialized Autcent or Hom(G, Z) on G")
+
+    for module in (oracle, theory):
+        monkeypatch.setattr(module, "autcent", refuse)
+    monkeypatch.setattr(oracle, "homs_to_central_subgroup", refuse)
+    for name, make in catalog().items():
+        report = analyze_group(make(), PER_GROUP_CHECKS)
+        assert report.verdict == "agree", (name, report.error)
 
 
 def _outcome(group, budget, count):

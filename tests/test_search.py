@@ -176,7 +176,7 @@ def _refusing(name):
     return refuse
 
 
-def test_no_check_calls_the_oracle(monkeypatch):
+def test_no_check_runs_the_search(monkeypatch):
     # the search, full Aut, the Hom enumeration and the materialized Autcent
     # are only the oracle: every function of centauts.oracle raises, under
     # every name a centauts module binds it to, through a whole-catalog scan
