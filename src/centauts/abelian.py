@@ -15,7 +15,7 @@ from .errors import (
     PrimeMismatch,
     WrongClass,
 )
-from .groups import Group
+from .groups import Group, is_prime
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +150,7 @@ def _hom_count(a: Group, m: Group) -> int:
     on the two Sylow p-subgroups' types.
     """
     common = math.gcd(a.n, m.n)
-    divisors = [d for d in range(2, common + 1) if common % d == 0]
-    primes = [p for p in divisors if all(p % d for d in divisors if d < p)]
+    primes = [p for p in range(2, common + 1) if common % p == 0 and is_prime(p)]
     return math.prod(hom_order(_sylow_type(a, p), _sylow_type(m, p)) for p in primes)
 
 
@@ -198,7 +197,7 @@ class ClassTwoInvariants:
     ``z_type``/``ab_type`` are the types of G/Z(G) and of the abelianization;
     ``c`` is the common exponent-exponent of G/Z(G) and the commutator
     subgroup; ``k`` counts the leading z_type entries equal to ``c``.  The
-    ``top``/``residual`` pairs split both types at position ``k``.
+    residuals are both types past position ``k``.
     """
 
     p: int
@@ -206,8 +205,6 @@ class ClassTwoInvariants:
     ab_type: AbelianType
     c: int
     k: int
-    z_top: AbelianType
-    ab_top: AbelianType
     z_residual: AbelianType
     ab_residual: AbelianType
     exp_center: int
@@ -262,8 +259,6 @@ def class_two_invariants(group: Group) -> ClassTwoInvariants:
         ab_type=ab_type,
         c=c,
         k=k,
-        z_top=AbelianType(p, z_type.exps[:k]),
-        ab_top=AbelianType(p, ab_type.exps[:k]),
         z_residual=AbelianType(p, z_type.exps[k:]),
         ab_residual=AbelianType(p, ab_type.exps[k:]),
         exp_center=center.exponent(),

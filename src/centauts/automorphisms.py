@@ -251,7 +251,7 @@ def _central_pass(group: Group, budget: int | None) -> _CentralPass:
     def compute():
         mul, inv = _index_tables(group)
         members = np.asarray(center.members)
-        columns = _projection(group)[members]
+        columns = group.abelianization().projection[members]
         prime = np.array([is_prime(m) for m in center.element_orders()], dtype=bool)
         inverse = np.searchsorted(members, inv[members[prime]])
         accepted = ~(tables[:, columns[prime]] == inverse).any(axis=1)
@@ -499,13 +499,6 @@ def _ab_homs(group: Group, target: Subgroup, budget: int | None) -> np.ndarray:
     return group._cached(("ab_homs", target.members), compute)
 
 
-def _projection(group: Group) -> np.ndarray:
-    """The projection G -> G/[G,G] as a read-only index array, cached."""
-    return group._cached(
-        "ab_projection", lambda: _readonly(np.asarray(group.abelianization().projection))
-    )
-
-
 def _pull_back(group: Group, target: Subgroup, tables: np.ndarray) -> np.ndarray:
     """Rows of :func:`_ab_homs` as value tables on G, ``members[tables][:, projection]``.
 
@@ -515,7 +508,7 @@ def _pull_back(group: Group, target: Subgroup, tables: np.ndarray) -> np.ndarray
     differ, and ``target.members`` is ascending.
     """
     members = np.asarray(target.members, dtype=_index_dtype(group.n))
-    return members[tables][:, _projection(group)]
+    return members[tables][:, group.abelianization().projection]
 
 
 def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +573,7 @@ def abelian_factor_split(
     tables = _ab_homs(group, center, budget)
 
     def compute():
-        projection = _projection(group)
+        projection = group.abelianization().projection
         zero = center.members.index(group.identity)
         basis, _ = _abelian_basis(group.abelianization().target)
         at_basis = tables[:, basis]  # F(b), as indices into Z
@@ -642,7 +635,8 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     """
     tables = _ab_homs(group, target, budget)
     zero = target.members.index(group.identity)
-    hypothesis = bool((tables[:, _projection(group)[list(target.members)]] == zero).all())
+    projection = group.abelianization().projection
+    hypothesis = bool((tables[:, projection[list(target.members)]] == zero).all())
 
     aut_quotient_count = _aut_quotient_count(group, target, budget)
     center_fixing = aut_fixing_quotient(group, target, center_fixing_autcent(group, budget))

@@ -10,7 +10,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
 from .groups import (
     DEFAULT_ELEMENT_CAP,
     Group,
-    Table,
     _coset_table,
     _order_prime,
     _permutation_table,
@@ -69,17 +68,14 @@ _CSV_COLUMNS = (
 
 # -- catalog constructions -------------------------------------------------
 #
-# Every family and product is a table step returning (table, labels); catalog
-# entries compose those raw tables and hand only the final one to the Group
-# constructor, so each entry's table is validated exactly once.  A step's
-# labels are left unformatted: the Group constructor formats each with str,
-# so a scan formats labels only for the groups it builds.
+# Every family and product is a table step returning a raw table; catalog
+# entries compose those tables and hand only the final one to the Group
+# constructor, so each entry's table is validated exactly once.
 
 
-def _element_table(elements: Sequence, mul: Callable) -> Table:
-    """The table on ``elements`` (element k is index k, labelled ``str(elements[k])``)
-    whose product is ``mul``, evaluated once over the whole table; the labels
-    returned are the elements themselves.
+def _element_table(elements: Sequence, mul: Callable) -> np.ndarray:
+    """The table on ``elements`` (element k is index k) whose product is
+    ``mul``, evaluated once over the whole table.
 
     Array contract: every element is a non-negative int, or every element is
     a tuple of non-negative ints of one length, and no two are equal.
@@ -102,20 +98,19 @@ def _element_table(elements: Sequence, mul: Callable) -> Table:
         prod = mul(rows, cols)
     else:
         prod = (mul(rows[0], cols[0]),)
-    table = lookup[np.ravel_multi_index(prod, radix)]
-    return table, tuple(elements)
+    return lookup[np.ravel_multi_index(prod, radix)]
 
 
-def _cyclic_table(k: int) -> Table:
+def _cyclic_table(k: int) -> np.ndarray:
     return _element_table(list(range(k)), lambda a, b: (a + b) % k)
 
 
 def cyclic_group(k: int, name: str | None = None) -> Group:
     """C_k with element i representing the i-th power of the generator."""
-    return from_cayley_table(*_cyclic_table(k), name=name or f"C{k}")
+    return from_cayley_table(_cyclic_table(k), name=name or f"C{k}")
 
 
-def _abelian_table(factor_orders: Sequence[int]) -> Table:
+def _abelian_table(factor_orders: Sequence[int]) -> np.ndarray:
     return _product_table([_cyclic_table(k) for k in factor_orders])
 
 
@@ -124,10 +119,10 @@ def abelian_group(factor_orders: Sequence[int], name: str | None = None) -> Grou
     if not factor_orders:
         return cyclic_group(1, name or "C1")
     name = name or "x".join(f"C{k}" for k in factor_orders)
-    return from_cayley_table(*_abelian_table(factor_orders), name=name)
+    return from_cayley_table(_abelian_table(factor_orders), name=name)
 
 
-def _dihedral_table(m: int) -> Table:
+def _dihedral_table(m: int) -> np.ndarray:
     def mul(a, b):
         (i, j), (k, l) = a, b
         return np.where(j == 0, i + k, i - k) % m, (j + l) % 2
@@ -137,10 +132,10 @@ def _dihedral_table(m: int) -> Table:
 
 def dihedral_group(m: int, name: str | None = None) -> Group:
     """Dihedral group of order 2m (symmetries of the m-gon)."""
-    return from_cayley_table(*_dihedral_table(m), name=name or f"D{2 * m}")
+    return from_cayley_table(_dihedral_table(m), name=name or f"D{2 * m}")
 
 
-def _dicyclic_table(m: int) -> Table:
+def _dicyclic_table(m: int) -> np.ndarray:
     def mul(a, b):
         (i, j), (k, l) = a, b
         # a^i x^j * a^k x^l, with x a^k = a^-k x and x^2 = a^m
@@ -151,10 +146,10 @@ def _dicyclic_table(m: int) -> Table:
 
 def dicyclic_group(m: int, name: str | None = None) -> Group:
     """Dicyclic group of order 4m; m = 2 gives the quaternion group."""
-    return from_cayley_table(*_dicyclic_table(m), name=name or f"Dic{m}")
+    return from_cayley_table(_dicyclic_table(m), name=name or f"Dic{m}")
 
 
-def _metacyclic_table(n: int, m: int, r: int) -> Table:
+def _metacyclic_table(n: int, m: int, r: int) -> np.ndarray:
     if math.gcd(r, n) != 1 or pow(r, m, n) != 1:
         raise ConfigError(f"invalid metacyclic parameters n={n}, m={m}, r={r}")
     powers = np.array([pow(r, j, n) for j in range(m)])
@@ -168,10 +163,10 @@ def _metacyclic_table(n: int, m: int, r: int) -> Table:
 
 def metacyclic_group(n: int, m: int, r: int, name: str | None = None) -> Group:
     """The split extension <a, b | a^n = b^m = 1, b^-1 a b = a^r>."""
-    return from_cayley_table(*_metacyclic_table(n, m, r), name=name or f"C{n}sdC{m}r{r}")
+    return from_cayley_table(_metacyclic_table(n, m, r), name=name or f"C{n}sdC{m}r{r}")
 
 
-def _heisenberg_table(p: int) -> Table:
+def _heisenberg_table(p: int) -> np.ndarray:
     def mul(a, b):
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
 
@@ -180,16 +175,16 @@ def _heisenberg_table(p: int) -> Table:
 
 def heisenberg_group(p: int, name: str | None = None) -> Group:
     """Upper unitriangular 3x3 matrices over the field with p elements."""
-    return from_cayley_table(*_heisenberg_table(p), name=name or f"Heis{p}")
+    return from_cayley_table(_heisenberg_table(p), name=name or f"Heis{p}")
 
 
 def _identity(table: np.ndarray) -> int:
     return int(np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0])
 
 
-def _central_product_table(g: np.ndarray, h: np.ndarray, zg: int, zh: int) -> Table:
+def _central_product_table(g: np.ndarray, h: np.ndarray, zg: int, zh: int) -> np.ndarray:
     """The table of G x H over its central subgroup <(zg, zh^-1)>, on least-index
-    coset representatives; the result has no labels.
+    coset representatives.
 
     :class:`NotNormal` unless zg is central in G and zh in H.
     """
@@ -198,7 +193,7 @@ def _central_product_table(g: np.ndarray, h: np.ndarray, zg: int, zh: int) -> Ta
             raise NotAGroup(f"{name}={z} is outside [0, {len(table)})")
         if not np.array_equal(table[z], table[:, z]):
             raise NotNormal(f"{name}={z} is not central, so it spans no central product")
-    prod, _ = _product_table([(g, None), (h, None)], 4 * DEFAULT_ELEMENT_CAP)
+    prod = _product_table([g, h], 4 * DEFAULT_ELEMENT_CAP)
     e_h = _identity(h)
     e = _identity(g) * len(h) + e_h
     diag = zg * len(h) + int(np.flatnonzero(h[zh] == e_h)[0])
@@ -207,7 +202,7 @@ def _central_product_table(g: np.ndarray, h: np.ndarray, zg: int, zh: int) -> Ta
     while x != e:
         kernel.append(x)
         x = int(prod[x, diag])
-    return _coset_table(prod, kernel)[2], None
+    return _coset_table(prod, kernel)[2]
 
 
 def central_product(g: Group, h: Group, zg: int, zh: int, name: str) -> Group:
@@ -215,7 +210,7 @@ def central_product(g: Group, h: Group, zg: int, zh: int, name: str) -> Group:
 
     :class:`NotNormal` unless zg is central in G and zh in H.
     """
-    return from_cayley_table(*_central_product_table(g.mul, h.mul, zg, zh), name=name)
+    return from_cayley_table(_central_product_table(g.mul, h.mul, zg, zh), name=name)
 
 
 def _central_involution(table: np.ndarray) -> int:
@@ -226,26 +221,18 @@ def _central_involution(table: np.ndarray) -> int:
     return int(np.flatnonzero(hits)[0])
 
 
-def _cp(a: Table, b: Table) -> Table:
+def _cp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The central product of two 2-group tables over their first central involutions."""
-    return _central_product_table(a[0], b[0], _central_involution(a[0]), _central_involution(b[0]))
-
-
-def _product_labels(factors: Sequence[Table]) -> Iterator[str]:
-    """The labels of the product of ``factors``, formatted when first iterated,
-    by folding the factors again."""
-    yield from _product_table(factors)[1]
+    return _central_product_table(a, b, _central_involution(a), _central_involution(b))
 
 
 class _CatalogEntry(NamedTuple):
     """A catalog entry before it is built: its order, its prime (None unless
-    the order is a prime power) and the table step that builds it.  The
-    step's labels are for the Group constructor, which formats them: a
-    product's are a generator, read once."""
+    the order is a prime power) and the table step that builds it."""
 
     order: int
     prime: int | None
-    table: Callable[[], Table]
+    table: Callable[[], np.ndarray]
 
 
 def _catalog_entries() -> dict[str, _CatalogEntry]:
@@ -264,30 +251,23 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
     references no step that references it, and dropping the entries frees it
     without the cycle collector.  A step only one entry reads is not kept.
     """
-    memo: dict[tuple, Table] = {}
+    memo: dict[tuple, np.ndarray] = {}
 
-    def shared(key: tuple, build: Callable[[], Table]) -> Callable[[], Table]:
-        def make() -> Table:
+    def shared(key: tuple, build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+        def make() -> np.ndarray:
             if key not in memo:
                 memo[key] = build()
             return memo[key]
 
         return make
 
-    def step(table: Callable[..., Table], *args: int) -> Callable[[], Table]:
+    def step(table: Callable[..., np.ndarray], *args: int) -> Callable[[], np.ndarray]:
         return shared((table, *args), partial(table, *args))
 
-    def prod(*factors: Callable[[], Table]) -> Callable[[], Table]:
-        def make() -> Table:
-            parts = [f() for f in factors]
-            table, _ = _product_table([(t, None) for t, _ in parts])
-            if any(labels is None for _, labels in parts):
-                return table, None
-            return table, _product_labels(parts)
+    def prod(*factors: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
+        return lambda: _product_table([f() for f in factors])
 
-        return make
-
-    def cp(a: Callable[[], Table], b: Callable[[], Table]) -> Callable[[], Table]:
+    def cp(a: Callable[[], np.ndarray], b: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
         return lambda: _cp(a(), b())
 
     c2, c3, c4, c8, c9 = (step(_cyclic_table, k) for k in (2, 3, 4, 8, 9))
@@ -295,7 +275,7 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
     m16, c4sdc4 = step(_metacyclic_table, 8, 2, 5), step(_metacyclic_table, 4, 4, 3)
     heis3, m27 = step(_heisenberg_table, 3), step(_metacyclic_table, 9, 3, 4)
     d8cpd8 = shared(("D8cpD8",), cp(d8, d8))
-    tables: dict[str, tuple[int, Callable[[], Table]]] = {
+    tables: dict[str, tuple[int, Callable[[], np.ndarray]]] = {
         # abelian p-groups (controls for the non-abelian criteria)
         "C2": (2, c2),
         "C4": (4, c4),
@@ -340,7 +320,7 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
         "Heis3xC3": (81, prod(heis3, c3)),
         "M27xC3": (81, prod(m27, c3)),
         "C9sdC9": (81, partial(_metacyclic_table, 9, 9, 4)),
-        "Heis3cpC9": (81, lambda: _central_product_table(heis3()[0], c9()[0], 2, 3)),
+        "Heis3cpC9": (81, lambda: _central_product_table(heis3(), c9(), 2, 3)),
         "Heis5": (125, partial(_heisenberg_table, 5)),
         # higher-class and non-prime-power controls
         "D16": (16, partial(_dihedral_table, 8)),
@@ -361,8 +341,8 @@ def catalog() -> dict[str, Callable[[], Group]]:
     its final table.
     """
 
-    def entry(name: str, make: Callable[[], Table]) -> Callable[[], Group]:
-        return lambda: from_cayley_table(*make(), name=name)
+    def entry(name: str, make: Callable[[], np.ndarray]) -> Callable[[], Group]:
+        return lambda: from_cayley_table(make(), name=name)
 
     return {name: entry(name, e.table) for name, e in _catalog_entries().items()}
 
@@ -457,8 +437,7 @@ def _parse_group_document(doc, stem: str | None = None) -> Group:
         name = _final_name(name, math.prod(part.n for part in parts), stem)
         if len(parts) == 1 and name == parts[0].name:
             return parts[0]
-        table, labels = _product_table([(part.mul, part.labels) for part in parts])
-        return from_cayley_table(table, labels=labels, name=name)
+        return from_cayley_table(_product_table([part.mul for part in parts]), name=name)
     else:
         raise ParseError(f"unknown group format {fmt!r} (expected cayley, perm, or product)")
     return from_cayley_table(table, name=_final_name(name, len(table), stem))
@@ -763,13 +742,12 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
             continue
         if entry.prime is not None and entry.prime not in cfg.primes:
             continue
-        # a cache hit reads the report without building (and validating) the
-        # group, and without formatting its labels
-        table, labels = entry.table()
+        # a cache hit reads the report without building (and validating) the group
+        table = entry.table()
         key = None if cache_dir is None else _cache_key(name, table, cfg.checks, cfg.budget)
         report = None if key is None else _cache_read(cache_dir, key)
         if report is None:
-            group = from_cayley_table(table, labels, name=name)
+            group = from_cayley_table(table, name=name)
             report = analyze_group(group, cfg.checks, cfg.budget)
             if key is not None:
                 _cache_write(cache_dir, key, report)

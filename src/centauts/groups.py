@@ -58,9 +58,6 @@ SUBGROUP_CAP = 50_000  # subgroups one enumeration may find before it raises
 # degree 65536.
 PERM_CELL_CAP = 1 << 25
 
-# A raw multiplication table and its optional element labels, before validation.
-Table = tuple[np.ndarray, tuple[str, ...] | None]
-
 
 def _right_closure_generators(mul: np.ndarray, start: Iterable[int] = ()) -> list[int]:
     """Elements picked in index order, each whenever it falls outside the set
@@ -177,17 +174,13 @@ class Group:
         mul: read-only ``n x n`` array, ``mul[x, y]`` is the product xy.
         identity: index of the identity element.
         inv: read-only length-``n`` array of inverse indices.
-        labels: optional per-element display names.
         name: identifier used in reports.
     """
 
-    __slots__ = ("n", "mul", "identity", "inv", "labels", "name", "_cache")
+    __slots__ = ("n", "mul", "identity", "inv", "name", "_cache")
 
     def __init__(
-        self,
-        table: Sequence[Sequence[int]] | np.ndarray,
-        labels: Sequence[str] | None = None,
-        name: str | None = None,
+        self, table: Sequence[Sequence[int]] | np.ndarray, name: str | None = None
     ) -> None:
         try:
             raw = np.asarray(table)
@@ -227,47 +220,27 @@ class Group:
             bad = int(np.flatnonzero(mul[inv, eye] != identity)[0])
             raise NotAGroup(f"inverse of element {bad} is one-sided")
 
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise NotAGroup(f"got {len(labels)} labels for {n} elements")
+        self._init(mul, identity, inv, name if name is not None else f"G{n}")
 
-        self._init(mul, identity, inv, labels, name if name is not None else f"G{n}")
-
-    def _init(
-        self,
-        mul: np.ndarray,
-        identity: int,
-        inv: np.ndarray,
-        labels: tuple[str, ...] | None,
-        name: str,
-    ) -> None:
+    def _init(self, mul: np.ndarray, identity: int, inv: np.ndarray, name: str) -> None:
         mul.setflags(write=False)
         inv.setflags(write=False)
         self.n = int(mul.shape[0])
         self.mul = mul
         self.identity = identity
         self.inv = inv
-        self.labels = labels
         self.name = name
         self._cache: dict = {}
 
     @classmethod
-    def _derived(
-        cls,
-        mul: np.ndarray,
-        identity: int,
-        inv: np.ndarray,
-        labels: tuple[str, ...] | None,
-        name: str,
-    ) -> "Group":
+    def _derived(cls, mul: np.ndarray, identity: int, inv: np.ndarray, name: str) -> "Group":
         """A group on an int64 table derived from a validated group, without the
         checks of ``__init__``: the caller proves the group axioms through the
         map that defines the table (a quotient's projection is a surjective
         homomorphism, a subgroup's embedding an injective one), and that map
         gives the identity and the inverses."""
         self = cls.__new__(cls)
-        self._init(mul, identity, inv, labels, name)
+        self._init(mul, identity, inv, name)
         return self
 
     # -- basics ---------------------------------------------------------
@@ -447,14 +420,11 @@ class Group:
                 f"subgroup of {self.name} is not normal: conjugate of {m} by {g} falls outside"
             )
         reps, proj, table = _coset_table(self.mul, kernel.members)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(f"{self.labels[int(r)]}·K" for r in reps)
         # the QuotientMap check proves the table a group: the image of a group
         # under a surjective homomorphism is one, with identity proj(e) and
         # inverses proj(x^-1)
         name = f"{self.name}/{len(kernel)}"
-        target = Group._derived(table, int(proj[self.identity]), proj[self.inv[reps]], labels, name)
+        target = Group._derived(table, int(proj[self.identity]), proj[self.inv[reps]], name)
         return QuotientMap(self, target, proj)
 
     def _cached_quotient(self, key, kernel: Callable[[], "Subgroup"]) -> "QuotientMap":
@@ -608,14 +578,10 @@ class Subgroup:
             table = np.searchsorted(members, products).clip(max=len(members) - 1)
             if not np.array_equal(members[table], products):
                 raise NotAGroup(f"subset of {parent.name} is not closed under multiplication")
-            labels = None
-            if parent.labels is not None:
-                labels = tuple(parent.labels[m] for m in self.members)
             return Group._derived(
                 table,
                 self.members.index(parent.identity),
                 np.searchsorted(members, parent.inv[members]),
-                labels,
                 f"{parent.name}[{len(self.members)}]",
             )
 
@@ -678,7 +644,8 @@ class Subgroup:
 
 
 class QuotientMap:
-    """A surjective homomorphism from ``source`` onto a quotient group ``target``.
+    """A surjective homomorphism from ``source`` onto a quotient group ``target``;
+    ``projection[x]`` is the index of x's image, in a read-only int64 array.
 
     A view like :class:`Subgroup`: it holds its source, whose caches hold
     only the target and the projection.
@@ -686,24 +653,23 @@ class QuotientMap:
 
     __slots__ = ("source", "target", "projection")
 
-    def __init__(self, source: Group, target: Group, projection: Sequence[int]) -> None:
-        proj = tuple(int(x) for x in projection)
-        if len(proj) != source.n:
+    def __init__(
+        self, source: Group, target: Group, projection: Sequence[int] | np.ndarray
+    ) -> None:
+        parr = np.array(projection, dtype=np.int64)
+        if parr.shape != (source.n,):
             raise NotAGroup("projection length does not match the source order")
-        if set(proj) != set(range(target.n)):
+        if not np.array_equal(np.unique(parr), np.arange(target.n)):
             raise NotAGroup("projection is not surjective onto the target")
-        parr = np.asarray(proj, dtype=np.int64)
         if not np.array_equal(parr[source.mul], target.mul[parr[:, None], parr[None, :]]):
             raise NotAGroup("projection is not a homomorphism")
-        fibers = np.bincount(parr, minlength=target.n)
-        if fibers.min() != fibers.max():
-            raise NotAGroup("quotient fibers have unequal sizes")
+        parr.setflags(write=False)
         self.source = source
         self.target = target
-        self.projection = proj
+        self.projection = parr
 
     @classmethod
-    def _of(cls, source: Group, target: Group, projection: tuple[int, ...]) -> "QuotientMap":
+    def _of(cls, source: Group, target: Group, projection: np.ndarray) -> "QuotientMap":
         """The view over a target and projection validated when first computed."""
         self = cls.__new__(cls)
         self.source = source
@@ -719,12 +685,10 @@ class QuotientMap:
 
 
 def from_cayley_table(
-    table: Sequence[Sequence[int]] | np.ndarray,
-    labels: Sequence[str] | None = None,
-    name: str | None = None,
+    table: Sequence[Sequence[int]] | np.ndarray, name: str | None = None
 ) -> Group:
     """Validate a multiplication table and wrap it as a :class:`Group`."""
-    return Group(table, labels=labels, name=name)
+    return Group(table, name=name)
 
 
 def _compose_perms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -810,26 +774,20 @@ def _permutation_table(degree: int, generators: Sequence[Sequence[int]]) -> np.n
 
 def direct_product(g: Group, h: Group, name: str | None = None) -> Group:
     """Componentwise product; the pair (a, b) gets index ``a*|H| + b``."""
-    table, labels = _product_table([(g.mul, g.labels), (h.mul, h.labels)])
-    return Group(table, labels=labels, name=name or f"{g.name}x{h.name}")
+    return Group(_product_table([g.mul, h.mul]), name=name or f"{g.name}x{h.name}")
 
 
-def _product_table(factors: Sequence[Table], cap: int | None = None) -> Table:
-    """The (table, labels) of the direct product of the factor tables, folded
-    left: the pair (a, b) of the product so far and the next factor H gets
-    index ``a*|H| + b`` and label ``(a,b)``; the labels are None once any
-    factor has none.  :class:`SizeLimitExceeded` as soon as a partial
-    product has more than ``cap`` elements (the element cap unless given),
-    before its table is made."""
+def _product_table(factors: Sequence[np.ndarray], cap: int | None = None) -> np.ndarray:
+    """The table of the direct product of the factor tables, folded left: the
+    pair (a, b) of the product so far and the next factor H gets index
+    ``a*|H| + b``.  :class:`SizeLimitExceeded` as soon as a partial product
+    has more than ``cap`` elements (the element cap unless given), before
+    its table is made."""
     cap = DEFAULT_ELEMENT_CAP if cap is None else cap
-    table, labels = factors[0]
-    for mul, more in factors[1:]:
+    table = factors[0]
+    for mul in factors[1:]:
         n, m = len(table), len(mul)
         if n * m > cap:
             raise SizeLimitExceeded(f"product order {n * m} exceeds the element cap {cap}")
         table = (table[:, None, :, None] * m + mul[None, :, None, :]).reshape(n * m, n * m)
-        if labels is not None and more is not None:
-            labels = tuple(f"({a},{b})" for a in labels for b in more)
-        else:
-            labels = None
-    return table, labels
+    return table

@@ -30,7 +30,6 @@ from .automorphisms import (
     is_purely_nonabelian,
     minimal_generating_set,
     _ab_homs,
-    _projection,
     _pull_back,
 )
 from .errors import InternalDisagreement, WrongClass
@@ -273,7 +272,6 @@ class PurelyNonabelianReport:
     group: str
     sets_equal: bool
     purely_nonabelian: bool
-    witness_element: int | None = None
     witness_images: tuple[int, ...] | None = None
     witness_is_central: bool | None = None
     witness_moved_central: int | None = None
@@ -346,7 +344,7 @@ def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, 
     z, gens = _witness_generators(group, budget)
     center = group.center()
     tables = _ab_homs(group, center, budget)
-    at_gens = tables[:, _projection(group)[gens]]
+    at_gens = tables[:, group.abelianization().projection[gens]]
     rows = np.flatnonzero((at_gens == center.members.index(z)).all(axis=1))
     if not len(rows):
         raise InternalDisagreement(
@@ -377,7 +375,7 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
             group=group.name, sets_equal=sets_equal, purely_nonabelian=True
         )
 
-    z, f = build_factor_witness(group, budget)
+    _, f = build_factor_witness(group, budget)
     aut = alpha_from_f(group, f)
     witness_images = aut.images if aut is not None else None
     is_central = aut is not None and is_central_automorphism(group, aut)
@@ -387,7 +385,6 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
         group=group.name,
         sets_equal=sets_equal,
         purely_nonabelian=False,
-        witness_element=z,
         witness_images=witness_images,
         witness_is_central=is_central,
         witness_moved_central=moved,

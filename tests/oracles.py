@@ -145,7 +145,7 @@ def pairwise_product(parts: Sequence[Group], name: str | None) -> Group:
     for part in parts[1:]:
         group = direct_product(group, part)
     if name is not None:
-        group = Group(group.mul, labels=group.labels, name=name)
+        group = Group(group.mul, name=name)
     return group
 
 
@@ -153,7 +153,7 @@ def stem_named(group: Group, stem: str) -> Group:
     """A parsed group file's group, wrapped again under the file stem when it
     carries the default name ``G<n>``."""
     if group.name == f"G{group.n}":
-        return Group(group.mul, labels=group.labels, name=stem)
+        return Group(group.mul, name=stem)
     return group
 
 

@@ -46,9 +46,6 @@ CATALOG_CACHE_DIGEST = "010591cdd59540da2eb853cedec4a07e4def4e3ca252e8bb924a8edb
 # The same over the scan's cache keys (_cache_key); a change that moves it
 # leaves every existing cache directory stale.
 CATALOG_TABLE_KEY_DIGEST = "74ea5a081359739619235d51f4e953c15e02c1c685b137374c4ed03cb8fc4313"
-# sha256 of the JSON object {entry name: element labels} over the catalog;
-# neither cache key reads labels, so they are pinned on their own.
-CATALOG_LABELS_DIGEST = "b8cedc79c466dbd35d636c994d5532176337be5a37edddd0056da844ef2b8301"
 
 # JSON nested deeper than the decoder's recursion allows, and a product
 # document whose factors nest 900 deep
@@ -61,9 +58,9 @@ def _counting_constructor(monkeypatch) -> list:
     built = []
     init = Group.__init__
 
-    def counting_init(self, table, labels=None, name=None):
+    def counting_init(self, table, name=None):
         built.append(name)
-        init(self, table, labels, name)
+        init(self, table, name)
 
     monkeypatch.setattr(Group, "__init__", counting_init)
     return built
@@ -151,10 +148,6 @@ class TestCatalog:
 
         assert self._catalog_key_digest(key) == CATALOG_TABLE_KEY_DIGEST
 
-    def test_labels_pin_the_catalog(self):
-        doc = json.dumps({name: make().labels for name, make in catalog().items()})
-        assert hashlib.sha256(doc.encode()).hexdigest() == CATALOG_LABELS_DIGEST
-
     def test_cache_key_sensitivity(self, monkeypatch):
         d8 = dihedral_group(4, "D8")
         checks = ("theorem", "prop1", "lemma3")
@@ -208,7 +201,6 @@ class TestCatalog:
     def test_builders_match_scalar_reference(self):
         for group, elements, mul in _scalar_builders():
             assert group.mul.tolist() == scalar_table(elements, mul), group.name
-            assert group.labels == tuple(str(t) for t in elements), group.name
 
     def test_catalog_group_unknown(self):
         with pytest.raises(ParseError):
@@ -331,7 +323,7 @@ class TestGroupFiles:
         expected = pairwise_product(parts, name)
         g = parse_group_text(json.dumps(doc))
         assert np.array_equal(g.mul, expected.mul)
-        assert (g.labels, g.name) == (expected.labels, expected.name)
+        assert g.name == expected.name
 
     def test_product_validates_each_factor_and_the_result_once(self, monkeypatch):
         built = _counting_constructor(monkeypatch)
@@ -360,7 +352,7 @@ class TestGroupFiles:
         built = _counting_constructor(monkeypatch)
         g = parse_group_file(path)
         assert np.array_equal(g.mul, expected.mul)
-        assert (g.labels, g.name) == (expected.labels, expected.name)
+        assert g.name == expected.name
         assert built[-1] == g.name  # named as it is built, not wrapped again
 
 
@@ -520,8 +512,8 @@ class TestCacheHits:
         cfg = RunConfig()
         for checks in (cfg.checks, ("theorem", "lemma3")):
             for name, entry in _catalog_entries().items():
-                table, labels = entry.table()
-                group = Group(table, labels, name)
+                table = entry.table()
+                group = Group(table, name)
                 assert _cache_key(name, table, checks, cfg.budget) == _cache_key(
                     group.name, group.mul, checks, cfg.budget
                 ), name
@@ -530,7 +522,7 @@ class TestCacheHits:
         reference = REFERENCE_SCAN.read_text(encoding="utf-8")
         assert self._scan(tmp_path) == reference
         cfg = RunConfig()
-        table, _ = _catalog_entries()["D8cpD8"].table()
+        table = _catalog_entries()["D8cpD8"].table()
         path = tmp_path / f"{_cache_key('D8cpD8', table, cfg.checks, cfg.budget)}.json"
         written = path.read_bytes()
         path.write_bytes(written[: len(written) // 2])

@@ -407,7 +407,6 @@ class TestSubgroupGeneration:
             assert h.mul.tolist() == [
                 [members.index(rows[a][b]) for b in members] for a in members
             ]
-            assert h.labels == tuple(g.labels[m] for m in members)
 
     def test_subgroup_validation(self):
         g = cyclic_group(4)
@@ -479,7 +478,7 @@ class TestQuotient:
             analyze_group(make(), PER_GROUP_CHECKS)
         assert len(quotients) > 47 and len(made) > len(quotients)
         for g in made:
-            checked = Group(g.mul, labels=g.labels, name=g.name)
+            checked = Group(g.mul, name=g.name)
             assert checked.identity == g.identity and np.array_equal(checked.inv, g.inv)
             assert g.mul.dtype == checked.mul.dtype and g.inv.dtype == checked.inv.dtype
         for q in quotients:
@@ -498,6 +497,25 @@ class TestQuotient:
         g = d8()
         with pytest.raises(NotAGroup, match="not a homomorphism"):
             g.quotient(g.center())
+
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_a_projection_of_wrong_length_or_not_onto_is_rejected(self, wrap):
+        g = d8()
+        q = g.center_quotient()
+        proj = q.projection.tolist()
+        with pytest.raises(NotAGroup, match="projection length does not match the source order"):
+            QuotientMap(g, q.target, wrap(proj[:-1]))
+        # x -> identity is a homomorphism, but not onto the order-4 target
+        with pytest.raises(NotAGroup, match="projection is not surjective onto the target"):
+            QuotientMap(g, q.target, wrap([proj[g.identity]] * g.n))
+        with pytest.raises(NotAGroup, match="projection is not surjective onto the target"):
+            QuotientMap(g, q.target, wrap([q.target.n if p == proj[-1] else p for p in proj]))
+        given = wrap(proj)
+        projection = QuotientMap(g, q.target, given).projection
+        assert projection.dtype == np.int64 and not projection.flags.writeable
+        assert np.array_equal(projection, q.projection)
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable  # the map keeps a copy
 
     def test_a_subset_not_closed_has_no_table(self):
         g = d8()
