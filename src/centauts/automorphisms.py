@@ -8,7 +8,8 @@ the prime-order columns of Z(G) (x -> x f(x) is bijective iff no such z has
 f(z) = z^-1) and pulls back only the Z-fixing rows, keeping |Autcent(G)|, the
 accepted mask and Aut^Z_Z(G) (:func:`autcent_order`,
 :func:`center_fixing_autcent`); the tests and the acceptance gate compare
-them with full-width bijectivity.  Their oracles live in
+them with full-width bijectivity, which alone decides :func:`alpha_from_f`
+and the oracle's ``autcent``.  Their oracles live in
 :mod:`centauts.oracle`, which this module does not import: the
 generator-image search behind ``enumerate_homs`` and ``all_automorphisms``,
 and ``autcent``, which materializes the whole set.  A set of Homs into a
@@ -68,20 +69,26 @@ def _readonly(array: np.ndarray) -> np.ndarray:
 def _canonical(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a ``k x n`` table array, sorted lexicographically, read-only.
 
-    A row's big-endian bytes compare as the row does lexicographically, so
-    one stable argsort of the rows as opaque byte strings sorts them (several
-    times faster than ``np.unique(tables, axis=0)``); the rows are gathered
-    once in that order, and an adjacent compare drops repeats.
+    A writable C-ordered input is sorted in place, so the caller must not
+    read it again; any other input is copied first.  A row's big-endian
+    bytes compare as the row does lexicographically, so the rows are sorted
+    in place as opaque byte strings (several times faster than
+    ``np.unique(tables, axis=0)``), byte-swapped around the sort unless their
+    items are big-endian or single bytes.  Equal rows have equal bytes, so
+    the sort need not be stable, and an adjacent compare drops repeats.
     """
-    big = np.ascontiguousarray(tables, dtype=tables.dtype.newbyteorder(">"))
-    row = np.dtype((np.void, big.itemsize * tables.shape[1]))
-    order = np.argsort(big.view(row).ravel(), kind="stable")
-    del big
-    ordered = tables[order]
-    keys = ordered.view(row).ravel()  # equal rows have equal bytes in any byte order
-    keep = np.ones(len(ordered), dtype=bool)
+    if not tables.flags.writeable or not tables.flags.c_contiguous:
+        tables = np.array(tables, order="C")
+    swap = tables.dtype != tables.dtype.newbyteorder(">")
+    keys = tables.view(np.dtype((np.void, tables.dtype.itemsize * tables.shape[1]))).ravel()
+    if swap:
+        tables.byteswap(inplace=True)
+    keys.sort()
+    if swap:
+        tables.byteswap(inplace=True)
+    keep = np.ones(len(keys), dtype=bool)
     keep[1:] = keys[1:] != keys[:-1]
-    return _readonly(ordered if keep.all() else ordered[keep])
+    return _readonly(tables if keep.all() else tables[keep])
 
 
 def _index_tables(group: Group) -> tuple[np.ndarray, np.ndarray]:
@@ -516,24 +523,15 @@ def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Each row must be the value table of a homomorphism into the center; it
     is not checked again.  Returns the ``k x n`` image array ``mul[x, f(x)]``
-    and a length-k mask of the rows with no non-trivial z in Z(G) at which
-    f(z) = z^-1 (see :func:`_central_pass`), compared with bijectivity at
-    full width, the identity once in the row: a disagreement raises
-    :class:`InternalDisagreement`.  The oracle's
-    :func:`~centauts.oracle.autcent` and the lemma 3 witness,
-    :func:`alpha_from_f`, call it; the checks read :func:`_central_pass`.
+    and a length-k mask of the rows bijective at full width: the map is an
+    endomorphism, so it is bijective iff the identity occurs once in its
+    images.  The oracle's :func:`~centauts.oracle.autcent` and the lemma 3
+    witness, :func:`alpha_from_f`, call it; the checks read
+    :func:`_central_pass`.
     """
-    mul, inv = _index_tables(group)
+    mul, _ = _index_tables(group)
     images = mul[np.arange(group.n), homs]
-    bijective = np.count_nonzero(images == group.identity, axis=1) == 1
-    zcols = np.array([z for z in group.center().members if z != group.identity], dtype=np.intp)
-    accepted = ~(homs[:, zcols] == inv[zcols]).any(axis=1)
-    if not np.array_equal(accepted, bijective):
-        raise InternalDisagreement(
-            "the inverse-image criterion and direct bijectivity disagree "
-            f"on {group.name}"
-        )
-    return images, accepted
+    return images, np.count_nonzero(images == group.identity, axis=1) == 1
 
 
 def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
@@ -542,12 +540,11 @@ def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
     ``f`` is the value table of a homomorphism into a central subgroup, such
     as a row of :func:`~centauts.oracle.homs_to_central_subgroup`; it is not
     checked again.  This is the one-row case of the batched map behind
-    :func:`~centauts.oracle.autcent`, so the inverse-image criterion is
-    still compared with direct bijectivity.
-    The returned image table is a tuple of Python ints.
+    :func:`~centauts.oracle.autcent`: the map is kept iff it is bijective at
+    full width.  The returned image table is a tuple of Python ints.
     """
-    images, accepted = _alpha_tables(group, np.asarray(f).reshape(1, group.n))
-    if not accepted[0]:
+    images, bijective = _alpha_tables(group, np.asarray(f).reshape(1, group.n))
+    if not bijective[0]:
         return None
     return Automorphism(group, tuple(images[0].tolist()))
 

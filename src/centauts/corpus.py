@@ -8,7 +8,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -68,41 +68,31 @@ _CSV_COLUMNS = (
 
 # -- catalog constructions -------------------------------------------------
 #
-# Every family and product is a table step returning a raw table; catalog
-# entries compose those tables and hand only the final one to the Group
-# constructor, so each entry's table is validated exactly once.
+# Every family and product is a table step returning a raw table (a family's
+# product is a formula on mixed-radix coordinates); catalog entries compose
+# those tables and hand only the final one to the Group constructor, so each
+# entry's table is validated exactly once.
 
 
-def _element_table(elements: Sequence, mul: Callable) -> np.ndarray:
-    """The table on ``elements`` (element k is index k) whose product is
-    ``mul``, evaluated once over the whole table.
+def _radix_table(radix: tuple[int, ...], mul: Callable) -> np.ndarray:
+    """The table on ``prod(radix)`` elements whose element k has the
+    mixed-radix coordinates ``np.unravel_index(k, radix)`` and whose product
+    is ``mul``, evaluated once over the whole table.
 
-    Array contract: every element is a non-negative int, or every element is
-    a tuple of non-negative ints of one length, and no two are equal.
-    ``mul(a, b)`` is called once, with ``a`` and ``b`` of that form but with
-    integer arrays in place of the ints: ``a`` runs down the rows (shape
-    ``(n, 1)``) and ``b`` along the columns (shape ``(1, n)``).  It returns
-    the products in the same form, integer arrays that broadcast together
-    to ``(n, n)``.  Products are encoded in mixed radix over the
-    coordinate ranges of ``elements`` and mapped to indices by one lookup
-    array; a product coordinate outside its range raises ``ValueError``, and
-    a product that is no element becomes -1, which the constructor rejects.
+    ``mul(a, b)`` is called once, with ``a`` and ``b`` tuples of integer
+    coordinate arrays: ``a`` runs down the rows (shape ``(n, 1)``) and ``b``
+    along the columns (shape ``(1, n)``).  It returns the product's
+    coordinates reduced into range, integer arrays that broadcast together
+    to ``(n, n)``; a coordinate outside its range raises ``ValueError``.
     """
-    coords = np.array(elements, dtype=np.int64).reshape(len(elements), -1).T
-    radix = tuple(int(c) + 1 for c in coords.max(axis=1))
-    lookup = np.full(math.prod(radix), -1, dtype=np.int64)
-    lookup[np.ravel_multi_index(tuple(coords), radix)] = np.arange(len(elements))
+    coords = np.unravel_index(np.arange(math.prod(radix)), radix)
     rows = tuple(c[:, None] for c in coords)
     cols = tuple(c[None, :] for c in coords)
-    if isinstance(elements[0], tuple):
-        prod = mul(rows, cols)
-    else:
-        prod = (mul(rows[0], cols[0]),)
-    return lookup[np.ravel_multi_index(prod, radix)]
+    return np.ravel_multi_index(mul(rows, cols), radix)
 
 
 def _cyclic_table(k: int) -> np.ndarray:
-    return _element_table(list(range(k)), lambda a, b: (a + b) % k)
+    return _radix_table((k,), lambda a, b: ((a[0] + b[0]) % k,))
 
 
 def cyclic_group(k: int, name: str | None = None) -> Group:
@@ -124,10 +114,11 @@ def abelian_group(factor_orders: Sequence[int], name: str | None = None) -> Grou
 
 def _dihedral_table(m: int) -> np.ndarray:
     def mul(a, b):
-        (i, j), (k, l) = a, b
-        return np.where(j == 0, i + k, i - k) % m, (j + l) % 2
+        (j, i), (l, k) = a, b
+        # a^i x^j * a^k x^l, with x a^k = a^-k x
+        return (j + l) % 2, np.where(j == 0, i + k, i - k) % m
 
-    return _element_table([(i, j) for j in (0, 1) for i in range(m)], mul)
+    return _radix_table((2, m), mul)
 
 
 def dihedral_group(m: int, name: str | None = None) -> Group:
@@ -137,11 +128,11 @@ def dihedral_group(m: int, name: str | None = None) -> Group:
 
 def _dicyclic_table(m: int) -> np.ndarray:
     def mul(a, b):
-        (i, j), (k, l) = a, b
+        (j, i), (l, k) = a, b
         # a^i x^j * a^k x^l, with x a^k = a^-k x and x^2 = a^m
-        return np.where(j == 0, i + k, i - k + m * l) % (2 * m), (j + l) % 2
+        return (j + l) % 2, np.where(j == 0, i + k, i - k + m * l) % (2 * m)
 
-    return _element_table([(i, j) for j in (0, 1) for i in range(2 * m)], mul)
+    return _radix_table((2, 2 * m), mul)
 
 
 def dicyclic_group(m: int, name: str | None = None) -> Group:
@@ -155,10 +146,11 @@ def _metacyclic_table(n: int, m: int, r: int) -> np.ndarray:
     powers = np.array([pow(r, j, n) for j in range(m)])
 
     def mul(a, b):
+        # b^j a^i * b^jp a^ip, with a^i b^jp = b^jp a^(i r^jp)
         (j, i), (jp, ip) = a, b
         return (j + jp) % m, (i * powers[jp] + ip) % n
 
-    return _element_table([(j, i) for j in range(m) for i in range(n)], mul)
+    return _radix_table((m, n), mul)
 
 
 def metacyclic_group(n: int, m: int, r: int, name: str | None = None) -> Group:
@@ -170,7 +162,7 @@ def _heisenberg_table(p: int) -> np.ndarray:
     def mul(a, b):
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
 
-    return _element_table([(x, y, z) for x in range(p) for y in range(p) for z in range(p)], mul)
+    return _radix_table((p, p, p), mul)
 
 
 def heisenberg_group(p: int, name: str | None = None) -> Group:
@@ -246,23 +238,14 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
     declaration against the built group.
 
     A step that several entries read runs at most once while the returned
-    entries live: its result is kept in a memo that only their steps see.
-    The memo's keys are plain values (a step and its int arguments), so it
-    references no step that references it, and dropping the entries frees it
-    without the cycle collector.  A step only one entry reads is not kept.
+    entries live: it is wrapped in ``functools.cache``, which keeps its
+    result.  What a wrapper wraps never references the wrapper, so dropping
+    the entries frees every result without the cycle collector.  A step only
+    one entry reads is not kept.
     """
-    memo: dict[tuple, np.ndarray] = {}
-
-    def shared(key: tuple, build: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
-        def make() -> np.ndarray:
-            if key not in memo:
-                memo[key] = build()
-            return memo[key]
-
-        return make
 
     def step(table: Callable[..., np.ndarray], *args: int) -> Callable[[], np.ndarray]:
-        return shared((table, *args), partial(table, *args))
+        return cache(partial(table, *args))
 
     def prod(*factors: Callable[[], np.ndarray]) -> Callable[[], np.ndarray]:
         return lambda: _product_table([f() for f in factors])
@@ -274,7 +257,7 @@ def _catalog_entries() -> dict[str, _CatalogEntry]:
     d8, q8 = step(_dihedral_table, 4), step(_dicyclic_table, 2)
     m16, c4sdc4 = step(_metacyclic_table, 8, 2, 5), step(_metacyclic_table, 4, 4, 3)
     heis3, m27 = step(_heisenberg_table, 3), step(_metacyclic_table, 9, 3, 4)
-    d8cpd8 = shared(("D8cpD8",), cp(d8, d8))
+    d8cpd8 = cache(cp(d8, d8))
     tables: dict[str, tuple[int, Callable[[], np.ndarray]]] = {
         # abelian p-groups (controls for the non-abelian criteria)
         "C2": (2, c2),

@@ -252,8 +252,8 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     homomorphism from G into Z(G) (Adney and Yen, Illinois J. Math. 9, 1965),
     so the set is read off the ``k x n`` array of
     :func:`homs_to_central_subgroup` in one batched pass of the map behind
-    :func:`alpha_from_f`, criterion against full-width bijectivity included,
-    and sorted into the :class:`AutSet` table array.  The budget bounds that
+    :func:`alpha_from_f`, keeping the rows bijective at full width, and
+    sorted into the :class:`AutSet` table array.  The budget bounds that
     Hom search and applies on every call, cached or not.  The checks read
     :func:`autcent_order` and :func:`center_fixing_autcent` instead (the
     prime-order columns of Z(G) and the Z-fixing rows); this set is their
@@ -263,8 +263,8 @@ def autcent(group: Group, budget: int | None = None) -> AutSet:
     homs = homs_to_central_subgroup(group, group.center(), budget)
 
     def compute():
-        images, accepted = _alpha_tables(group, homs)
-        return _canonical(images[accepted])
+        images, bijective = _alpha_tables(group, homs)
+        return _canonical(images[bijective])
 
     return AutSet._of(group, group._cached("autcent", compute))
 

@@ -202,6 +202,11 @@ class TestCatalog:
         for group, elements, mul in _scalar_builders():
             assert group.mul.tolist() == scalar_table(elements, mul), group.name
 
+    def test_radix_table_rejects_an_out_of_range_coordinate(self):
+        # the first coordinate of (2, 3) is not reduced mod 2
+        with pytest.raises(ValueError):
+            corpus._radix_table((2, 3), lambda a, b: (a[0] + b[0], (a[1] + b[1]) % 3))
+
     def test_catalog_group_unknown(self):
         with pytest.raises(ParseError):
             catalog_group("NoSuchGroup")

@@ -11,6 +11,7 @@ x -> x f(x), on every catalog group and two relabellings of each.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from centauts import (
     AutSet,
     Automorphism,
     abelian_factor_split,
+    abelian_group,
     all_automorphisms,
     aut_fixing_quotient,
     aut_fixing_subgroup,
@@ -101,6 +103,36 @@ def test_pull_back_keeps_rows_sorted_and_distinct(subjects):
             rows = homs_to_central_subgroup(g, m_sub)
             assert not rows.flags.writeable, g.name
             assert np.array_equal(rows, automorphisms._canonical(rows)), (g.name, m_sub.members)
+
+
+@pytest.mark.parametrize(
+    "dtype, values", [(np.uint8, [0, 1, 128, 255]), (np.uint16, [0, 1, 255, 256, 510])]
+)
+def test_canonical_is_unique_rows(dtype, values):
+    rows = np.random.default_rng(5).choice(np.array(values, dtype=dtype), size=(200, 4))
+    rows = np.concatenate([rows, rows[::3]])
+    expected = np.unique(rows, axis=0)
+    readonly = rows.copy()
+    readonly.setflags(write=False)
+    for given in (rows.copy(), np.asfortranarray(rows), readonly):
+        got = automorphisms._canonical(given)
+        assert got.dtype == dtype and not got.flags.writeable
+        assert np.array_equal(got, expected)
+    assert np.array_equal(readonly, rows)
+
+
+def test_hom_build_holds_one_table():
+    # Hom(C4^3, C4^3): 2^18 rows x 64 uint8 columns, sorted in place
+    g = abelian_group([4, 4, 4])
+    center = g.center()
+    g.abelianization(), center.as_group()
+    tracemalloc.start()
+    try:
+        tables = automorphisms._ab_homs(g, center, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * tables.nbytes, peak / tables.nbytes
 
 
 def test_checks_never_materialize_autcent(monkeypatch):
