@@ -200,7 +200,6 @@ class ClassTwoInvariants:
     residuals are both types past position ``k``.
     """
 
-    p: int
     z_type: AbelianType
     ab_type: AbelianType
     c: int
@@ -254,7 +253,6 @@ def class_two_invariants(group: Group) -> ClassTwoInvariants:
             )
 
     return ClassTwoInvariants(
-        p=p,
         z_type=z_type,
         ab_type=ab_type,
         c=c,

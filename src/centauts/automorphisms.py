@@ -52,15 +52,6 @@ class Automorphism:
         return f"<Automorphism of {self.group.name} {self.images}>"
 
 
-def _index_dtype(n: int) -> np.dtype:
-    """The smallest unsigned integer type holding every element index of an order-n group.
-
-    Every cached table of element indices (central Homs, automorphism sets and
-    the narrow multiplication table they are gathered from) uses it.
-    """
-    return np.min_scalar_type(n - 1)
-
-
 def _readonly(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -91,24 +82,11 @@ def _canonical(tables: np.ndarray) -> np.ndarray:
     return _readonly(tables if keep.all() else tables[keep])
 
 
-def _index_tables(group: Group) -> tuple[np.ndarray, np.ndarray]:
-    """``group.mul`` and ``group.inv`` in the group's index dtype, cached read-only.
-
-    Gathers through them yield tables in that dtype without a further cast.
-    """
-
-    def compute():
-        dtype = _index_dtype(group.n)
-        return _readonly(group.mul.astype(dtype)), _readonly(group.inv.astype(dtype))
-
-    return group._cached("index_tables", compute)
-
-
 class AutSet:
     """A canonically sorted, deduplicated collection of automorphisms.
 
     ``tables`` is a read-only ``k x n`` array whose row i is the image table
-    of the i-th automorphism, in the dtype of :func:`_index_dtype`; rows are
+    of the i-th automorphism, in the dtype of ``group.mul``; rows are
     distinct and sorted lexicographically.  Equal sets of one group therefore
     have equal arrays, which ``==`` compares.  ``elements`` and ``images_set``
     are built from the array on first use; their image tables are tuples of
@@ -120,7 +98,7 @@ class AutSet:
     __slots__ = ("group", "tables", "_elements")
 
     def __init__(self, group: Group, automorphisms: Iterable[Automorphism]) -> None:
-        rows = np.array([a.images for a in automorphisms], dtype=_index_dtype(group.n))
+        rows = np.array([a.images for a in automorphisms], dtype=group.mul.dtype)
         self._init(group, _canonical(rows.reshape(-1, group.n)))
 
     def _init(self, group: Group, tables: np.ndarray) -> None:
@@ -204,8 +182,8 @@ def inner_automorphisms(group: Group) -> AutSet:
     """
 
     def compute():
-        mul, inv = _index_tables(group)
-        conj = _canonical(mul[mul[inv], np.arange(group.n)[:, None]])
+        mul = group.mul
+        conj = _canonical(mul[mul[group.inv], np.arange(group.n)[:, None]])
         expected = group.n // len(group.center())
         if len(conj) != expected:
             raise InternalDisagreement(
@@ -256,11 +234,11 @@ def _central_pass(group: Group, budget: int | None) -> _CentralPass:
     tables = _ab_homs(group, center, budget)
 
     def compute():
-        mul, inv = _index_tables(group)
+        mul = group.mul
         members = np.asarray(center.members)
         columns = group.abelianization().projection[members]
         prime = np.array([is_prime(m) for m in center.element_orders()], dtype=bool)
-        inverse = np.searchsorted(members, inv[members[prime]])
+        inverse = np.searchsorted(members, group.inv[members[prime]])
         accepted = ~(tables[:, columns[prime]] == inverse).any(axis=1)
         fixing = tables[(tables[:, columns] == center.members.index(group.identity)).all(axis=1)]
         return _CentralPass(
@@ -329,12 +307,11 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
     witness = None if kernel.is_central() else kernel.normality_witness()
     if witness is not None:
         raise NotNormal(f"subgroup is not normal (witness {witness})")
-    mul, inv = _index_tables(group)
     gens = np.asarray(group.generating_set(), dtype=np.intp)
     in_kernel = np.zeros(group.n, dtype=bool)
     in_kernel[list(kernel.members)] = True
     tables = within.tables
-    keep = in_kernel[mul[inv[gens], tables[:, gens]]].all(axis=1)
+    keep = in_kernel[group.mul[group.inv[gens], tables[:, gens]]].all(axis=1)
     return AutSet._of(group, _readonly(tables[keep]))
 
 
@@ -412,7 +389,7 @@ def _pointwise_products(target: Group, values: list[np.ndarray], n: int) -> np.n
     """Every pointwise product v_1[j_1] ... v_s[j_s] in the target of one row
     from each ``k_i x n`` array, one row per choice (j_1, ..., j_s), the last
     index fastest; the identity row when there is no array."""
-    tmul, _ = _index_tables(target)
+    tmul = target.mul
     rows = np.full((1, n), target.identity, dtype=tmul.dtype)
     for v in values:
         rows = tmul[rows[:, None, :], v[None, :, :]].reshape(-1, n)
@@ -433,10 +410,10 @@ def _basis_homs(ab: Group, target: Group, rows: int) -> np.ndarray:
     gather, in chunks of about :data:`_BUILD_CELLS` cells into one array
     that is then canonicalized.  So the result is the array
     :func:`~centauts.oracle._search_maps` returns: read-only, sorted, in the
-    target's index dtype.
+    dtype of ``target.mul``.
     """
     basis, coords = _abelian_basis(ab)
-    tmul, _ = _index_tables(target)
+    tmul = target.mul
     aorders, torders = ab.element_orders(), np.asarray(target.element_orders())
     values = []  # values[i][j, g] = (j-th candidate image of b_i) ** coords[g, i]
     for i, b in enumerate(basis):
@@ -514,7 +491,7 @@ def _pull_back(group: Group, target: Subgroup, tables: np.ndarray) -> np.ndarray
     pulled-back rows differ lies in the least coset on which the rows
     differ, and ``target.members`` is ascending.
     """
-    members = np.asarray(target.members, dtype=_index_dtype(group.n))
+    members = np.asarray(target.members, dtype=group.mul.dtype)
     return members[tables][:, group.abelianization().projection]
 
 
@@ -529,8 +506,7 @@ def _alpha_tables(group: Group, homs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     witness, :func:`alpha_from_f`, call it; the checks read
     :func:`_central_pass`.
     """
-    mul, _ = _index_tables(group)
-    images = mul[np.arange(group.n), homs]
+    images = group.mul[np.arange(group.n), homs]
     return images, np.count_nonzero(images == group.identity, axis=1) == 1
 
 
@@ -600,8 +576,6 @@ def is_purely_nonabelian(group: Group, budget: int | None = None) -> bool:
 class Lemma0Report:
     """Counts behind the Hom <-> quotient-centralizing-automorphism bijection."""
 
-    group: str
-    target_members: tuple[int, ...]
     hypothesis_holds: bool
     hom_count: int
     aut_quotient_count: int
@@ -643,8 +617,6 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
     center_homs = _hom_count(quotient, target.as_group())
 
     return Lemma0Report(
-        group=group.name,
-        target_members=target.members,
         hypothesis_holds=hypothesis,
         hom_count=len(tables),
         aut_quotient_count=aut_quotient_count,
@@ -659,7 +631,6 @@ def verify_lemma0(group: Group, target: Subgroup, budget: int | None = None) -> 
 class Lemma0aReport:
     """Central automorphism count against the Hom(G/[G,G], Z(G)) order."""
 
-    group: str
     autcent_order: int
     hom_count: int
 
@@ -682,4 +653,4 @@ def verify_lemma0a(group: Group, budget: int | None = None) -> Lemma0aReport:
         raise NotPurelyNonabelian(f"{group.name} has a non-trivial abelian direct factor")
     order = autcent_order(group, budget)
     homs = _hom_count(group.abelianization().target, group.center().as_group())
-    return Lemma0aReport(group=group.name, autcent_order=order, hom_count=homs)
+    return Lemma0aReport(autcent_order=order, hom_count=homs)

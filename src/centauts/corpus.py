@@ -532,6 +532,8 @@ class RunConfig:
         not_prime = [p for p in self.primes if not is_prime(p)]
         if not_prime:
             raise ConfigError(f"primes must be prime, got {not_prime}")
+        if len(set(self.primes)) != len(self.primes):
+            raise ConfigError(f"primes must be distinct, got {list(self.primes)}")
         if self.budget < 0:
             raise ConfigError(f"budget must be non-negative, got {self.budget}")
 
@@ -709,9 +711,12 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
     """Run the enabled checks over the catalog within caps.
 
     Reports come back in catalog order followed by the Hom-growth sweeps;
-    per-group failures never abort the scan.  A cache directory that cannot
-    be created raises :class:`ConfigError` before any group is analyzed, and
-    one that cannot be written raises it at the first write.
+    per-group failures never abort the scan.  A cache entry is a hit only
+    when its report names the scanned entry, its order and the requested
+    per-group checks; any other entry is recomputed and rewritten.  A cache
+    directory that cannot be created raises :class:`ConfigError` before any
+    group is analyzed, and one that cannot be written raises it at the first
+    write.
     """
     cache_dir = cfg.cache_dir or None
     if cache_dir is not None:
@@ -720,6 +725,7 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
         except OSError as exc:
             raise _unusable_cache(cache_dir, exc) from exc
     reports: list[GroupReport] = []
+    per_group = {c for c in cfg.checks if CHECKS[c] is not None}
     for name, entry in _catalog_entries().items():
         if entry.order > cfg.max_order:
             continue
@@ -729,6 +735,9 @@ def scan_corpus(cfg: RunConfig) -> list[GroupReport]:
         table = entry.table()
         key = None if cache_dir is None else _cache_key(name, table, cfg.checks, cfg.budget)
         report = None if key is None else _cache_read(cache_dir, key)
+        hit = (name, entry.order, per_group)  # anything else is another group's report
+        if report is not None and (report.group_id, report.order, set(report.lemma_checks)) != hit:
+            report = None
         if report is None:
             group = from_cayley_table(table, name=name)
             report = analyze_group(group, cfg.checks, cfg.budget)

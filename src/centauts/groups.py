@@ -175,6 +175,12 @@ class Group:
         identity: index of the identity element.
         inv: read-only length-``n`` array of inverse indices.
         name: identifier used in reports.
+
+    ``mul`` and ``inv`` hold element indices in the smallest unsigned dtype
+    that holds ``n - 1`` (uint8 up to 256 elements, uint16 up to the element
+    cap), the dtype of every table of element indices derived from them.
+    Gathers through them keep that dtype; arithmetic on their entries must
+    widen them first.
     """
 
     __slots__ = ("n", "mul", "identity", "inv", "name", "_cache")
@@ -223,22 +229,23 @@ class Group:
         self._init(mul, identity, inv, name if name is not None else f"G{n}")
 
     def _init(self, mul: np.ndarray, identity: int, inv: np.ndarray, name: str) -> None:
-        mul.setflags(write=False)
-        inv.setflags(write=False)
+        dtype = np.min_scalar_type(len(mul) - 1)  # the element-index dtype
         self.n = int(mul.shape[0])
-        self.mul = mul
+        self.mul = mul.astype(dtype)
         self.identity = identity
-        self.inv = inv
+        self.inv = inv.astype(dtype)
+        self.mul.setflags(write=False)
+        self.inv.setflags(write=False)
         self.name = name
         self._cache: dict = {}
 
     @classmethod
     def _derived(cls, mul: np.ndarray, identity: int, inv: np.ndarray, name: str) -> "Group":
-        """A group on an int64 table derived from a validated group, without the
-        checks of ``__init__``: the caller proves the group axioms through the
-        map that defines the table (a quotient's projection is a surjective
-        homomorphism, a subgroup's embedding an injective one), and that map
-        gives the identity and the inverses."""
+        """A group on a table of any integer dtype derived from a validated
+        group, without the checks of ``__init__``: the caller proves the group
+        axioms through the map that defines the table (a quotient's projection
+        is a surjective homomorphism, a subgroup's embedding an injective
+        one), and that map gives the identity and the inverses."""
         self = cls.__new__(cls)
         self._init(mul, identity, inv, name)
         return self
@@ -778,13 +785,14 @@ def direct_product(g: Group, h: Group, name: str | None = None) -> Group:
 
 
 def _product_table(factors: Sequence[np.ndarray], cap: int | None = None) -> np.ndarray:
-    """The table of the direct product of the factor tables, folded left: the
-    pair (a, b) of the product so far and the next factor H gets index
-    ``a*|H| + b``.  :class:`SizeLimitExceeded` as soon as a partial product
-    has more than ``cap`` elements (the element cap unless given), before
-    its table is made."""
+    """The int64 table of the direct product of the factor tables, folded
+    left: the pair (a, b) of the product so far and the next factor H gets
+    index ``a*|H| + b``, computed on the widened table, as a narrow factor
+    such as a ``Group.mul`` would overflow.  :class:`SizeLimitExceeded` as
+    soon as a partial product has more than ``cap`` elements (the element cap
+    unless given), before its table is made."""
     cap = DEFAULT_ELEMENT_CAP if cap is None else cap
-    table = factors[0]
+    table = np.asarray(factors[0], dtype=np.int64)
     for mul in factors[1:]:
         n, m = len(table), len(mul)
         if n * m > cap:

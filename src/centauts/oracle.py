@@ -32,7 +32,6 @@ from .automorphisms import (
     _alpha_tables,
     _budget_exceeded,
     _canonical,
-    _index_tables,
     _pull_back,
     _readonly,
     minimal_generating_set,
@@ -136,14 +135,14 @@ def _search_maps(
     generator inside the span of the earlier ones.
 
     Returns the value tables as a read-only ``k x source.n`` array in the
-    target's index dtype (:func:`_index_dtype`), rows distinct and sorted
+    dtype of ``target.mul``, rows distinct and sorted
     lexicographically, and the number of extension attempts: the sum over
     levels of surviving partial maps times candidates.  Each level's term is
     added before the level is expanded, and the search raises the error of
     :func:`_budget_exceeded` (``what`` names the search) as soon as the sum
     passes ``limit``, so an over-budget search fails before the work.
     """
-    tmul, _ = _index_tables(target)
+    tmul = target.mul
     naive_space = math.prod(map(len, cands))
     phi = np.full((1, source.n), target.identity, dtype=tmul.dtype)
     imgs = np.zeros((1, 0), dtype=tmul.dtype)
@@ -232,7 +231,7 @@ def homs_to_central_subgroup(
     """Value tables of every homomorphism from the group into a central subgroup.
 
     The result is one read-only ``k x n`` array in the dtype of
-    :func:`_index_dtype`: row i is the value table of the i-th homomorphism,
+    ``group.mul``: row i is the value table of the i-th homomorphism,
     rows distinct and sorted lexicographically.  The target must be a
     central subgroup of the group (:class:`NotCentral` otherwise).  The rows
     are those of :func:`_ab_homs` on the abelianization, pulled back through

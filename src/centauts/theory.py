@@ -181,7 +181,6 @@ def verify_theorem(group: Group, budget: int | None = None) -> TheoremResult:
 class SubgroupCriterionReport:
     """One row of the inner-coincidence check, for a single central subgroup M."""
 
-    group: str
     target_members: tuple[int, ...]
     set_equal_inner: bool
     class_is_two: bool
@@ -215,7 +214,6 @@ def verify_proposition1(group: Group, budget: int | None = None) -> list[Subgrou
     # Aut^M_Z(G), M <= Z(G), is Aut^Z_Z(G) filtered by G/M
     return [
         SubgroupCriterionReport(
-            group=group.name,
             target_members=m_sub.members,
             set_equal_inner=aut_fixing_quotient(group, m_sub, azz) == inner,
             class_is_two=class_two,
@@ -230,7 +228,6 @@ def verify_proposition1(group: Group, budget: int | None = None) -> list[Subgrou
 class InnerEqualityReport:
     """Autcent(G) = Inn(G) against (Z(G) = [G,G] and Z(G) cyclic)."""
 
-    group: str
     autcent_equals_inn: bool
     center_equals_commutator: bool
     center_cyclic: bool
@@ -253,7 +250,6 @@ def verify_corollary1(group: Group, budget: int | None = None) -> InnerEqualityR
     center = group.center()
     gamma2 = group.commutator_subgroup()
     return InnerEqualityReport(
-        group=group.name,
         autcent_equals_inn=_equals_autcent(group, inner, budget),
         center_equals_commutator=center.members == gamma2.members,
         center_cyclic=center.is_cyclic(),
@@ -269,7 +265,6 @@ class PurelyNonabelianReport:
     element of Z(H) inside the Frattini subgroup and validated.
     """
 
-    group: str
     sets_equal: bool
     purely_nonabelian: bool
     witness_images: tuple[int, ...] | None = None
@@ -371,9 +366,7 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     sets_equal = _equals_autcent(group, center_fixing_autcent(group, budget), budget)
     purely = is_purely_nonabelian(group, budget)
     if purely:
-        return PurelyNonabelianReport(
-            group=group.name, sets_equal=sets_equal, purely_nonabelian=True
-        )
+        return PurelyNonabelianReport(sets_equal=sets_equal, purely_nonabelian=True)
 
     _, f = build_factor_witness(group, budget)
     aut = alpha_from_f(group, f)
@@ -382,7 +375,6 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
     center = group.center().members
     moved = next((u for u in center if aut.images[u] != u), None) if aut is not None else None
     return PurelyNonabelianReport(
-        group=group.name,
         sets_equal=sets_equal,
         purely_nonabelian=False,
         witness_images=witness_images,
@@ -457,7 +449,6 @@ def verify_lemma4_sweep(p: int, max_exp: int) -> HomGrowthSweep:
 class StrictCenterReport:
     """Aut^Z_Z(G) = Inn(G) against (abelian, or class 2 with cyclic center)."""
 
-    group: str
     set_equal_inner: bool
     abelian: bool
     class_is_two: bool
@@ -479,7 +470,6 @@ def verify_attar(group: Group, budget: int | None = None) -> StrictCenterReport:
     azz = center_fixing_autcent(group, budget)
     inner = inner_automorphisms(group)
     return StrictCenterReport(
-        group=group.name,
         set_equal_inner=azz == inner,
         abelian=group.is_abelian(),
         class_is_two=group.nilpotency_class() == 2,

@@ -21,6 +21,7 @@ from centauts.corpus import (
     cyclic_group,
     dicyclic_group,
     dihedral_group,
+    heisenberg_group,
 )
 from centauts.errors import (
     NotAGroup,
@@ -112,7 +113,7 @@ class TestFromCayleyTable:
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
     def test_accepts_any_integer_dtype(self, dtype):
         g = from_cayley_table(np.array([[0, 1], [1, 0]], dtype=dtype))
-        assert g.mul.dtype == np.int64 and g.inv.tolist() == [0, 1]
+        assert g.mul.dtype == g.inv.dtype == np.uint8 and g.inv.tolist() == [0, 1]
 
     def test_rejects_missing_identity(self):
         with pytest.raises(NotAGroup, match="identity"):
@@ -342,6 +343,34 @@ class TestDirectProduct:
     def test_product_cap(self):
         with pytest.raises(SizeLimitExceeded, match="order 1024 exceeds the element cap 512"):
             direct_product(cyclic_group(32), cyclic_group(32))
+
+    def test_narrow_factors_are_widened_before_the_index_arithmetic(self):
+        # (a, b) -> a*32 + b reaches 511, past uint8, on uint8 factor tables
+        g = direct_product(cyclic_group(16), cyclic_group(32))
+        assert g.mul.dtype == np.uint16
+        assert np.array_equal(g.mul, abelian_group([16, 32]).mul)
+
+
+@pytest.mark.parametrize("make", [lambda: cyclic_group(256), lambda: cyclic_group(257),
+                                  lambda: heisenberg_group(7)], ids=["C256", "C257", "Heis7"])
+def test_every_constructor_picks_the_smallest_unsigned_dtype(make):
+    # uint8 up to 256 elements, uint16 above; a quotient target and a
+    # subgroup's group take the dtype of their own order
+    g = make()
+    regular = [g.mul[:, s].tolist() for s in g.generating_set()]
+    same_order = [
+        g,
+        from_cayley_table(g.mul.astype(np.int64)),
+        from_permutation_generators(g.n, regular),
+        direct_product(g, cyclic_group(1)),
+        g.quotient(g.trivial_subgroup()).target,
+        g.subgroup(range(g.n)).as_group(),
+    ]
+    assert [h.n for h in same_order] == [g.n] * len(same_order)
+    for h in [*same_order, g.center_quotient().target, g.center().as_group()]:
+        assert h.mul.dtype == h.inv.dtype == (np.uint8 if h.n <= 256 else np.uint16), h.name
+        assert not h.mul.flags.writeable and not h.inv.flags.writeable, h.name
+    assert g.abelianization().projection.dtype == np.int64
 
 
 class TestCenterAndCommutator:

@@ -90,6 +90,43 @@ class TestCorruptCache:
         # the misses were recomputed and written back
         assert all(_cache_read(tmp_path, path.stem) is not None for path in edited)
 
+    def test_another_groups_report_is_a_miss(self, tmp_path):
+        # D8 and Q8 swap their entries' contents: each is well formed, but
+        # under the key of the other group
+        cfg = RunConfig(max_order=8, primes=(2,), cache_dir=str(tmp_path))
+        fresh = emit_report(scan_corpus(RunConfig(max_order=8, primes=(2,))), "json")
+        assert emit_report(scan_corpus(cfg), "json") == fresh
+        paths = {json.loads(p.read_text(encoding="utf-8"))["groupId"]: p
+                 for p in tmp_path.glob("*.json")}
+        d8, q8 = paths["D8"].read_bytes(), paths["Q8"].read_bytes()
+        paths["D8"].write_bytes(q8)
+        paths["Q8"].write_bytes(d8)
+        assert emit_report(scan_corpus(cfg), "json") == fresh
+        for name in ("D8", "Q8"):
+            assert json.loads(paths[name].read_text(encoding="utf-8"))["groupId"] == name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["lemmaChecks"].pop("cor1"),
+            lambda doc: doc["lemmaChecks"].update(lemma3="pass"),
+            lambda doc: doc.update(order=2 * doc["order"]),
+        ],
+        ids=["check-dropped", "check-added", "other-order"],
+    )
+    def test_entry_of_another_check_set_or_order_is_a_miss(self, tmp_path, edit):
+        cfg = RunConfig(cache_dir=str(tmp_path), **self.CFG)
+        fresh = emit_report(scan_corpus(cfg), "json")
+        entries = sorted(tmp_path.glob("*.json"))
+        for path in entries:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            edit(doc)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        assert emit_report(scan_corpus(cfg), "json") == fresh
+        # the misses were recomputed and written back
+        written = {r.group_id: r for r in (_cache_read(tmp_path, p.stem) for p in entries)}
+        assert written == {r.group_id: r for r in scan_corpus(RunConfig(**self.CFG))}
+
     def test_directory_in_place_of_entry_is_a_miss(self, tmp_path):
         (tmp_path / "abc.json").mkdir()
         assert _cache_read(tmp_path, "abc") is None
@@ -209,6 +246,16 @@ class TestBounds:
         # with p = 1 the lemma4 exponent search of a scan would never end
         with pytest.raises(ConfigError, match="prime"):
             RunConfig(primes=(p,))
+
+    def test_repeated_prime_rejected(self, capsys):
+        # a repeated prime would repeat its lemma4 sweep report
+        with pytest.raises(ConfigError, match=r"primes must be distinct, got \[2, 3, 2\]"):
+            RunConfig(primes=(2, 3, 2))
+        argv = ["scan", "--max-order", "8", "--prime", "2", "--prime", "2", "--check", "lemma4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: primes must be distinct, got [2, 2]\n"
+        assert captured.out == ""
 
     def test_analyze_negative_budget_rejected(self, capsys):
         # the same message and exit code as scan, before any check runs

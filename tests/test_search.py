@@ -149,7 +149,7 @@ def test_basis_homs_match_the_searches(recorded):
             for target in _central_subgroups(g):
                 built = automorphisms._ab_homs(g, target, None)
                 assert not built.flags.writeable
-                assert built.dtype == automorphisms._index_dtype(len(target)), g.name
+                assert built.dtype == np.min_scalar_type(len(target) - 1), g.name
                 searched = enumerate_homs(ab, target.as_group())
                 assert [tuple(t) for t in built.tolist()] == searched, g.name
     _assert_same(recorded)
