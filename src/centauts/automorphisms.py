@@ -36,7 +36,7 @@ from .errors import (
     NotPurelyNonabelian,
     SizeLimitExceeded,
 )
-from .groups import Group, Subgroup, is_prime
+from .groups import Group, Subgroup, _order_prime, is_prime
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -322,6 +322,19 @@ def _orders_modulo(powers: np.ndarray, in_span: np.ndarray) -> np.ndarray:
     return np.argmax(in_span[powers], axis=0) + 1
 
 
+def _power_table(ab: Group) -> np.ndarray:
+    """The read-only ``exp x n`` array of an abelian group's powers,
+    ``powers[k - 1, x] = x^k`` for k up to the exponent; cached on the group."""
+
+    def compute():
+        powers = [np.arange(ab.n)]
+        for _ in range(ab.exponent() - 1):
+            powers.append(ab.mul[powers[-1], powers[0]])
+        return _readonly(np.stack(powers))
+
+    return ab._cached("powers", compute)
+
+
 def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
     """A basis b_1..b_r of a finite abelian group and every element's coordinates.
 
@@ -344,10 +357,7 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
     def compute():
         mul = ab.mul
         orders = np.asarray(ab.element_orders())
-        powers = [np.arange(ab.n)]
-        for _ in range(ab.exponent() - 1):
-            powers.append(mul[powers[-1], powers[0]])
-        powers = np.stack(powers)
+        powers = _power_table(ab)
         span = np.array([ab.identity])  # elements in coordinate order
         coords = np.zeros((1, 0), dtype=np.int64)
         basis: list[int] = []
@@ -525,51 +535,39 @@ def alpha_from_f(group: Group, f: Sequence[int]) -> Automorphism | None:
     return Automorphism(group, tuple(images[0].tolist()))
 
 
-def abelian_factor_split(
-    group: Group, budget: int | None = None
-) -> tuple[Subgroup, Subgroup] | None:
-    """A decomposition G = H x A with A abelian non-trivial, or None.
+def _factor_element(group: Group) -> int | None:
+    """The least a in Z(G) that generates a direct factor of G, or None.
 
-    An abelian direct factor is central, so G = H x A holds exactly when the
-    projection onto A is an idempotent non-zero f in Hom(G, Z(G)) with
-    H = ker f and A = im f.  The splits are read off :func:`_ab_homs` at
-    G^ab width, whose budget applies on every call: with f = F o pi and
-    c = pi o iota the map of Z(G) into G^ab, f is idempotent iff
-    F(c(F(y))) = F(y) for y in the basis of :func:`_abelian_basis`, as both
-    sides are homomorphisms of G^ab.  The one split least by
-    (|A|, A.members, H.members) is returned; the group caches its member
-    tuples, and each call builds the two subgroups from them.  The tests
-    compare it with the same reading of the value tables on G and with a
-    walk over pairs of normal subgroups.
+    An a != 1 qualifies when its order is a prime power q^k, pi(a) has order
+    q^k in G^ab too, and pi(a)^(q^(k-1)) lies outside (G^ab)^(q^k), read off
+    :func:`_power_table`.  Then <pi(a)> is a pure cyclic subgroup of G^ab,
+    hence a direct summand; a retraction of G^ab onto it, composed with pi
+    and pi(a) -> a, is a retraction of G onto the central <a>, so
+    G = ker x <a>.  Conversely a cyclic factor of prime-power order q^k of
+    an abelian direct factor A has a projection through G^ab = H^ab x A, so
+    its generator qualifies.  No Hom set is built.
     """
-    center = group.center()
-    tables = _ab_homs(group, center, budget)
-
-    def compute():
-        projection = group.abelianization().projection
-        zero = center.members.index(group.identity)
-        basis, _ = _abelian_basis(group.abelianization().target)
-        at_basis = tables[:, basis]  # F(b), as indices into Z
-        through = tables[:, projection[list(center.members)]]  # F o c
-        idempotent = (np.take_along_axis(through, at_basis, axis=1) == at_basis).all(axis=1)
-        nonzero = (at_basis != zero).any(axis=1)
-        splits = []
-        for row in tables[idempotent & nonzero].tolist():
-            image = tuple(center.members[v] for v in sorted(set(row)))
-            kernel = tuple(np.flatnonzero(np.asarray(row)[projection] == zero).tolist())
-            splits.append((len(image), image, kernel))
-        if not splits:
-            return None
-        _, image, kernel = min(splits)
-        return group.subgroup(kernel)._data(), group.subgroup(image)._data()
-
-    split = group._cached("abelian_factor_split", compute)
-    return None if split is None else tuple(Subgroup._of(group, *data) for data in split)
+    ab = group.abelianization()
+    powers = _power_table(ab.target)
+    orders, ab_orders = group.element_orders(), ab.target.element_orders()
+    for a in group.center().members:
+        m, c = orders[a], int(ab.projection[a])
+        q = _order_prime(m)
+        if q is not None and ab_orders[c] == m and powers[m // q - 1, c] not in powers[m - 1]:
+            return a
+    return None
 
 
-def is_purely_nonabelian(group: Group, budget: int | None = None) -> bool:
-    """True iff the group has no non-trivial abelian direct factor."""
-    return abelian_factor_split(group, budget) is None
+def is_purely_nonabelian(group: Group) -> bool:
+    """True iff the group has no non-trivial abelian direct factor.
+
+    A non-trivial abelian direct factor has a cyclic one of prime-power
+    order, so this holds iff no central element qualifies for
+    :func:`_factor_element`; it reads Z(G), the projection and the powers of
+    G^ab only.  The tests compare it with the idempotent rows of Hom(G, Z(G))
+    and with a walk over pairs of normal subgroups.
+    """
+    return _factor_element(group) is None
 
 
 @dataclass(frozen=True)
@@ -646,10 +644,11 @@ class Lemma0aReport:
 def verify_lemma0a(group: Group, budget: int | None = None) -> Lemma0aReport:
     """For purely non-abelian groups, |Autcent(G)| must equal |Hom(G/[G,G], Z(G))|.
 
-    A non-trivial abelian group is its own abelian direct factor, so it
-    raises :class:`NotPurelyNonabelian` before any search.
+    Purity reads no Hom row, so a group with an abelian direct factor (a
+    non-trivial abelian group included) raises :class:`NotPurelyNonabelian`
+    at any budget.
     """
-    if group.n > 1 and group.is_abelian() or not is_purely_nonabelian(group, budget):
+    if not is_purely_nonabelian(group):
         raise NotPurelyNonabelian(f"{group.name} has a non-trivial abelian direct factor")
     order = autcent_order(group, budget)
     homs = _hom_count(group.abelianization().target, group.center().as_group())

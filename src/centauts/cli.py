@@ -67,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    if args.budget < 0:
-        raise ConfigError(f"budget must be non-negative, got {args.budget}")
     entries = catalog()
     if args.group in entries:
         group = entries[args.group]()

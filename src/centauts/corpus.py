@@ -545,11 +545,14 @@ def analyze_group(group: Group, checks: Sequence[str], budget: int | None = None
     the non-abelian statements) are recorded as not-applicable; any other
     library error in a check (a budget or size blowup, a failed internal
     cross-check) is captured as that check's error verdict instead of
-    propagating.
+    propagating.  An unknown check or a negative budget raises
+    :class:`ConfigError` before any check runs.
     """
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown check {unknown[0]!r}")
+    if budget is not None and budget < 0:
+        raise ConfigError(f"budget must be non-negative, got {budget}")
     try:
         klass = group.nilpotency_class()
     except NotNilpotent:

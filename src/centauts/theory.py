@@ -20,7 +20,6 @@ from .abelian import (
 )
 from .automorphisms import (
     AutSet,
-    abelian_factor_split,
     alpha_from_f,
     aut_fixing_quotient,
     autcent_order,
@@ -28,9 +27,8 @@ from .automorphisms import (
     inner_automorphisms,
     is_central_automorphism,
     is_purely_nonabelian,
-    minimal_generating_set,
-    _ab_homs,
-    _pull_back,
+    _abelian_basis,
+    _factor_element,
 )
 from .errors import InternalDisagreement, WrongClass
 from .groups import Group
@@ -261,8 +259,9 @@ class PurelyNonabelianReport:
     """Necessity check: Autcent = Aut^Z_Z forces no abelian direct factor.
 
     When the group does split off an abelian factor, a witness central
-    automorphism moving a central element is constructed from an order-p
-    element of Z(H) inside the Frattini subgroup and validated.
+    automorphism moving a central element is built from an order-p element
+    of Z(G) inside the Frattini subgroup (:func:`build_factor_witness`) and
+    validated.
     """
 
     sets_equal: bool
@@ -293,69 +292,50 @@ class PurelyNonabelianReport:
         return ok
 
 
-def _witness_generators(group: Group, budget: int | None) -> tuple[int, list[int]]:
-    """The order-p element z of the lemma 3 witness and the generators it is
-    assigned to, for a group with an abelian direct factor G = H x A.
+def build_factor_witness(group: Group) -> tuple[int, tuple[int, ...]]:
+    """The witness data for a p-group with an abelian direct factor.
 
-    z is the least order-p element of Z(H) inside the Frattini subgroup; the
-    generators are a minimal generating set of H followed by one of A.
+    With a the least central element of :func:`_factor_element`, whose
+    <a> is a direct factor, z the least order-p element of Z(G) inside the
+    Frattini subgroup, and c_i the first coordinate of the basis of G^ab
+    (:func:`_abelian_basis`) that is non-zero mod p at pi(a) (one is, as
+    pi(a) lies outside (G^ab)^p), returns z and the value table of
+    f = z^lambda with lambda = c_i o pi * c_i(pi(a))^-1 mod p.  So f is a
+    homomorphism into the central <z> with f(a) = z, and f(z) = 1 since
+    pi(z) lies in the Frattini subgroup of G^ab, (G^ab)^p: x -> x f(x) is a
+    central automorphism moving a.  No Hom row is read; the caller
+    validates f.
     """
-    split = abelian_factor_split(group, budget)
-    if split is None:
+    a = _factor_element(group)
+    if a is None:
         raise InternalDisagreement(f"{group.name} has no abelian direct factor")
-    h_sub, a_sub = split
     p = group.prime()
-
-    h_group = h_sub.as_group()
-    h_center = {h_sub.members[i] for i in h_group.center().members}
-    frattini = group.frattini_subgroup().member_set
     orders = group.element_orders()
-    pool = sorted(h_center & frattini)
-    candidates = [z for z in pool if orders[z] == p]
-    if not candidates:
+    frattini = group.frattini_subgroup().member_set
+    z = next((u for u in group.center().members if orders[u] == p and u in frattini), None)
+    if z is None:
         raise InternalDisagreement(
-            f"no order-{p} element of Z(H) lies in the Frattini subgroup of {group.name}"
+            f"no order-{p} element of Z(G) lies in the Frattini subgroup of {group.name}"
         )
-
-    gens_h = [h_sub.members[i] for i in minimal_generating_set(h_group)]
-    a_group = a_sub.as_group()
-    gens_a = [a_sub.members[i] for i in minimal_generating_set(a_group)]
-    return candidates[0], gens_h + gens_a
-
-
-def build_factor_witness(group: Group, budget: int | None = None) -> tuple[int, tuple[int, ...]]:
-    """The witness data for a group with an abelian direct factor.
-
-    Splits G = H x A, picks an order-p element z of Z(H) inside the Frattini
-    subgroup, and returns z together with the value table of the homomorphism
-    f sending every member of a minimal generating set (generators of H
-    followed by those of A) to z.  Such an f maps into the central <z>, so
-    it is the row F of Hom(G/[G,G], Z(G)) (:func:`_ab_homs`, already made for
-    the split) with F(pi(g)) = z at every generator g, pulled back to G; the
-    row is looked up, not checked again.  The induced map x -> x*f(x) is
-    then a central automorphism moving the central generators of A.  The
-    budget bounds the Hom set behind :func:`abelian_factor_split`.
-    """
-    z, gens = _witness_generators(group, budget)
-    center = group.center()
-    tables = _ab_homs(group, center, budget)
-    at_gens = tables[:, group.abelianization().projection[gens]]
-    rows = np.flatnonzero((at_gens == center.members.index(z)).all(axis=1))
-    if not len(rows):
-        raise InternalDisagreement(
-            f"generator assignment on {group.name} does not extend to a homomorphism"
-        )
-    if len(group.closure(gens)) != group.n:
-        raise InternalDisagreement(f"generators do not generate {group.name}")
-    return z, tuple(_pull_back(group, center, tables[rows[:1]])[0].tolist())
+    ab = group.abelianization()
+    coords = _abelian_basis(ab.target)[1][ab.projection]  # c(pi(x)) for every x
+    i = np.flatnonzero(coords[a] % p)[0]
+    powers = [group.identity]  # z^j, 0 <= j < p
+    for _ in range(p - 1):
+        powers.append(int(group.mul[powers[-1], z]))
+    exponents = coords[:, i] * pow(int(coords[a, i]), -1, p) % p
+    return z, tuple(np.asarray(powers)[exponents].tolist())
 
 
 def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianReport:
     """Exercise both directions of the purely-non-abelian necessity.
 
     Applies to non-abelian p-groups.  If the central automorphisms all fix
-    the center pointwise, the group must be purely non-abelian; when an
-    abelian factor exists the constructed witness must be a central
+    the center pointwise, the group must be purely non-abelian.  Purity
+    (:func:`is_purely_nonabelian`) reads no Hom row, so it shares nothing
+    with the set equality, which the central pass decides.  When an abelian
+    factor exists, the witness f of :func:`build_factor_witness` must be a
+    homomorphism, tested on all pairs, and x -> x f(x) a bijective central
     automorphism that moves a central element (so the two sets differ).
     """
     group.prime()  # NotPGroup unless a p-group
@@ -364,12 +344,13 @@ def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianRe
             f"{group.name} is abelian; the necessity statement concerns non-abelian groups"
         )
     sets_equal = _equals_autcent(group, center_fixing_autcent(group, budget), budget)
-    purely = is_purely_nonabelian(group, budget)
-    if purely:
+    if is_purely_nonabelian(group):
         return PurelyNonabelianReport(sets_equal=sets_equal, purely_nonabelian=True)
 
-    _, f = build_factor_witness(group, budget)
-    aut = alpha_from_f(group, f)
+    _, f = build_factor_witness(group)
+    mul, f = group.mul, np.asarray(f)
+    homomorphism = np.array_equal(f[mul], mul[f[:, None], f[None, :]])
+    aut = alpha_from_f(group, f) if homomorphism else None
     witness_images = aut.images if aut is not None else None
     is_central = aut is not None and is_central_automorphism(group, aut)
     center = group.center().members

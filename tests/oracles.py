@@ -12,13 +12,17 @@ used before its right-multiplication closure, kept as that search's reference.
 :func:`json_cache_key` is the scan's cache key before it hashed table bytes,
 kept so the digest of every catalog table it pins keeps its value.
 :func:`g_row_abelian_factor_split` is the abelian-factor split the library
-read off value tables on G before it read them at the abelianization's
-width, and :func:`pairwise_product` and :func:`stem_named` are the group-file
-parser's product fold and file naming before each built its table once; all
-three are kept as references of the code that replaced them.
+read off the idempotent rows of Hom(G, Z(G)) on G, before it read them at
+the abelianization's width and then decided purity from a pure cyclic
+central element with no Hom row; it is kept as the reference of that purity
+test.  :func:`pairwise_product` and :func:`stem_named` are the group-file
+parser's product fold and file naming before each built its table once,
+kept as references of the code that replaced them.
 :func:`extend_generator_map` is the generator-image extension the lemma 3
-witness used before it looked its table up among the central Homs, kept as
-the reference of that lookup; it runs the library's array search.
+witness used before it looked its table up among the central Homs, and
+then built it from a basis coordinate of G^ab; it is kept as the reference
+of that witness, which must equal the extension of its own values at a
+minimal generating set.  It runs the library's array search.
 :func:`types_up_to` is the recursive partition generator the lemma 4 sweep
 read its types from before it built their exponent rows as one array, kept
 as the reference of that array's rows and their order.

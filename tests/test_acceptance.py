@@ -11,7 +11,6 @@ import time
 from centauts import (
     AutSet,
     RunConfig,
-    abelian_factor_split,
     all_automorphisms,
     alpha_from_f,
     autcent,
@@ -37,6 +36,7 @@ from oracles import (
     brute_force_hom_count,
     central_pass_matches_full_width,
     dfs_search_maps,
+    g_row_abelian_factor_split,
     is_abelian_subgroup,
     naive_generating_set,
     order_census_hom_count,
@@ -214,12 +214,14 @@ def test_criterion_5_hom_growth_sweep():
 
 
 def test_criterion_6_abelian_factor_necessity(corpus, nonabelian_corpus):
-    # the Hom-list split against the walk over pairs of normal subgroups
-    split_mismatches = [
-        g.name
-        for g in corpus
-        if abelian_factor_split(g) != _abelian_factor_split_by_normal_pairs(g)
-    ]
+    # purity, and the split read off the idempotent Hom rows on G, against
+    # the walk over pairs of normal subgroups
+    split_mismatches = []
+    for g in corpus:
+        walk = _abelian_factor_split_by_normal_pairs(g)
+        rows = g_row_abelian_factor_split(g, homs_to_central_subgroup(g, g.center()))
+        if is_purely_nonabelian(g) != (walk is None) or rows != walk:
+            split_mismatches.append(g.name)
     equal_but_splitting = []
     witness_failures = []
     splits = 0
@@ -245,7 +247,8 @@ def test_criterion_6_abelian_factor_necessity(corpus, nonabelian_corpus):
         f"{len(nonabelian_corpus)} groups, {splits} with an abelian factor, "
         f"{len(equal_but_splitting)} necessity violations, "
         f"{len(witness_failures)} witness failures; "
-        f"{len(split_mismatches)} of {len(corpus)} splits differ from the normal-pair walk",
+        f"{len(split_mismatches)} of {len(corpus)} purity tests or row splits differ "
+        f"from the normal-pair walk",
     )
 
 

@@ -6,7 +6,6 @@ from centauts import (
     AutSet,
     all_automorphisms,
     alpha_from_f,
-    abelian_factor_split,
     aut_fixing_quotient,
     aut_fixing_subgroup,
     autcent,
@@ -25,7 +24,7 @@ from centauts import (
     verify_lemma0,
     verify_lemma0a,
 )
-from centauts.automorphisms import Automorphism
+from centauts.automorphisms import Automorphism, _factor_element
 from centauts.oracle import _generator_chain, _search_generating_set
 from centauts.corpus import (
     abelian_group,
@@ -531,15 +530,21 @@ class TestPurelyNonabelian:
         assert is_purely_nonabelian(dihedral_group(4))
 
     def test_d8xc2_is_not_and_split_is_valid(self):
+        # the central element that rules purity out generates a direct
+        # factor: a normal subgroup of the complementary order meets it
+        # trivially and commutes with it
         g = direct_product(dihedral_group(4), cyclic_group(2))
         assert not is_purely_nonabelian(g)
-        h_sub, a_sub = abelian_factor_split(g)
-        assert len(h_sub) * len(a_sub) == g.n
-        assert is_abelian_subgroup(a_sub) and len(a_sub) > 1
-        assert h_sub.member_set & a_sub.member_set == {g.identity}
+        a = _factor_element(g)
+        a_sub = g.subgroup(g.closure([a]))
+        assert a in g.center() and is_abelian_subgroup(a_sub) and len(a_sub) > 1
+        h_sub = next(
+            h for h in g.normal_subgroups()
+            if len(h) * len(a_sub) == g.n and h.member_set & a_sub.member_set == {g.identity}
+        )
         rows = g.mul_rows()
         assert all(
-            rows[h][a] == rows[a][h] for h in h_sub.members for a in a_sub.members
+            rows[h][x] == rows[x][h] for h in h_sub.members for x in a_sub.members
         )
 
 

@@ -2,9 +2,11 @@
 
 The checks read |Autcent(G)|, the accepted mask and Aut^Z_Z(G) from one
 pass over Hom(G/[G,G], Z(G)) (``autcent_order``, ``center_fixing_autcent``,
-the lemma 0 count) and the abelian-factor split at the abelianization's
-width; :func:`autcent` materializes every central automorphism and is their
-oracle here, on every catalog group and on three seeded relabellings of each.
+the lemma 0 count); :func:`autcent` materializes every central automorphism
+and is their oracle here, on every catalog group and on three seeded
+relabellings of each.  Purity and the lemma 3 witness read no Hom row; they
+are compared here with the idempotent rows of Hom(G, Z(G)) on G, and built
+with every Hom build raising.
 The pass reads Hom(G^ab, Z) at the prime-order columns of Z alone; its mask
 and Aut^Z_Z images are compared here with full-width bijectivity of
 x -> x f(x), on every catalog group and two relabellings of each.
@@ -22,7 +24,6 @@ import centauts.theory as theory
 from centauts import (
     AutSet,
     Automorphism,
-    abelian_factor_split,
     abelian_group,
     all_automorphisms,
     aut_fixing_quotient,
@@ -30,13 +31,22 @@ from centauts import (
     autcent,
     autcent_order,
     center_fixing_autcent,
+    direct_product,
     from_cayley_table,
     homs_to_central_subgroup,
+    is_purely_nonabelian,
     verify_corollary1,
     verify_lemma0,
     verify_theorem,
 )
-from centauts.corpus import PER_GROUP_CHECKS, analyze_group, catalog, catalog_group
+from centauts.corpus import (
+    PER_GROUP_CHECKS,
+    analyze_group,
+    catalog,
+    catalog_group,
+    cyclic_group,
+    dicyclic_group,
+)
 from centauts.errors import BudgetExceeded, InternalDisagreement
 from oracles import (
     central_pass_matches_full_width,
@@ -88,13 +98,62 @@ def test_lemma0_count_is_the_quotient_filter_over_autcent(subjects):
 def test_abelianization_width_split_matches_the_value_table_split(subjects):
     found = 0
     for g in subjects:
-        split = abelian_factor_split(g)
         expected = g_row_abelian_factor_split(g, homs_to_central_subgroup(g, g.center()))
-        assert (split is None) == (expected is None), g.name
-        if split is not None:
-            found += 1
-            assert [s.members for s in split] == [s.members for s in expected], g.name
+        assert is_purely_nonabelian(g) == (expected is None), g.name
+        found += expected is not None
     assert found > len(subjects) // 2  # both outcomes occur
+
+
+def _purity_subjects(groups):
+    """The catalog and seven products around it, each with two relabellings."""
+    d8, q8 = groups["D8"], groups["Q8"]
+    products = [
+        direct_product(d8, abelian_group([2, 2, 2])),
+        direct_product(q8, abelian_group([2, 2, 2])),
+        direct_product(groups["Heis3"], abelian_group([3, 3])),
+        direct_product(d8, abelian_group([4, 2])),
+        direct_product(d8, cyclic_group(3)),
+        direct_product(q8, cyclic_group(3)),
+        direct_product(dicyclic_group(3), q8),
+    ]
+    return [
+        g for base in (*groups.values(), *products)
+        for g in (base, relabelled_group(base, 1), relabelled_group(base, 2))
+    ]
+
+
+def _has_no_row_split(group):
+    """Whether no idempotent row of Hom(G, Z(G)) splits G, read on a copy of
+    the group so that the Hom rows it caches (2^20 on D8xC2^3) are freed."""
+    copy = from_cayley_table(group.mul.tolist(), name=group.name)
+    return g_row_abelian_factor_split(copy, homs_to_central_subgroup(copy, copy.center())) is None
+
+
+def test_purity_and_the_lemma3_witness_build_no_hom_set(groups, monkeypatch):
+    # purity against the idempotent rows on G, computed first; then every Hom
+    # build raises, and each witness is checked on its value table alone
+    subjects = _purity_subjects(groups)
+    assert len(subjects) == 168
+    expected = [_has_no_row_split(g) for g in subjects]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("purity or the lemma 3 witness built a Hom set")
+
+    monkeypatch.setattr(automorphisms, "_ab_homs", refuse)
+    monkeypatch.setattr(automorphisms, "_basis_homs", refuse)
+    assert [is_purely_nonabelian(g) for g in subjects] == expected
+    witnessed = 0
+    for g, purely in zip(subjects, expected):
+        if purely or g.is_abelian() or g.p_group_prime() is None:
+            continue
+        z, f = theory.build_factor_witness(g)
+        rows, e, center = g.mul_rows(), g.identity, set(g.center().members)
+        assert all(f[rows[x][y]] == rows[f[x]][f[y]] for x in range(g.n) for y in range(g.n))
+        assert len({rows[x][f[x]] for x in range(g.n)}) == g.n, g.name  # x -> x f(x) bijective
+        assert set(f) <= center and z in f, g.name  # central, and not zero
+        assert any(f[u] != e for u in center), g.name  # moves a central element
+        witnessed += 1
+    assert witnessed == 3 * (13 + 4)
 
 
 def test_pull_back_keeps_rows_sorted_and_distinct(subjects):

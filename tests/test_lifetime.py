@@ -11,7 +11,6 @@ import random
 from collections import Counter
 
 from centauts import (
-    abelian_factor_split,
     all_automorphisms,
     autcent,
     from_cayley_table,
@@ -28,6 +27,7 @@ from centauts.corpus import (
 )
 from centauts.errors import CentautsError
 from centauts.groups import Group, QuotientMap, Subgroup
+from centauts.theory import build_factor_witness
 from oracles import relabel
 
 DERIVED = (Group, Subgroup, QuotientMap, AutSet, Automorphism)
@@ -61,7 +61,7 @@ def test_as_group_is_one_group_per_subgroup():
 def _exercise(group: Group) -> None:
     analyze_group(group, CHECK_NAMES)
     if group.n <= 32:
-        for derive in (autcent, abelian_factor_split, all_automorphisms):
+        for derive in (autcent, build_factor_witness, all_automorphisms):
             try:
                 derive(group)
             except CentautsError:

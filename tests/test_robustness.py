@@ -6,7 +6,6 @@ import pytest
 
 from centauts import (
     RunConfig,
-    abelian_factor_split,
     all_automorphisms,
     autcent,
     emit_report,
@@ -143,13 +142,9 @@ def homs_to_center(group, budget=None):
     return homs_to_central_subgroup(group, group.center(), budget)
 
 
-def abelian_split(group, budget=None):
-    return abelian_factor_split(group, budget) or ()
-
-
 class TestBudgetOnCachedSearch:
     @pytest.mark.parametrize(
-        "search", [all_automorphisms, autcent, homs_to_center, abelian_split]
+        "search", [all_automorphisms, autcent, homs_to_center]
     )
     @pytest.mark.parametrize("name", ["D8", "Q8"])
     def test_cached_result_obeys_budget_like_a_fresh_search(self, name, search):
@@ -174,12 +169,21 @@ class TestBudgetOnCachedSearch:
         g = from_cayley_table([[0]])
         assert len(all_automorphisms(g, budget=-1)) == 1
 
-    def test_purity_obeys_the_budget(self):
-        # deciding that D8xC2 has an abelian factor needs its Hom search, so a
-        # budget below that search makes lemma0a an error, not not-applicable
+    def test_purity_needs_no_hom_build(self, monkeypatch):
+        # D8xC2's abelian factor is read off Z, the projection and the powers
+        # of G^ab, so lemma0a reads not-applicable at any budget, with the
+        # Hom build and the search raising
+        def refuse(*args, **kwargs):
+            raise AssertionError("lemma0a built a Hom set")
+
+        monkeypatch.setattr(oracle, "_search_maps", refuse)
+        monkeypatch.setattr(automorphisms, "_basis_homs", refuse)
         g = catalog_group("D8xC2")
-        assert analyze_group(g, ("lemma0a",), 0).lemma_checks == {"lemma0a": "error"}
-        assert analyze_group(g, ("lemma0a",)).lemma_checks == {"lemma0a": "not-applicable"}
+        for budget in (0, None):
+            assert analyze_group(g, ("lemma0a",), budget).lemma_checks == {
+                "lemma0a": "not-applicable"
+            }
+        assert main(["analyze", "D8xC2", "--check", "lemma0a", "--budget", "0"]) == 0
 
     def test_abelian_groups_are_not_applicable_before_any_search(self, monkeypatch):
         # a non-trivial abelian group is its own abelian direct factor, so
@@ -265,6 +269,15 @@ class TestBounds:
         assert captured.out == ""
         assert main(["scan", "--max-order", "8", "--budget", "-5"]) == 2
         assert capsys.readouterr().err == captured.err
+
+    def test_analyze_group_rejects_a_negative_budget(self):
+        # the library entry point checks the budget as RunConfig and the CLI
+        # do, rather than reading it as an error verdict of every check
+        with pytest.raises(ConfigError, match="budget must be non-negative, got -1"):
+            analyze_group(catalog_group("D8"), ("theorem", "lemma0a"), -1)
+        assert analyze_group(catalog_group("D8"), ("lemma0a",), 0).lemma_checks == {
+            "lemma0a": "error"
+        }
 
     def test_sweep_non_prime_rejected(self, capsys):
         assert main(["sweep-lemma4", "--prime", "4", "--max-exp", "2"]) == 2

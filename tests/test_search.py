@@ -9,9 +9,10 @@ automorphism groups and generator extensions is recorded and replayed
 through both, which must return the same tables in the same order, the
 same attempt count and, at a budget one below that count, the same error.
 The checks search nothing: central Homs are built from a basis, which is
-compared with both searches, and the lemma 3 witness is looked up in them
-and compared with the generator extension it replaced.  No check calls any
-function of ``centauts.oracle``, the search's module, at all.
+compared with both searches, and the lemma 3 witness, built from a basis
+coordinate, is compared with the generator extension of its values.  No
+check calls any function of ``centauts.oracle``, the search's module, at
+all.
 """
 
 import inspect
@@ -38,7 +39,7 @@ from centauts.corpus import (
     scan_corpus,
 )
 from centauts.errors import BudgetExceeded, InternalDisagreement
-from centauts.theory import build_factor_witness
+from centauts.theory import build_factor_witness, verify_lemma3
 
 from oracles import dfs_search_maps, extend_generator_map, relabelled_group
 
@@ -221,11 +222,11 @@ def test_generator_extensions_match_dfs(recorded):
     for name, make in catalog().items():
         group = make()
         if not group.is_abelian() and group.p_group_prime() is not None:
-            if automorphisms.abelian_factor_split(group) is not None:
-                # the looked-up witness is the generator extension it replaced
-                z, gens = theory._witness_generators(group, None)
-                expected = extend_generator_map(group, gens, [z] * len(gens))
-                assert build_factor_witness(group) == (z, expected), name
+            if not automorphisms.is_purely_nonabelian(group):
+                # the witness is the extension of its values at the generators
+                z, f = build_factor_witness(group)
+                gens = list(automorphisms.minimal_generating_set(group))
+                assert extend_generator_map(group, gens, [f[w] for w in gens]) == f, name
                 witnessed += 1
     assert witnessed == 13
     d8 = dihedral_group(4, name="D8")
@@ -245,19 +246,22 @@ def test_generator_extensions_match_dfs(recorded):
     _assert_same_budget_edge(extensions)
 
 
-def test_witness_lookup_reports_a_bad_assignment(monkeypatch):
+def test_lemma3_reports_a_bad_witness(monkeypatch):
+    # the witness is validated, not trusted.  Multiplying f by z at x and at
+    # xz, x outside the center, swaps the images of x -> x f(x) there: still
+    # bijective, central and moving a central element, but f is no longer a
+    # homomorphism.  The zero homomorphism moves nothing.
     g = catalog_group("D8xC4")
-    z, gens = theory._witness_generators(g, None)
-    orders = g.element_orders()
-    # a central z of order 4 at a generator of order 2: no homomorphism
-    z4 = next(x for x in g.center().members if orders[x] == 4)
-    monkeypatch.setattr(theory, "_witness_generators", lambda group, budget: (z4, gens))
-    with pytest.raises(InternalDisagreement, match="does not extend to a homomorphism"):
-        build_factor_witness(g)
-    # without its last generator the rest does not generate G
-    monkeypatch.setattr(theory, "_witness_generators", lambda group, budget: (z, gens[:-1]))
-    with pytest.raises(InternalDisagreement, match="generators do not generate"):
-        build_factor_witness(g)
+    z, f = build_factor_witness(g)
+    assert verify_lemma3(g).agree
+    x = next(x for x in range(g.n) if x not in g.center())
+    swapped = list(f)
+    for y in (x, int(g.mul[x, z])):
+        swapped[y] = int(g.mul[f[y], z])
+    for bad in (tuple(swapped), (g.identity,) * g.n):
+        monkeypatch.setattr(theory, "build_factor_witness", lambda group, bad=bad: (z, bad))
+        rep = verify_lemma3(g)
+        assert not rep.witness_valid and not rep.agree
 
 
 class TestOrder256:
