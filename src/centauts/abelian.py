@@ -63,6 +63,8 @@ def invariants(group: Group, p: int | None = None) -> AbelianType:
 
     The count of elements x with ``x**(p**i) = 1`` equals ``p**sum_j(min(a_j, i))``,
     so the exponent vector is the conjugate of the successive log differences.
+    The count is the identity entries of row ``p**i`` of
+    :meth:`~centauts.groups.Group.powers`, for ``p**i`` up to the exponent.
     Cached on the group per resolved prime; a call that raises caches nothing.
     """
     if not group.is_abelian():
@@ -79,22 +81,17 @@ def invariants(group: Group, p: int | None = None) -> AbelianType:
 
 
 def _census_type(group: Group, p: int) -> AbelianType:
-    orders = group.element_orders()
-    log_orders = []
-    for o in orders:
-        e = 0
-        while o > 1:
-            if o % p:
-                raise NotPGroup(f"element of order {o} in a claimed {p}-group")
-            o //= p
-            e += 1
-        log_orders.append(e)
+    powers = group.powers()
+    exponent, levels = len(powers) - 1, [1]  # levels: p^i up to the exponent
+    while levels[-1] < exponent:
+        levels.append(levels[-1] * p)
+    if levels[-1] != exponent:
+        raise NotPGroup(f"{group.name} has exponent {exponent}, not a power of {p}")
 
-    max_e = max(log_orders, default=0)
     diffs = []
     prev = 0
-    for i in range(1, max_e + 1):
-        count = sum(1 for e in log_orders if e <= i)
+    for q in levels[1:]:
+        count = int(np.count_nonzero(powers[q] == group.identity))
         log_count, rest = 0, count
         while rest > 1 and rest % p == 0:
             rest //= p

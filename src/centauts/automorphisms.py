@@ -36,7 +36,7 @@ from .errors import (
     NotPurelyNonabelian,
     SizeLimitExceeded,
 )
-from .groups import Group, Subgroup, _order_prime, is_prime
+from .groups import Group, Subgroup, _order_prime, _readonly, is_prime
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -50,11 +50,6 @@ class Automorphism:
 
     def __repr__(self) -> str:
         return f"<Automorphism of {self.group.name} {self.images}>"
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def _canonical(tables: np.ndarray) -> np.ndarray:
@@ -317,22 +312,9 @@ def aut_fixing_quotient(group: Group, kernel: Subgroup, within: AutSet) -> AutSe
 
 def _orders_modulo(powers: np.ndarray, in_span: np.ndarray) -> np.ndarray:
     """The order of every element modulo a subgroup, given as a mask: the
-    least k >= 1 with x^k in it, read off ``powers[k - 1, x] = x^k`` for k up
-    to the exponent."""
-    return np.argmax(in_span[powers], axis=0) + 1
-
-
-def _power_table(ab: Group) -> np.ndarray:
-    """The read-only ``exp x n`` array of an abelian group's powers,
-    ``powers[k - 1, x] = x^k`` for k up to the exponent; cached on the group."""
-
-    def compute():
-        powers = [np.arange(ab.n)]
-        for _ in range(ab.exponent() - 1):
-            powers.append(ab.mul[powers[-1], powers[0]])
-        return _readonly(np.stack(powers))
-
-    return ab._cached("powers", compute)
+    least k >= 1 with x^k in it, read off the group's
+    :meth:`~centauts.groups.Group.powers`, ``powers[k, x] = x^k``."""
+    return np.argmax(in_span[powers[1:]], axis=0) + 1
 
 
 def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
@@ -357,7 +339,7 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
     def compute():
         mul = ab.mul
         orders = np.asarray(ab.element_orders())
-        powers = _power_table(ab)
+        powers = ab.powers()
         span = np.array([ab.identity])  # elements in coordinate order
         coords = np.zeros((1, 0), dtype=np.int64)
         basis: list[int] = []
@@ -371,7 +353,7 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
             if not len(lifts):
                 raise fail(f"the lift of an element of order {top} modulo the span")
             b = int(lifts.min())
-            cyclic = np.concatenate(([ab.identity], powers[: orders[b] - 1, b]))
+            cyclic = powers[: orders[b], b]
             grown = mul[span[:, None], cyclic[None, :]].ravel()
             if len(np.unique(grown)) != len(span) * orders[b]:
                 raise fail(f"basis element {b}, whose cyclic group meets the span")
@@ -412,26 +394,26 @@ def _basis_homs(ab: Group, target: Group, rows: int) -> np.ndarray:
 
     A homomorphism is free on the basis b_i of :func:`_abelian_basis`, with
     f(b_i) any element of the target whose order divides ord(b_i), and
-    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  ``rows`` is the
-    Hom order by type formula; the product of the candidate counts must
-    equal it (:class:`InternalDisagreement` otherwise) before any row is
-    allocated.  The basis is split in two halves of about equal row counts;
-    each row is the pointwise product of a row of each half's products, one
-    gather, in chunks of about :data:`_BUILD_CELLS` cells into one array
-    that is then canonicalized.  So the result is the array
+    f(g) = f(b_1)^c_1 ... f(b_r)^c_r on g's coordinates.  The values
+    y^c_i of every candidate y for f(b_i) are one gather from the target's
+    :meth:`~centauts.groups.Group.powers`, at rows c_i mod exp(target), as
+    y^c = y^(c mod exp).  ``rows`` is the Hom order by type formula; the
+    product of the candidate counts must equal it
+    (:class:`InternalDisagreement` otherwise) before any row is allocated.
+    The basis is split in two halves of about equal row counts; each row is
+    the pointwise product of a row of each half's products, one gather, in
+    chunks of about :data:`_BUILD_CELLS` cells into one array that is then
+    canonicalized.  So the result is the array
     :func:`~centauts.oracle._search_maps` returns: read-only, sorted, in the
     dtype of ``target.mul``.
     """
     basis, coords = _abelian_basis(ab)
-    tmul = target.mul
+    tmul, tpowers = target.mul, target.powers()
     aorders, torders = ab.element_orders(), np.asarray(target.element_orders())
     values = []  # values[i][j, g] = (j-th candidate image of b_i) ** coords[g, i]
     for i, b in enumerate(basis):
-        cand = np.flatnonzero(aorders[b] % torders == 0).astype(tmul.dtype)
-        powers = [np.full(len(cand), target.identity, dtype=tmul.dtype)]
-        for _ in range(aorders[b] - 1):
-            powers.append(tmul[powers[-1], cand])
-        values.append(np.stack(powers, axis=1)[:, coords[:, i]])
+        cand = np.flatnonzero(aorders[b] % torders == 0)
+        values.append(tpowers[coords[:, i] % (len(tpowers) - 1), cand[:, None]])
     sizes = [len(v) for v in values]
     if math.prod(sizes) != rows:
         raise InternalDisagreement(
@@ -540,20 +522,21 @@ def _factor_element(group: Group) -> int | None:
 
     An a != 1 qualifies when its order is a prime power q^k, pi(a) has order
     q^k in G^ab too, and pi(a)^(q^(k-1)) lies outside (G^ab)^(q^k), read off
-    :func:`_power_table`.  Then <pi(a)> is a pure cyclic subgroup of G^ab,
-    hence a direct summand; a retraction of G^ab onto it, composed with pi
-    and pi(a) -> a, is a retraction of G onto the central <a>, so
-    G = ker x <a>.  Conversely a cyclic factor of prime-power order q^k of
-    an abelian direct factor A has a projection through G^ab = H^ab x A, so
-    its generator qualifies.  No Hom set is built.
+    rows q^(k-1) and q^k of G^ab's :meth:`~centauts.groups.Group.powers`.
+    Then <pi(a)> is a pure cyclic subgroup of G^ab, hence a direct summand;
+    a retraction of G^ab onto it, composed with pi and pi(a) -> a, is a
+    retraction of G onto the central <a>, so G = ker x <a>.  Conversely a
+    cyclic factor of prime-power order q^k of an abelian direct factor A
+    has a projection through G^ab = H^ab x A, so its generator qualifies.
+    No Hom set is built.
     """
     ab = group.abelianization()
-    powers = _power_table(ab.target)
+    powers = ab.target.powers()
     orders, ab_orders = group.element_orders(), ab.target.element_orders()
     for a in group.center().members:
         m, c = orders[a], int(ab.projection[a])
         q = _order_prime(m)
-        if q is not None and ab_orders[c] == m and powers[m // q - 1, c] not in powers[m - 1]:
+        if q is not None and ab_orders[c] == m and powers[m // q, c] not in powers[m]:
             return a
     return None
 

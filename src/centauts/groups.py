@@ -145,6 +145,11 @@ def _coset_table(
     return reps, rank[rep_of], rank[rep_of[mul[np.ix_(reps, reps)]]]
 
 
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def is_prime(n: int) -> bool:
     """True iff ``n`` is a prime, by trial division."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
@@ -181,6 +186,12 @@ class Group:
     cap), the dtype of every table of element indices derived from them.
     Gathers through them keep that dtype; arithmetic on their entries must
     widen them first.
+
+    Every power of an element is read off one cached table,
+    :meth:`powers`: the element orders, the exponent, the p-th powers of
+    the Frattini subgroup, the order census of
+    :func:`~centauts.abelian.invariants`, the basis and Hom rows of
+    :mod:`~centauts.automorphisms` and the lemma 3 witness.
     """
 
     __slots__ = ("n", "mul", "identity", "inv", "name", "_cache")
@@ -231,11 +242,9 @@ class Group:
     def _init(self, mul: np.ndarray, identity: int, inv: np.ndarray, name: str) -> None:
         dtype = np.min_scalar_type(len(mul) - 1)  # the element-index dtype
         self.n = int(mul.shape[0])
-        self.mul = mul.astype(dtype)
+        self.mul = _readonly(mul.astype(dtype))
         self.identity = identity
-        self.inv = inv.astype(dtype)
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
+        self.inv = _readonly(inv.astype(dtype))
         self.name = name
         self._cache: dict = {}
 
@@ -277,21 +286,31 @@ class Group:
         """Multiplication table as nested lists (fast scalar indexing)."""
         return self._cached("mul_rows", lambda: self.mul.tolist())
 
-    def element_orders(self) -> tuple[int, ...]:
+    def powers(self) -> np.ndarray:
+        """The one power table: the read-only ``(e + 1) x n`` array with
+        ``powers[k, x] = x^k`` for ``0 <= k <= e``, e the exponent, the first
+        row after row 0 that is all identity.  Built by doubling,
+        ``x^(m+k) = x^k x^m``, one gather per doubling; :class:`NotAGroup`
+        if it grows past ``n + 1`` rows.  Cached."""
+
         def compute():
-            n = self.n
-            orders = np.zeros(n, dtype=np.int64)
-            cur = np.arange(n)
-            base = np.arange(n)
-            k = 1
-            while (orders == 0).any():
-                hits = (orders == 0) & (cur == self.identity)
-                orders[hits] = k
-                cur = self.mul[cur, base]
-                k += 1
-                if k > n + 1:
+            # rows x^0 and x^1, in the element-index dtype
+            table = np.stack([np.full_like(self.inv, self.identity), self.mul[self.identity]])
+            while True:
+                done = np.flatnonzero((table[1:] == self.identity).all(axis=1))
+                if done.size:
+                    return _readonly(table[: done[0] + 2])
+                if len(table) > self.n + 1:
                     raise NotAGroup("element order exceeds group order")
-            return tuple(int(o) for o in orders)
+                table = np.concatenate((table, self.mul[table[1:], table[-1]]))
+
+        return self._cached("powers", compute)
+
+    def element_orders(self) -> tuple[int, ...]:
+        """The least k >= 1 with x^k the identity, for every x, off :meth:`powers`."""
+
+        def compute():
+            return tuple((np.argmax(self.powers()[1:] == self.identity, axis=0) + 1).tolist())
 
         return self._cached("element_orders", compute)
 
@@ -299,7 +318,7 @@ class Group:
         return self._cached("is_abelian", lambda: bool(np.array_equal(self.mul, self.mul.T)))
 
     def exponent(self) -> int:
-        return self._cached("exponent", lambda: math.lcm(*self.element_orders()))
+        return len(self.powers()) - 1
 
     def p_group_prime(self) -> int | None:
         """The prime p with ``n = p**k``, or None (trivial group included)."""
@@ -405,11 +424,8 @@ class Group:
         def compute():
             if self.n == 1:
                 return self.trivial_subgroup()
-            p = self.prime()
-            cur = np.arange(self.n)
-            for _ in range(p - 1):
-                cur = self.mul[cur, np.arange(self.n)]
-            return self.subgroup_generated([*cur.tolist(), *self.commutator_subgroup().members])
+            p_th = self.powers()[self.prime()].tolist()
+            return self.subgroup_generated([*p_th, *self.commutator_subgroup().members])
 
         return self._cached_subgroup("frattini", compute)
 
@@ -611,7 +627,7 @@ class Subgroup:
 
         def compute():
             rows = parent.mul_rows()
-            orders = parent.element_orders()
+            orders, powers = parent.element_orders(), parent.powers()
             trivial = frozenset({parent.identity})
             found: dict[frozenset[int], list[int]] = {trivial: []}
             queue = [trivial]
@@ -635,13 +651,12 @@ class Subgroup:
                             )
                         found[closed] = gens
                         queue.append(closed)
-                    order, power = orders[g], g
-                    for k in range(1, order):
+                    order = orders[g]
+                    for k, power in enumerate(powers[1:order, g].tolist(), 1):
                         if math.gcd(k, order) == 1:
                             row = rows[power]
                             for h in base:
                                 skip[row[h]] = skip[rows[h][power]] = True
-                        power = rows[power][g]
             subs = [parent.subgroup(sorted(fs))._data() for fs in found]
             subs.sort(key=lambda data: (len(data[0]), data[0]))
             return tuple(subs)
@@ -670,10 +685,9 @@ class QuotientMap:
             raise NotAGroup("projection is not surjective onto the target")
         if not np.array_equal(parr[source.mul], target.mul[parr[:, None], parr[None, :]]):
             raise NotAGroup("projection is not a homomorphism")
-        parr.setflags(write=False)
         self.source = source
         self.target = target
-        self.projection = parr
+        self.projection = _readonly(parr)
 
     @classmethod
     def _of(cls, source: Group, target: Group, projection: np.ndarray) -> "QuotientMap":

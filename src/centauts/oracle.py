@@ -33,11 +33,10 @@ from .automorphisms import (
     _budget_exceeded,
     _canonical,
     _pull_back,
-    _readonly,
     minimal_generating_set,
 )
 from .errors import HypothesisViolated, NotCentral
-from .groups import Group, Subgroup
+from .groups import Group, Subgroup, _readonly
 
 
 def _search_generating_set(group: Group) -> tuple[int, ...]:

@@ -320,11 +320,8 @@ def build_factor_witness(group: Group) -> tuple[int, tuple[int, ...]]:
     ab = group.abelianization()
     coords = _abelian_basis(ab.target)[1][ab.projection]  # c(pi(x)) for every x
     i = np.flatnonzero(coords[a] % p)[0]
-    powers = [group.identity]  # z^j, 0 <= j < p
-    for _ in range(p - 1):
-        powers.append(int(group.mul[powers[-1], z]))
     exponents = coords[:, i] * pow(int(coords[a, i]), -1, p) % p
-    return z, tuple(np.asarray(powers)[exponents].tolist())
+    return z, tuple(group.powers()[exponents, z].tolist())
 
 
 def verify_lemma3(group: Group, budget: int | None = None) -> PurelyNonabelianReport:

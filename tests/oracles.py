@@ -32,6 +32,9 @@ closure's right multiplications, kept as the reference of that table.
 :func:`central_pass_matches_full_width` holds the bijectivity test the central
 pass made at the width of G before it read Z(G)'s prime-order columns alone,
 kept as the reference of that pass's mask and its Aut^Z_Z images.
+:func:`naive_powers` is the reference of ``Group.powers``: element orders by
+repeated multiplication, as the library counted them before it read them
+off one power table, and each power x^k a chain of k scalar products.
 """
 
 import hashlib
@@ -222,6 +225,16 @@ def naive_element_order(table, x):
         cur = table[cur][x]
         k += 1
     return k
+
+
+def naive_powers(table) -> list[list[int]]:
+    """Rows k = 0..e of x^k, e the lcm of the orders by repeated
+    multiplication, each x^k a product of k scalar steps from the identity."""
+    e = math.lcm(*(naive_element_order(table, x) for x in range(len(table))))
+    rows = [[identity_of(table)] * len(table)]
+    for _ in range(e):
+        rows.append([table[y][x] for x, y in enumerate(rows[-1])])
+    return rows
 
 
 def naive_closure(table, seed):

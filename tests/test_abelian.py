@@ -13,7 +13,7 @@ from centauts import (
     lemma4_compare,
 )
 from centauts import groups
-from centauts.abelian import _hom_count, _hom_exponent_table, _type_exponents
+from centauts.abelian import _census_type, _hom_count, _hom_exponent_table, _type_exponents
 from centauts.corpus import (
     abelian_group,
     catalog,
@@ -68,13 +68,15 @@ class TestInvariants:
         with pytest.raises(NotPGroup):
             invariants(cyclic_group(9), 2)
 
+    def test_census_rejects_an_exponent_not_a_power_of_p(self):
+        with pytest.raises(NotPGroup, match="has exponent 6, not a power of 2"):
+            _census_type(cyclic_group(6), 2)
+
     def test_cached_per_resolved_prime(self, monkeypatch):
         g = abelian_group([4, 2])
         reads = []
-        element_orders = groups.Group.element_orders
-        monkeypatch.setattr(
-            groups.Group, "element_orders", lambda self: reads.append(self) or element_orders(self)
-        )
+        powers = groups.Group.powers
+        monkeypatch.setattr(groups.Group, "powers", lambda self: reads.append(self) or powers(self))
         assert invariants(g) is invariants(g, 2) is invariants(g)
         assert reads == [g]
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -12,8 +13,9 @@ from centauts import (
     invariants,
     minimal_generating_set,
 )
-from centauts import groups
+from centauts import automorphisms, groups
 from centauts.corpus import (
+    CHECK_NAMES,
     PER_GROUP_CHECKS,
     abelian_group,
     analyze_group,
@@ -39,12 +41,15 @@ from oracles import (
     naive_associativity_failure,
     naive_center,
     naive_commutator_subgroup,
+    naive_element_order,
     naive_generating_set,
     naive_lower_central_series,
     naive_normal_subgroups,
+    naive_powers,
     naive_subgroups,
     product_closure_generators,
     relabel,
+    relabelled_group,
 )
 
 
@@ -580,6 +585,57 @@ class TestSeriesAndExponent:
         assert from_cayley_table([[0]]).exponent() == 1
         assert dicyclic_group(2).exponent() == 4
         assert abelian_group([2, 4]).exponent() == 4
+
+
+class TestPowerTable:
+    """Group.powers, the one table of successive powers, against scalar products."""
+
+    def test_matches_the_scalar_reference(self, groups):
+        checked = 0
+        for g in groups.values():
+            for h in (
+                g,
+                relabelled_group(g, 37),
+                g.abelianization().target,
+                g.center_quotient().target,
+                g.center().as_group(),
+            ):
+                table = h.mul.tolist()
+                orders = tuple(naive_element_order(table, x) for x in range(h.n))
+                powers = h.powers()
+                assert powers.tolist() == naive_powers(table), h.name
+                assert len(powers) - 1 == h.exponent() == math.lcm(*orders), h.name
+                assert h.element_orders() == orders, h.name
+                assert not powers.flags.writeable and h.powers() is powers, h.name
+                checked += 1
+        assert checked == 5 * len(groups)
+
+    def test_trivial_group(self):
+        assert from_cayley_table([[0]]).powers().tolist() == [[0], [0]]
+
+    def test_a_table_with_no_exponent_raises(self):
+        # 1 * 1 = 1: the powers of 1 never reach the identity 0
+        bad = Group._derived(np.array([[0, 1], [1, 1]]), 0, np.array([0, 1]), "bad")
+        with pytest.raises(NotAGroup, match="element order exceeds group order"):
+            bad.powers()
+
+    def test_each_group_builds_one_table(self, monkeypatch):
+        assert not hasattr(automorphisms, "_power_table")
+        built = []
+        powers = groups.Group.powers
+
+        def counting(self):
+            if "powers" not in self._cache:
+                built.append(self)
+            return powers(self)
+
+        monkeypatch.setattr(groups.Group, "powers", counting)
+        for make in catalog().values():
+            g = make()
+            if g.p_group_prime() is not None:
+                analyze_group(g, CHECK_NAMES)
+        assert built
+        assert all(sum(h is g for h in built) == 1 for g in built)
 
 
 class TestFrattini:
