@@ -36,7 +36,7 @@ from .errors import (
     NotPurelyNonabelian,
     SizeLimitExceeded,
 )
-from .groups import Group, Subgroup, _order_prime, _readonly, is_prime
+from .groups import Group, Subgroup, _distinct, _order_prime, _readonly, is_prime
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
@@ -58,8 +58,8 @@ def _canonical(tables: np.ndarray) -> np.ndarray:
     A writable C-ordered input is sorted in place, so the caller must not
     read it again; any other input is copied first.  A row's big-endian
     bytes compare as the row does lexicographically, so the rows are sorted
-    in place as opaque byte strings (several times faster than
-    ``np.unique(tables, axis=0)``), byte-swapped around the sort unless their
+    in place as opaque byte strings (several times faster than numpy's
+    row-wise ``unique``), byte-swapped around the sort unless their
     items are big-endian or single bytes.  Equal rows have equal bytes, so
     the sort need not be stable, and an adjacent compare drops repeats.
     """
@@ -325,12 +325,13 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
     order m.  With S a direct summand, G = S + T and x = t + s, t in T of
     the largest order m in T; so b = t + s' with ord(s') | m, <b> meets S
     trivially, and S + <b> = S + <t> is a summand, as a cyclic subgroup of
-    largest order is one of T.  Each step is checked, |<S, b>| = |S| ord(b),
-    and so is the end: the products b_1^c_1 ... b_r^c_r, 0 <= c_i < ord(b_i),
-    are every element once.  A failed check raises
-    :class:`InternalDisagreement`.  Returns the basis, in order of
-    non-increasing order, and the read-only ``n x r`` array whose row g
-    holds the exponents c_i of g; both are cached on the group.
+    largest order is one of T.  Each step is checked, |<S, b>| = |S| ord(b)
+    as the count of distinct products s b^c, s in S (a length-|G| mask,
+    :func:`~centauts.groups._distinct`), and so is the end: the products
+    b_1^c_1 ... b_r^c_r, 0 <= c_i < ord(b_i), are every element once.  A
+    failed check raises :class:`InternalDisagreement`.  Returns the basis,
+    in order of non-increasing order, and the read-only ``n x r`` array
+    whose row g holds the exponents c_i of g; both are cached on the group.
     """
 
     def fail(step: str) -> InternalDisagreement:
@@ -355,7 +356,7 @@ def _abelian_basis(ab: Group) -> tuple[tuple[int, ...], np.ndarray]:
             b = int(lifts.min())
             cyclic = powers[: orders[b], b]
             grown = mul[span[:, None], cyclic[None, :]].ravel()
-            if len(np.unique(grown)) != len(span) * orders[b]:
+            if len(_distinct(grown, ab.n)) != len(span) * orders[b]:
                 raise fail(f"basis element {b}, whose cyclic group meets the span")
             exponent = np.tile(np.arange(len(cyclic)), len(span))[:, None]
             coords = np.concatenate((np.repeat(coords, len(cyclic), axis=0), exponent), axis=1)

@@ -137,12 +137,23 @@ def _coset_table(
     """The quotient of the group table ``mul`` by its normal subgroup ``members``,
     on least-index coset representatives ranked in index order: the
     representatives, the projection (element -> rank of its coset) and the
-    quotient's table.  Normality is the caller's to check."""
+    quotient's table.  The representatives are the distinct row minima, read
+    by :func:`_distinct`.  Normality is the caller's to check."""
     rep_of = mul[:, np.asarray(members, dtype=np.int64)].min(axis=1)
-    reps = np.unique(rep_of)
+    reps = _distinct(rep_of, len(mul))
     rank = np.full(len(mul), -1, dtype=np.int64)
     rank[reps] = np.arange(len(reps))
     return reps, rank[rep_of], rank[rep_of[mul[np.ix_(reps, reps)]]]
+
+
+def _distinct(values: np.ndarray, n: int) -> np.ndarray:
+    """The distinct entries, ascending, of an integer array whose entries lie
+    in ``[0, n)``: the values numpy's ``unique`` returns, read off a length-n
+    mask in O(n) rather than by a sort.  numpy's ``unique`` also imports
+    ``numpy.ma`` on its first call, which no check otherwise loads."""
+    mask = np.zeros(n, dtype=bool)
+    mask[values] = True
+    return np.flatnonzero(mask)
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -379,13 +390,14 @@ class Group:
         return self._cached_subgroup("center", compute)
 
     def _commutators_with(self, subset: Sequence[int]) -> np.ndarray:
-        """Unique values of [g, h] = g^-1 h^-1 g h over g in G, h in subset."""
+        """The distinct values, ascending, of [g, h] = g^-1 h^-1 g h over g in G,
+        h in subset, read by :func:`_distinct`."""
         hs = np.asarray(subset, dtype=np.int64)
         n = self.n
         a = self.mul[self.inv[:, None], self.inv[hs][None, :]]
         b = self.mul[a, np.arange(n)[:, None]]
         c = self.mul[b, hs[None, :]]
-        return np.unique(c)
+        return _distinct(c, n)
 
     def _lower_central_series(self) -> tuple[tuple[int, ...], ...]:
         """Members of the distinct lower central terms G, [G,G], [[G,G],G], ..., down
@@ -668,6 +680,9 @@ class Subgroup:
 class QuotientMap:
     """A surjective homomorphism from ``source`` onto a quotient group ``target``;
     ``projection[x]`` is the index of x's image, in a read-only int64 array.
+    Construction checks the length, then that every entry lies in
+    ``[0, target.n)`` and every target element is hit (by :func:`_distinct`),
+    then the homomorphism property, each with :class:`NotAGroup`.
 
     A view like :class:`Subgroup`: it holds its source, whose caches hold
     only the target and the projection.
@@ -681,7 +696,9 @@ class QuotientMap:
         parr = np.array(projection, dtype=np.int64)
         if parr.shape != (source.n,):
             raise NotAGroup("projection length does not match the source order")
-        if not np.array_equal(np.unique(parr), np.arange(target.n)):
+        # the range first: a negative entry would wrap around in the mask
+        in_range = parr.min() >= 0 and parr.max() < target.n
+        if not in_range or len(_distinct(parr, target.n)) != target.n:
             raise NotAGroup("projection is not surjective onto the target")
         if not np.array_equal(parr[source.mul], target.mul[parr[:, None], parr[None, :]]):
             raise NotAGroup("projection is not a homomorphism")

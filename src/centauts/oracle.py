@@ -15,6 +15,11 @@ Everything is deterministic: candidates are tried in index order and results
 are sorted by value table.  :func:`enumerate_homs` is the oracle of every Hom
 set and count the checks read, and the full automorphism group,
 :func:`all_automorphisms`, is the independent oracle of the central ones.
+The element orders and Frattini subgroup that pick the generators and
+candidate images are the oracle's own, by repeated multiplication over the
+table (:func:`_element_orders`, :func:`_frattini_members`): the structural
+route reads :meth:`~centauts.groups.Group.powers`, so a fault there cannot
+reach both sides.
 """
 
 from __future__ import annotations
@@ -33,20 +38,51 @@ from .automorphisms import (
     _budget_exceeded,
     _canonical,
     _pull_back,
-    minimal_generating_set,
 )
 from .errors import HypothesisViolated, NotCentral
 from .groups import Group, Subgroup, _readonly
 
 
-def _search_generating_set(group: Group) -> tuple[int, ...]:
-    """Irredundant generating set used by image searches: a p-group's minimal
-    one (a basis of G/Frattini in any order) sorted by (element order, index),
-    else the greedy one in its own order, which sorting could make redundant."""
-    if group.n > 1 and group.p_group_prime() is None:
+def _element_orders(group: Group) -> np.ndarray:
+    """The order of every element, by repeated multiplication over
+    ``group.mul``: x, x^2, ... until the identity.  The oracle's own, read
+    off no power table of the structural route."""
+    x = np.arange(group.n)
+    orders = np.zeros(group.n, dtype=np.int64)
+    power = x
+    for k in range(1, group.n + 1):
+        orders[(power == group.identity) & (orders == 0)] = k
+        if orders.all():
+            break
+        power = group.mul[power, x]
+    return orders
+
+
+def _frattini_members(group: Group) -> list[int] | None:
+    """Members of the Frattini subgroup of a non-trivial p-group: the closure
+    of [G, G] and the p-th powers, each by p - 1 multiplications over
+    ``group.mul``.  None for any other group."""
+    if group.n == 1 or group.p_group_prime() is None:
+        return None
+    x = np.arange(group.n)
+    power = x
+    for _ in range(group.prime() - 1):
+        power = group.mul[power, x]
+    return group.closure([*power.tolist(), *group.commutator_subgroup().members])
+
+
+def _search_generating_set(
+    group: Group, orders: np.ndarray, frattini: list[int] | None
+) -> tuple[int, ...]:
+    """Irredundant generating set used by image searches, given the
+    :func:`_element_orders` and :func:`_frattini_members`: a non-trivial
+    p-group's minimal one (picked greedily over the Frattini subgroup, a
+    basis of G/Frattini) sorted by (element order, index), else the greedy
+    one in its own order, which sorting could make redundant."""
+    if frattini is None:
         return group.generating_set()
-    orders = group.element_orders()
-    return tuple(sorted(minimal_generating_set(group), key=lambda w: (orders[w], w)))
+    gens = group._greedy_generators(frattini)
+    return tuple(sorted(gens, key=lambda w: (orders[w], w)))
 
 
 def _generator_chain(group: Group, gens: Sequence[int]):
@@ -187,14 +223,12 @@ def all_automorphisms(group: Group, budget: int | None = None) -> AutSet:
     what = f"automorphism search for {group.name}"
 
     def compute():
-        gens = _search_generating_set(group)
-        orders = group.element_orders()
-        p_group = group.p_group_prime() is not None
-        frat = group.frattini_subgroup().member_set if p_group else frozenset()
-        cands = [
-            [x for x in range(group.n) if orders[x] == orders[w] and x not in frat]
-            for w in gens
-        ]
+        orders, frattini = _element_orders(group), _frattini_members(group)
+        gens = _search_generating_set(group, orders, frattini)
+        outside = np.ones(group.n, dtype=bool)
+        if frattini is not None:
+            outside[frattini] = False
+        cands = [np.flatnonzero((orders == orders[w]) & outside).tolist() for w in gens]
         tables, attempts = _search_maps(
             group, group, gens, cands, injective=True, limit=limit, what=what
         )
@@ -213,10 +247,10 @@ def enumerate_homs(source: Group, target: Group, budget: int | None = None) -> l
     count the checks read.  Each table is a tuple of Python ints.
     """
     limit = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    gens = _search_generating_set(source)
-    sorders = source.element_orders()
-    torders = target.element_orders()
-    cands = [[t for t in range(target.n) if sorders[w] % torders[t] == 0] for w in gens]
+    sorders = _element_orders(source)
+    torders = _element_orders(target)
+    gens = _search_generating_set(source, sorders, _frattini_members(source))
+    cands = [np.flatnonzero(sorders[w] % torders == 0).tolist() for w in gens]
     what = f"homomorphism search for {source.name}"
     tables, _ = _search_maps(
         source, target, gens, cands, injective=False, limit=limit, what=what

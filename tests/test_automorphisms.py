@@ -25,7 +25,12 @@ from centauts import (
     verify_lemma0a,
 )
 from centauts.automorphisms import Automorphism, _factor_element
-from centauts.oracle import _generator_chain, _search_generating_set
+from centauts.oracle import (
+    _element_orders,
+    _frattini_members,
+    _generator_chain,
+    _search_generating_set,
+)
 from centauts.corpus import (
     abelian_group,
     catalog,
@@ -148,7 +153,8 @@ def test_generator_chain_computes_each_product_once():
     for name, make in catalog().items():
         group = make()
         for source in (group, group.abelianization().target, group.center_quotient().target):
-            gens = _search_generating_set(source)
+            orders, frattini = _element_orders(source), _frattini_members(source)
+            gens = _search_generating_set(source, orders, frattini)
             assert all(
                 gens[i] not in source.closure(gens[:i]) for i in range(len(gens))
             ), name

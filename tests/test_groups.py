@@ -3,8 +3,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from centauts import (
     direct_product,
@@ -33,7 +34,7 @@ from centauts.errors import (
     SizeLimitExceeded,
 )
 
-from centauts.groups import Group, QuotientMap, Subgroup, _associativity_failure
+from centauts.groups import Group, QuotientMap, Subgroup, _associativity_failure, _distinct
 from centauts.groups import _right_closure_generators as _magma_generators
 from oracles import (
     composed_permutation_table,
@@ -551,6 +552,17 @@ class TestQuotient:
         if isinstance(given, np.ndarray):
             assert given.flags.writeable  # the map keeps a copy
 
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_a_projection_with_a_negative_entry_is_rejected(self, wrap):
+        # -1 in place of the last target element would hit it through a
+        # wrapped-around mask and pass the homomorphism check on a wrapped gather
+        g = d8()
+        q = g.center_quotient()
+        last = q.target.n - 1
+        proj = [-1 if p == last else p for p in q.projection.tolist()]
+        with pytest.raises(NotAGroup, match="projection is not surjective onto the target"):
+            QuotientMap(g, q.target, wrap(proj))
+
     def test_a_subset_not_closed_has_no_table(self):
         g = d8()
         rotation = g.element_orders().index(4)
@@ -831,6 +843,27 @@ class TestSubgroupEnumeration:
         again = g.all_subgroups()
         assert again == first
         assert closures == []
+
+
+@st.composite
+def _index_arrays(draw):
+    """(values, n): a 1-D or 2-D array, possibly empty, of entries in [0, n)."""
+    n = draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    n = min(n, np.iinfo(dtype).max + 1)
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40))
+    return draw(hnp.arrays(dtype, shape, elements=st.integers(0, n - 1))), n
+
+
+@settings(deadline=None)
+@given(_index_arrays())
+@example((np.zeros(0, dtype=np.uint8), 1))
+@example((np.zeros((3, 0), dtype=np.int64), 5))
+def test_distinct_is_the_sorted_unique_values(case):
+    values, n = case
+    distinct = _distinct(values, n)
+    assert distinct.ndim == 1
+    assert distinct.tolist() == np.unique(values).tolist()
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,18 +12,22 @@ The checks search nothing: central Homs are built from a basis, which is
 compared with both searches, and the lemma 3 witness, built from a basis
 coordinate, is compared with the generator extension of its values.  No
 check calls any function of ``centauts.oracle``, the search's module, at
-all.
+all, and the oracle reads no ``Group.powers`` table.  No check, parse or
+emit calls numpy's ``unique`` either, so no process loads ``numpy.ma``.
 """
 
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from centauts import all_automorphisms, direct_product, enumerate_homs
+import centauts
+from centauts import all_automorphisms, direct_product, enumerate_homs, group_file_text
 from centauts import automorphisms, oracle, theory
 from centauts.corpus import (
     PER_GROUP_CHECKS,
@@ -36,9 +40,11 @@ from centauts.corpus import (
     dicyclic_group,
     dihedral_group,
     emit_report,
+    parse_group_text,
     scan_corpus,
 )
 from centauts.errors import BudgetExceeded, InternalDisagreement
+from centauts.groups import Group
 from centauts.theory import build_factor_witness, verify_lemma3
 
 from oracles import dfs_search_maps, extend_generator_map, relabelled_group
@@ -201,6 +207,89 @@ def test_no_check_runs_the_search(monkeypatch):
             report = analyze_group(g, PER_GROUP_CHECKS)
             assert report.verdict == "agree", (g.name, report.error)
             assert report.lemma_checks == statuses.get(group.name, report.lemma_checks)
+
+
+def test_no_check_calls_numpy_unique(monkeypatch):
+    # element sets are deduplicated by a mask (groups._distinct): with
+    # np.unique refusing, the whole-catalog scan still equals its reference,
+    # and every check, parse and emit runs on each catalog group and one
+    # relabelling of each
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check called np.unique")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    reports = scan_corpus(RunConfig(max_order=125, primes=(2, 3, 5)))
+    assert emit_report(reports, "json") == FULL_SCAN.read_text(encoding="utf-8")
+    assert emit_report(reports, "csv")
+    analyzed = []
+    for seed, make in enumerate(catalog().values()):
+        group = make()
+        for g in (group, relabelled_group(group, seed)):
+            parsed = parse_group_text(group_file_text(g))
+            assert np.array_equal(parsed.mul, g.mul), g.name
+            report = analyze_group(parsed, PER_GROUP_CHECKS)
+            assert report.verdict == "agree", (g.name, report.error)
+            analyzed.append(report)
+    assert emit_report(analyzed, "json") and emit_report(analyzed, "csv")
+
+
+_FRESH_PROCESS = """
+import contextlib, io, sys
+from centauts import group_file_text
+from centauts.cli import main
+from centauts.corpus import PER_GROUP_CHECKS, analyze_group, catalog_group
+from centauts.corpus import emit_report, parse_group_text
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["scan", "--max-order", "81", "--prime", "2", "--prime", "3"]) == 0
+group = parse_group_text(group_file_text(catalog_group("D8xC2xC2")))
+reports = [analyze_group(group, PER_GROUP_CHECKS)]
+assert emit_report(reports, "json") and emit_report(reports, "csv")
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_a_fresh_process_never_loads_numpy_ma():
+    # numpy's unique imports numpy.ma on its first call; no scan, parse,
+    # analysis or emit loads it
+    src = str(Path(centauts.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_the_oracle_reads_no_power_table(monkeypatch):
+    # the oracle's element orders and Frattini subgroup come from repeated
+    # multiplication, not from Group.powers, which the structural route's
+    # basis, Hom rows, purity and census read
+    known_aut_orders = {"D8": 8, "Q8": 24, "Heis3": 432}
+    expected = {}
+    for name in known_aut_orders:
+        g = catalog_group(name)
+        z = g.center()
+        expected[name] = (
+            all_automorphisms(g).tables.tolist(),
+            automorphisms._ab_homs(g, z, None).tolist(),
+            enumerate_homs(g, g),
+        )
+
+    def refuse(self):
+        raise AssertionError("the oracle read Group.powers")
+
+    monkeypatch.setattr(Group, "powers", refuse)
+    for name, aut_order in known_aut_orders.items():
+        g = catalog_group(name)
+        auts, central_homs, endos = expected[name]
+        found = all_automorphisms(g)
+        assert len(found) == aut_order and found.tables.tolist() == auts, name
+        ab, z = g.abelianization().target, g.center()
+        assert [list(t) for t in enumerate_homs(ab, z.as_group())] == central_homs, name
+        assert enumerate_homs(g, g) == endos, name
 
 
 def test_a_dependent_basis_is_caught(monkeypatch):
